@@ -165,39 +165,6 @@ func Batch(g GraphView, algo Algorithm, q Query) (*Result, BatchMetrics, error) 
 	return scan.Batch(g, algo, q)
 }
 
-// SCAN runs the original SCAN algorithm (Xu et al., KDD 2007), generalized
-// to weighted graphs. Exact but evaluates 2|E| similarities.
-//
-// Deprecated: use Batch(g, AlgoSCAN, Query{Mu: mu, Eps: eps}).
-func SCAN(g GraphView, mu int, eps float64) (*Result, BatchMetrics) { return scan.SCAN(g, mu, eps) }
-
-// SCANB runs SCAN-B: SCAN plus the Lemma-5 pruning and early-exit
-// optimizations (Section III-D of the paper).
-//
-// Deprecated: use Batch(g, AlgoSCANB, Query{Mu: mu, Eps: eps}).
-func SCANB(g GraphView, mu int, eps float64) (*Result, BatchMetrics) { return scan.SCANB(g, mu, eps) }
-
-// PSCAN runs pSCAN (Chang et al., ICDE 2016), the strongest exact
-// sequential competitor.
-//
-// Deprecated: use Batch(g, AlgoPSCAN, Query{Mu: mu, Eps: eps}).
-func PSCAN(g *Graph, mu int, eps float64) (*Result, BatchMetrics) { return scan.PSCAN(g, mu, eps) }
-
-// SCANPP runs SCAN++ (Shiokawa et al., PVLDB 2015).
-//
-// Deprecated: use Batch(g, AlgoSCANPP, Query{Mu: mu, Eps: eps}).
-func SCANPP(g *Graph, mu int, eps float64) (*Result, BatchMetrics) { return scan.SCANPP(g, mu, eps) }
-
-// ParallelSCAN runs the naive parallelization of SCAN: all-edge similarity
-// evaluation in parallel, sequential label propagation. Exact, but not
-// work-efficient (always |E| evaluations' worth of work).
-//
-// Deprecated: use Batch(g, AlgoParallelSCAN, Query{Mu: mu, Eps: eps,
-// Threads: threads}).
-func ParallelSCAN(g GraphView, mu int, eps float64, threads int) (*Result, BatchMetrics) {
-	return scan.ParallelSCAN(g, mu, eps, threads)
-}
-
 // ApproxSCAN runs a LinkSCAN*-style sampled approximation of SCAN: each
 // vertex evaluates σ on roughly a rho fraction of its edges and coreness is
 // estimated from the sampled hit rate. Fast but unrefinable — contrast with
@@ -287,16 +254,6 @@ func OpenCompressedGraphFile(path string, verifyCRC bool) (*CompressedGraph, err
 // a framed, CRC-checked .csrz container.
 func WriteCompressedGraphFile(g *Graph, path string) error {
 	return graph.Compress(g).WriteCompressedFile(path)
-}
-
-// LoadGraphFile loads a flat graph choosing the format from the file
-// extension (".metis"/".graph", ".bin", or edge list; a ".csrz" container is
-// decompressed to flat form).
-//
-// Deprecated: use LoadGraph, which keeps .csrz containers mmap-backed
-// instead of decompressing them.
-func LoadGraphFile(path string) (*Graph, []int64, error) {
-	return graph.LoadFile(path)
 }
 
 // LoadCheckpoint reconstructs a suspended anytime run over g from a

@@ -116,11 +116,6 @@ func TestPublicBaselinesAgree(t *testing.T) {
 			t.Errorf("%s: NMI vs SCAN = %v", algo, nmi)
 		}
 	}
-	// The deprecated per-algorithm wrappers stay exact aliases of Batch.
-	legacy, _ := anyscan.SCAN(g, 3, 0.5)
-	if !reflect.DeepEqual(scanRes.Labels, legacy.Labels) || !reflect.DeepEqual(scanRes.Roles, legacy.Roles) {
-		t.Error("deprecated SCAN wrapper diverged from Batch")
-	}
 	if _, _, err := anyscan.Batch(g, anyscan.Algorithm("nope"), q); err == nil {
 		t.Error("Batch accepted an unknown algorithm")
 	}

@@ -52,7 +52,7 @@ func graphConvert(args []string) {
 	start := time.Now()
 	// Load flat: a .csrz input is decompressed here, every other format is
 	// parsed; conversion always goes through the canonical CSR.
-	g, _, err := anyscan.LoadGraphFile(*input)
+	g, _, err := igraph.LoadFile(*input)
 	if err != nil {
 		fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"anyscan"
+	igraph "anyscan/internal/graph"
 )
 
 // indexMain implements "anyscan index <verb>": build a persisted (μ, ε)
@@ -51,7 +52,7 @@ func indexBuild(args []string) {
 	if *input == "" || *output == "" {
 		fatal(fmt.Errorf("index build needs -input FILE and -o FILE"))
 	}
-	g, _, err := anyscan.LoadGraphFile(*input)
+	g, _, err := igraph.LoadFile(*input)
 	if err != nil {
 		fatal(err)
 	}
@@ -108,7 +109,7 @@ func indexLocal(args []string) {
 		fatal(fmt.Errorf("index local needs -vertex ID (the seed vertex)"))
 	}
 
-	g, ids, err := anyscan.LoadGraphFile(*input)
+	g, ids, err := igraph.LoadFile(*input)
 	if err != nil {
 		fatal(err)
 	}
@@ -203,7 +204,7 @@ func indexQuery(args []string) {
 		epsValues = append(epsValues, e)
 	}
 
-	g, ids, err := anyscan.LoadGraphFile(*input)
+	g, ids, err := igraph.LoadFile(*input)
 	if err != nil {
 		fatal(err)
 	}

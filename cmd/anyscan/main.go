@@ -48,6 +48,7 @@ import (
 
 	"anyscan"
 	"anyscan/internal/datasets"
+	igraph "anyscan/internal/graph"
 )
 
 func main() {
@@ -365,7 +366,7 @@ func load(input, dataset string, scale float64) (*anyscan.Graph, []int64, error)
 	case input != "" && dataset != "":
 		return nil, nil, fmt.Errorf("use either -input or -dataset, not both")
 	case input != "":
-		return anyscan.LoadGraphFile(input)
+		return igraph.LoadFile(input)
 	case dataset != "":
 		g, err := datasets.Load(dataset, scale)
 		return g, nil, err

@@ -30,11 +30,9 @@ import (
 //	anyscan remote query   -addr URL -graph g -mu 5 [-eps 0.5 | -eps-list 0.3,0.5 | -limit 8] [-approx 0.05] [-min-epoch 3]
 //	anyscan remote local   -addr URL -graph g -vertex 42 -mu 5 -eps 0.5 [-approx 0.05] [-min-epoch 3] [-no-members]
 //	anyscan remote mutate  -addr URL -graph g -ops add:1:2:0.8,del:3:4,rw:1:2:1.5
-//	anyscan remote cluster -addr URL -graph g -mu 5 -eps 0.5   (deprecated: use query)
-//	anyscan remote sweep   -addr URL -graph g -mu 5 [-eps-list 0.3,0.5]   (deprecated: use query)
 func remoteMain(args []string) {
 	if len(args) == 0 {
-		fatal(fmt.Errorf("usage: anyscan remote <load|graphs|evict|submit|jobs|status|snapshot|result|pause|resume|cancel|query|local|mutate|cluster|sweep> [flags]"))
+		fatal(fmt.Errorf("usage: anyscan remote <load|graphs|evict|submit|jobs|status|snapshot|result|pause|resume|cancel|query|local|mutate> [flags]"))
 	}
 	verb, args := args[0], args[1:]
 	fs := flag.NewFlagSet("remote "+verb, flag.ExitOnError)
@@ -43,10 +41,10 @@ func remoteMain(args []string) {
 	path := fs.String("path", "", "graph file path (load)")
 	dataset := fs.String("dataset", "", "synthetic dataset name (load)")
 	scale := fs.Float64("scale", 0, "dataset scale factor (load)")
-	graphName := fs.String("graph", "", "graph name (submit/cluster/sweep)")
+	graphName := fs.String("graph", "", "graph name (submit/query/local/mutate)")
 	mu := fs.Int("mu", 5, "μ: minimum ε-neighborhood size for cores")
 	eps := fs.Float64("eps", 0.5, "ε: structural similarity threshold")
-	epsList := fs.String("eps-list", "", "comma-separated ε values (query/sweep profile)")
+	epsList := fs.String("eps-list", "", "comma-separated ε values (query profile)")
 	limit := fs.Int("limit", 0, "max auto-picked ε thresholds for a query profile (0 = server default)")
 	minEpoch := fs.Int64("min-epoch", 0, "query/local: wait for this live epoch before answering (read-your-writes)")
 	approx := fs.Float64("approx", 0, "query/local: accuracy dial δ in [0,1) — σ estimated from sketches, near-threshold edges exact (0 = exact)")
@@ -151,14 +149,6 @@ func remoteMain(args []string) {
 			fatal(fmt.Errorf("remote mutate needs -ops LIST (e.g. add:1:2:0.8,del:3:4)"))
 		}
 		out, err = c.Mutate(ctx, needGraph(), parseOps(*ops))
-	case "cluster": // deprecated alias of "query" with a single ε
-		out, err = c.Cluster(ctx, needGraph(), *mu, *eps, *withAssignments)
-	case "sweep": // deprecated alias of "query" with an ε list
-		var epsValues []float64
-		if *epsList != "" {
-			epsValues = parseEpsList(*epsList)
-		}
-		out, err = c.Sweep(ctx, needGraph(), *mu, epsValues)
 	default:
 		fatal(fmt.Errorf("unknown remote verb %q", verb))
 	}

@@ -46,7 +46,6 @@ func main() {
 	workers := flag.Int("workers", 2, "concurrent clustering jobs")
 	ckptSteps := flag.Int("checkpoint-every", 16, "checkpoint running jobs every N steps (0 = only on pause/drain)")
 	indexThreads := flag.Int("index-threads", 0, "workers for query-index construction (0 = GOMAXPROCS)")
-	flag.IntVar(indexThreads, "explorer-threads", 0, "deprecated alias of -index-threads")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long to wait for running jobs to park on shutdown")
 	buildSlots := flag.Int("build-slots", 0, "concurrent index builds admitted (0 = default 2)")
 	admissionQueue := flag.Int("admission-queue", 0, "bounded admission wait queue depth (0 = default 16, negative = shed immediately at saturation)")

@@ -8,6 +8,7 @@ import (
 
 	"anyscan/internal/cluster"
 	"anyscan/internal/graph"
+	"anyscan/internal/local"
 	"anyscan/internal/par"
 	"anyscan/internal/unionfind"
 )
@@ -200,6 +201,11 @@ func (e *Epoch) NeighborOrder(v int32) (ids []int32, sigs []float64) {
 	s := e.segs[v]
 	return s.onbr, s.osig
 }
+
+// LocalView returns the local.View a seed-centered query at eps runs
+// against: the epoch itself, whose σ is exact at every ε. It mirrors
+// index.Index.LocalView so callers need not care which one they hold.
+func (e *Epoch) LocalView(eps float64) local.View { return e }
 
 // coreOrderFor returns the memoized core order for μ, deriving it on first
 // use exactly as index.coreOrderFor does.

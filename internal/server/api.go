@@ -194,7 +194,7 @@ func assignments(r *cluster.Result) *Assignments {
 }
 
 // ClusteringPayload is a clustering summary, shared by the anytime snapshot,
-// the final result, and the interactive /cluster query.
+// the final result, and the interactive /v1/query clustering.
 type ClusteringPayload struct {
 	Clusters    int          `json:"clusters"`
 	Counts      RoleCounts   `json:"counts"`
@@ -217,10 +217,10 @@ type SnapshotResponse struct {
 	ClusteringPayload
 }
 
-// QueryResponse answers GET /v1/query (and the deprecated /cluster and
-// /sweep aliases). With a single eps parameter the response carries the
-// exact clustering at (μ, ε) in the embedded ClusteringPayload; with an eps
-// list (or none) it carries one summary point per probed ε in Points.
+// QueryResponse answers GET /v1/query. With a single eps parameter the
+// response carries the exact clustering at (μ, ε) in the embedded
+// ClusteringPayload; with an eps list (or none) it carries one summary point
+// per probed ε in Points.
 type QueryResponse struct {
 	Graph string  `json:"graph"`
 	Mu    int     `json:"mu"`
@@ -245,22 +245,12 @@ type QueryResponse struct {
 	Points []SweepPoint `json:"points,omitempty"` // profile form only
 }
 
-// ClusterResponse is the former GET /cluster payload.
-//
-// Deprecated: use QueryResponse.
-type ClusterResponse = QueryResponse
-
 // SweepPoint is one ε of a profile-form QueryResponse.
 type SweepPoint struct {
 	Eps      float64    `json:"eps"`
 	Clusters int        `json:"clusters"`
 	Counts   RoleCounts `json:"counts"`
 }
-
-// SweepResponse is the former GET /sweep payload.
-//
-// Deprecated: use QueryResponse.
-type SweepResponse = QueryResponse
 
 // MutationSpec is one edge mutation of a MutateRequest. Op is "add" (insert
 // the edge, or update its weight when present), "delete" (idempotent), or

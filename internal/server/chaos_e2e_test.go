@@ -109,6 +109,34 @@ func TestE2ETimeoutParamDoesNotStickToRoute(t *testing.T) {
 	}
 }
 
+// TestE2ETimeoutParamCannotLiftDeadline pins the other side of "shorten,
+// never extend": a ?timeout_ms= too large for a time.Duration must leave the
+// route's own deadline in force instead of wrapping negative and switching
+// the deadline off.
+func TestE2ETimeoutParamCannotLiftDeadline(t *testing.T) {
+	path, _ := genGraphFile(t, 400, 23)
+	_, ts, c := newOverloadServer(t, server.OverloadConfig{QueryTimeout: 300 * time.Millisecond})
+	if _, err := c.LoadGraph(tctx, server.LoadGraphRequest{Name: "g", GraphSource: server.GraphSource{Path: path}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Mutate(tctx, "g", []server.MutationSpec{{Op: "add", U: 0, V: 399, W: 0.75}}); err != nil {
+		t.Fatal(err)
+	}
+
+	// Nobody publishes epoch 999, so only the route deadline ends the wait.
+	raw := &http.Client{Timeout: 10 * time.Second}
+	defer raw.CloseIdleConnections()
+	resp, err := raw.Get(ts.URL + "/v1/query?graph=g&mu=3&eps=0.4&min_epoch=999&timeout_ms=10000000000000")
+	if err != nil {
+		t.Fatalf("request outlived the route deadline: %v", err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("answered %d, want 503 once the 300ms route deadline expires", resp.StatusCode)
+	}
+}
+
 // TestE2EOverloadShedding storms a tightly-provisioned server with
 // simultaneous first queries for many distinct graphs — each needing its own
 // Θ(|E|) index build — and asserts the admission layer's contract: every

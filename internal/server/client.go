@@ -480,44 +480,6 @@ func (c *Client) QueryProfile(ctx context.Context, graphName string, mu int, eps
 	return resp, err
 }
 
-// Cluster runs an interactive clustering query against the legacy
-// unversioned /cluster endpoint.
-//
-// Deprecated: use Query.
-func (c *Client) Cluster(ctx context.Context, graphName string, mu int, eps float64, withAssignments bool) (ClusterResponse, error) {
-	var resp ClusterResponse
-	q := url.Values{}
-	q.Set("graph", graphName)
-	q.Set("mu", strconv.Itoa(mu))
-	q.Set("eps", strconv.FormatFloat(eps, 'g', -1, 64))
-	if withAssignments {
-		q.Set("assignments", "1")
-	}
-	err := c.do(ctx, http.MethodGet, "/cluster?"+q.Encode(), nil, &resp)
-	return resp, err
-}
-
-// Sweep evaluates the clustering profile via the legacy unversioned /sweep
-// endpoint. With an empty eps slice the server picks interesting thresholds
-// itself.
-//
-// Deprecated: use QueryProfile.
-func (c *Client) Sweep(ctx context.Context, graphName string, mu int, eps []float64) (SweepResponse, error) {
-	var resp SweepResponse
-	q := url.Values{}
-	q.Set("graph", graphName)
-	q.Set("mu", strconv.Itoa(mu))
-	if len(eps) > 0 {
-		parts := make([]string, len(eps))
-		for i, v := range eps {
-			parts[i] = strconv.FormatFloat(v, 'g', -1, 64)
-		}
-		q.Set("eps", strings.Join(parts, ","))
-	}
-	err := c.do(ctx, http.MethodGet, "/sweep?"+q.Encode(), nil, &resp)
-	return resp, err
-}
-
 // Healthz reports whether the process is alive (liveness; succeeds even
 // while draining).
 func (c *Client) Healthz(ctx context.Context) error {

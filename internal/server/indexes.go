@@ -9,7 +9,6 @@ import (
 	"anyscan/internal/faultinject"
 	"anyscan/internal/graph"
 	"anyscan/internal/index"
-	"anyscan/internal/sweep"
 )
 
 // idxKey identifies one cached query index: the graph name plus the
@@ -21,8 +20,7 @@ type idxKey struct {
 	delta float64
 }
 
-// indexEntry is one per-(graph, delta) cached query index plus the μ-fixed
-// sweep explorers lazily derived from it (for profile queries over many ε).
+// indexEntry is one per-(graph, delta) cached query index.
 type indexEntry struct {
 	key     idxKey
 	g       graph.Graph   // the graph generation the index answers for
@@ -39,18 +37,9 @@ type indexEntry struct {
 	cancelBuild context.CancelFunc
 
 	lastUsed atomic.Int64 // UnixNano of the most recent get (LRU ordering)
-
-	mu        sync.Mutex
-	explorers map[int]*explorerEntry // μ → derived explorer (no σ pass)
 }
 
 func (e *indexEntry) touch() { e.lastUsed.Store(time.Now().UnixNano()) }
-
-type explorerEntry struct {
-	ready chan struct{}
-	ex    *sweep.Explorer
-	err   error
-}
 
 // staleIndex is the last index successfully built for a cache key, retained
 // after the fresh entry is replaced or rebuilt so the server can degrade to
@@ -176,7 +165,6 @@ func (c *indexCache) entry(ge *GraphEntry, delta float64) (e *indexEntry, built 
 		g:           ge.G,
 		ready:       make(chan struct{}),
 		cancelBuild: cancel,
-		explorers:   make(map[int]*explorerEntry),
 	}
 	e.touch()
 	c.entries[key] = e
@@ -251,57 +239,8 @@ func (c *indexCache) staleFor(name string, delta float64) (*staleIndex, bool) {
 	return s, ok
 }
 
-// explorer returns a μ-fixed sweep explorer derived from the graph's exact
-// index, building the index on first use and memoizing one explorer per μ.
-// Profiles are always exact — the approx surface rejects the profile form —
-// so the derivation anchors at delta 0. It performs no σ work
-// (sweep.FromIndex), so hit/buildMS report the index cache outcome — the
-// quantity that matters for similarity cost.
-func (c *indexCache) explorer(ctx context.Context, ge *GraphEntry, mu int) (ex *sweep.Explorer, hit bool, buildMS float64, err error) {
-	e, built := c.entry(ge, 0)
-	e.touch()
-	if err := c.wait(ctx, e); err != nil {
-		return nil, false, 0, err
-	}
-	if e.err != nil {
-		return nil, false, 0, e.err
-	}
-	hit = !built
-	if built {
-		buildMS = e.buildMS
-	} else {
-		c.met.IndexHits.Add(1)
-	}
-
-	e.mu.Lock()
-	ee, ok := e.explorers[mu]
-	if !ok {
-		ee = &explorerEntry{ready: make(chan struct{})}
-		e.explorers[mu] = ee
-		e.mu.Unlock()
-		ee.ex, ee.err = sweep.FromIndex(e.idx, mu)
-		if ee.err != nil {
-			e.mu.Lock()
-			delete(e.explorers, mu) // failed derivations are not cached
-			e.mu.Unlock()
-		}
-		close(ee.ready)
-	} else {
-		e.mu.Unlock()
-		select {
-		case <-ee.ready:
-		case <-ctx.Done():
-			return nil, false, 0, ctx.Err()
-		}
-	}
-	if ee.err != nil {
-		return nil, false, 0, ee.err
-	}
-	return ee.ex, hit, buildMS, nil
-}
-
 // evictGraph drops the named graph's cached indexes (at every accuracy
-// dial) and derived explorers (after a registry eviction), aborting any
+// dial) after a registry eviction, aborting any
 // build still in flight — its waiters see a cancellation, retryable once the
 // graph is reloaded. The stale snapshots are retained: an evict-and-reload
 // cycle is the common way to refresh a graph, and the snapshot is what lets

@@ -6,9 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"sync"
-	"time"
 
 	"anyscan/internal/graph"
 	"anyscan/internal/live"
@@ -16,8 +14,8 @@ import (
 
 // This file wires the live mutable-graph subsystem (internal/live) into the
 // HTTP server: a per-graph cache of live.Graph instances created on first
-// mutation, the POST /v1/graphs/{name}/edges handler, and the epoch-aware
-// query paths used by /v1/query's ?min_epoch= read-your-writes parameter.
+// mutation and the POST /v1/graphs/{name}/edges handler. Reads find a graph's
+// live epochs through resolveView.
 
 // liveEntry is one graph's live.Graph, materialized single-flight by the
 // first mutation against that graph.
@@ -198,15 +196,13 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 
 	lg, err := s.liveGraphs.get(r.Context(), ge)
 	if err != nil {
-		s.countDeadline(err)
-		writeError(w, http.StatusServiceUnavailable, err)
+		s.fail(w, http.StatusServiceUnavailable, err)
 		return
 	}
 	if s.admit != nil {
 		release, err := s.admit.acquireBuild(r.Context())
 		if err != nil {
-			s.countDeadline(err)
-			writeError(w, http.StatusServiceUnavailable, err)
+			s.fail(w, http.StatusServiceUnavailable, err)
 			return
 		}
 		defer release()
@@ -231,87 +227,4 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		PublishMS:       float64(st.Publish.Microseconds()) / 1000,
 		SigmaRecomputed: st.SigmaRecomputed,
 	})
-}
-
-// parseMinEpoch extracts the ?min_epoch= read-your-writes bound (0 when
-// absent).
-func parseMinEpoch(r *http.Request) (int64, error) {
-	raw := r.URL.Query().Get("min_epoch")
-	if raw == "" {
-		return 0, nil
-	}
-	v, err := strconv.ParseInt(raw, 10, 64)
-	if err != nil || v < 0 {
-		return 0, fmt.Errorf("bad min_epoch %q", raw)
-	}
-	return v, nil
-}
-
-// liveClustering answers one (μ, ε) clustering from a live graph's epoch
-// chain. The read-your-writes wait happens before any admission slot is
-// taken: WaitEpoch parks without holding resources, so an abandoned waiter
-// never pins server capacity while it sleeps.
-func (s *Server) liveClustering(ctx context.Context, ge *GraphEntry, lg *live.Graph, mu int, eps float64, minEpoch int64, withAssignments bool) (QueryResponse, int, error) {
-	ep, err := lg.WaitEpoch(ctx, minEpoch)
-	if err != nil {
-		return QueryResponse{}, http.StatusServiceUnavailable, err
-	}
-	if withAssignments && s.admit != nil {
-		release, err := s.admit.acquireQuery(ctx)
-		if err != nil {
-			return QueryResponse{}, http.StatusServiceUnavailable, err
-		}
-		defer release()
-	}
-	start := time.Now()
-	res, err := ep.Query(mu, eps)
-	if err != nil {
-		return QueryResponse{}, http.StatusBadRequest, err
-	}
-	queryUS := time.Since(start).Microseconds()
-	s.met.QueryUS.Add(queryUS)
-	s.met.QueriesServed.Add(1)
-	return QueryResponse{
-		Graph:             ge.Name,
-		Mu:                mu,
-		Eps:               eps,
-		CacheHit:          true,
-		Epoch:             ep.Seq(),
-		QueryMS:           float64(queryUS) / 1000,
-		ClusteringPayload: clusteringPayload(res, withAssignments),
-	}, 0, nil
-}
-
-// liveProfile answers the profile form against a live epoch. Live graphs
-// have no derived sweep explorer (it would go stale on every publish), so
-// the ε list must be explicit; each point is one epoch query.
-func (s *Server) liveProfile(ctx context.Context, ge *GraphEntry, lg *live.Graph, mu int, epsValues []float64, minEpoch int64) (QueryResponse, int, error) {
-	if len(epsValues) == 0 {
-		return QueryResponse{}, http.StatusBadRequest,
-			fmt.Errorf("graph %q is live (mutated); profile queries need an explicit eps list", ge.Name)
-	}
-	ep, err := lg.WaitEpoch(ctx, minEpoch)
-	if err != nil {
-		return QueryResponse{}, http.StatusServiceUnavailable, err
-	}
-	start := time.Now()
-	points := make([]SweepPoint, 0, len(epsValues))
-	for _, eps := range epsValues {
-		res, err := ep.Query(mu, eps)
-		if err != nil {
-			return QueryResponse{}, http.StatusBadRequest, err
-		}
-		points = append(points, SweepPoint{Eps: eps, Clusters: res.NumClusters, Counts: roleCounts(res.RoleCounts())})
-	}
-	queryUS := time.Since(start).Microseconds()
-	s.met.QueryUS.Add(queryUS)
-	s.met.QueriesServed.Add(1)
-	return QueryResponse{
-		Graph:    ge.Name,
-		Mu:       mu,
-		CacheHit: true,
-		Epoch:    ep.Seq(),
-		QueryMS:  float64(queryUS) / 1000,
-		Points:   points,
-	}, 0, nil
 }

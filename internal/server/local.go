@@ -1,13 +1,11 @@
 package server
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"net/http"
 	"time"
 
-	"anyscan/internal/live"
 	"anyscan/internal/local"
 )
 
@@ -54,7 +52,7 @@ func (s *Server) handleLocal(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errorCode(err), err)
 		return
 	}
-	minEpoch, err := parseMinEpoch(r)
+	minEpoch, err := parseMinEpochParam(q)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -84,125 +82,36 @@ func wantMembers(r *http.Request) bool {
 	return v != "0" && v != "false"
 }
 
-// serveLocal answers one local query, degrading to the last good index —
-// explicitly marked stale — when the fresh build fails or is shed. Like
-// clusterings, read-your-writes requests never degrade.
+// serveLocal answers one local query. The expansion is cheap relative to an
+// index build but still serializes O(community) state, so every local is
+// metered through admission.
 func (s *Server) serveLocal(w http.ResponseWriter, r *http.Request, ge *GraphEntry, seed int32, mu int, eps, approx float64, minEpoch int64) {
-	resp, code, err := s.queryLocal(r.Context(), ge, seed, mu, eps, approx, minEpoch, wantMembers(r))
+	rv, code, err := s.resolveView(r.Context(), ge, approx, minEpoch, true)
 	if err != nil {
-		if minEpoch == 0 && s.degradeLocal(w, r, ge, seed, mu, eps, approx, err) {
-			return
-		}
-		s.countDeadline(err)
-		writeError(w, code, err)
+		s.fail(w, code, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// queryLocal routes a local query to the graph's live epoch chain when one
-// exists (so mutations are visible) or to the immutable index otherwise,
-// mirroring queryClustering — including the accuracy dial: an approximate
-// index answers through its band-aware LocalView, and approx requests on
-// live graphs are served exactly. The expansion itself is cheap relative to
-// an index build but still serializes O(community) state, so it is metered
-// through the admission semaphore at query weight.
-func (s *Server) queryLocal(ctx context.Context, ge *GraphEntry, seed int32, mu int, eps, approx float64, minEpoch int64, withMembers bool) (LocalResponse, int, error) {
-	if lg, ok := s.liveGraphs.lookup(ge.Name, ge.G); ok {
-		if approx > 0 {
-			s.met.ApproxLiveExact.Add(1)
-			s.log.Warn("approx local query on live graph served exactly",
-				"graph", ge.Name, "approx", approx)
-		}
-		return s.liveLocal(ctx, ge, lg, seed, mu, eps, minEpoch, withMembers)
+	if rv.stale != nil && vertexInRange(seed, rv.view.NumVertices()) != nil {
+		// The last good index describes an older, smaller generation of the
+		// graph: it cannot answer for this seed.
+		rv.release()
+		s.fail(w, http.StatusBadRequest, rv.stale)
+		return
 	}
-	if minEpoch > 0 {
-		return LocalResponse{}, http.StatusConflict,
-			fmt.Errorf("graph %q has no live epochs; min_epoch requires a mutated graph", ge.Name)
-	}
-	idx, hit, buildMS, err := s.idx.get(ctx, ge, approx)
+	res, queryUS, err := s.runLocal(rv.view.LocalView(eps), seed, mu, eps)
+	rv.release()
 	if err != nil {
-		return LocalResponse{}, http.StatusBadRequest, err
+		s.fail(w, http.StatusBadRequest, err)
+		return
 	}
-	if s.admit != nil {
-		release, err := s.admit.acquireQuery(ctx)
-		if err != nil {
-			return LocalResponse{}, http.StatusServiceUnavailable, err
-		}
-		defer release()
-	}
-	resolvedBefore := idx.Approx().Resolved
-	res, queryUS, err := s.runLocal(idx.LocalView(eps), seed, mu, eps)
-	if err != nil {
-		return LocalResponse{}, http.StatusBadRequest, err
-	}
-	resp := localResponse(ge.Name, res, withMembers)
-	resp.Approx = effectiveApprox(idx)
-	if resp.Approx > 0 {
-		s.met.ApproxQueries.Add(1)
-		s.met.ApproxResolvedArcs.Add(idx.Approx().Resolved - resolvedBefore)
-	}
-	resp.CacheHit = hit
-	resp.BuildMS = buildMS
-	resp.QueryMS = float64(queryUS) / 1000
-	return resp, 0, nil
-}
-
-// liveLocal answers a local query from a live graph's epoch chain, waiting
-// for the read-your-writes bound before taking any admission slot (same
-// discipline as liveClustering).
-func (s *Server) liveLocal(ctx context.Context, ge *GraphEntry, lg *live.Graph, seed int32, mu int, eps float64, minEpoch int64, withMembers bool) (LocalResponse, int, error) {
-	ep, err := lg.WaitEpoch(ctx, minEpoch)
-	if err != nil {
-		return LocalResponse{}, http.StatusServiceUnavailable, err
-	}
-	if s.admit != nil {
-		release, err := s.admit.acquireQuery(ctx)
-		if err != nil {
-			return LocalResponse{}, http.StatusServiceUnavailable, err
-		}
-		defer release()
-	}
-	res, queryUS, err := s.runLocal(ep, seed, mu, eps)
-	if err != nil {
-		return LocalResponse{}, http.StatusBadRequest, err
-	}
-	resp := localResponse(ge.Name, res, withMembers)
-	resp.CacheHit = true
-	resp.Epoch = ep.Seq()
-	resp.QueryMS = float64(queryUS) / 1000
-	return resp, 0, nil
-}
-
-// degradeLocal serves a stale-marked local answer from the last good index
-// when the fresh one is unavailable for capacity reasons. The stale index
-// may describe an older generation of the graph, so the seed is re-checked
-// against that generation's vertex range.
-func (s *Server) degradeLocal(w http.ResponseWriter, r *http.Request, ge *GraphEntry, seed int32, mu int, eps, approx float64, cause error) bool {
-	if !degradable(cause) {
-		return false
-	}
-	st, ok := s.idx.staleFor(ge.Name, approx)
-	if !ok {
-		return false
-	}
-	if vertexInRange(seed, st.idx.NumVertices()) != nil {
-		return false
-	}
-	res, queryUS, err := s.runLocal(st.idx.LocalView(eps), seed, mu, eps)
-	if err != nil {
-		return false
-	}
-	s.met.StaleServed.Add(1)
-	s.log.Warn("serving stale local query", "graph", ge.Name, "cause", cause.Error())
-	w.Header().Set("X-Anyscan-Stale", "1")
 	resp := localResponse(ge.Name, res, wantMembers(r))
-	resp.Approx = effectiveApprox(st.idx)
-	resp.CacheHit = true
-	resp.Stale = true
+	resp.Approx = rv.approx
+	resp.CacheHit = rv.hit
+	resp.Stale = rv.stale != nil
+	resp.Epoch = rv.epoch
+	resp.BuildMS = rv.buildMS
 	resp.QueryMS = float64(queryUS) / 1000
-	writeJSON(w, http.StatusOK, resp)
-	return true
+	s.respond(w, ge, rv, resp)
 }
 
 // runLocal executes one expansion against any local.View and records the

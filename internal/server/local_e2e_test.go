@@ -359,6 +359,14 @@ func TestHandlerValidation(t *testing.T) {
 		{"query: approx with eps list", "/v1/query?graph=g&mu=3&eps=0.3,0.5&approx=0.05", http.StatusBadRequest},
 		{"query: approx with probed profile", "/v1/query?graph=g&mu=3&approx=0.05", http.StatusBadRequest},
 		{"query: bad eps in list", "/v1/query?graph=g&mu=3&eps=0.3,zap", http.StatusBadRequest},
+		// ?timeout_ms= is parsed on every route with a deadline, never
+		// silently dropped in favor of the route default.
+		{"query: non-numeric timeout_ms", "/v1/query?graph=g&mu=3&eps=0.4&timeout_ms=abc", http.StatusBadRequest},
+		{"query: zero timeout_ms", "/v1/query?graph=g&mu=3&eps=0.4&timeout_ms=0", http.StatusBadRequest},
+		{"query: negative timeout_ms", "/v1/query?graph=g&mu=3&eps=0.4&timeout_ms=-5", http.StatusBadRequest},
+		{"local: non-numeric timeout_ms", "/v1/local?graph=g&seed=0&mu=3&eps=0.4&timeout_ms=abc", http.StatusBadRequest},
+		{"graphs: zero timeout_ms", "/v1/graphs?timeout_ms=0", http.StatusBadRequest},
+		{"jobs: negative timeout_ms", "/v1/jobs?timeout_ms=-5", http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -22,7 +22,7 @@ type Metrics struct {
 	JobsCanceled  atomic.Int64
 	JobsRecovered atomic.Int64
 
-	QueriesServed atomic.Int64 // /v1/query (and legacy /cluster, /sweep) answers
+	QueriesServed atomic.Int64 // /v1/query answers (clusterings and profiles)
 	IndexHits     atomic.Int64
 	IndexMisses   atomic.Int64
 	IndexSims     atomic.Int64 // σ evaluations spent building per-graph indexes

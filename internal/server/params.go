@@ -6,12 +6,14 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"time"
 )
 
-// This file centralizes query-parameter parsing for the interactive
-// endpoints (GET /v1/query, GET /v1/local). Every malformed value must
-// become a structured 400 with a message naming the parameter and the
-// accepted form — never a silent default and never a panic further down.
+// This file centralizes query-parameter parsing: the read parameters of GET
+// /v1/query and GET /v1/local, and ?timeout_ms= on every route with a
+// deadline. Every malformed value must become a structured 400 with a
+// message naming the parameter and the accepted form — never a silent
+// default and never a panic further down.
 
 // parseMuParam extracts the required mu parameter: a base-10 integer >= 1.
 func parseMuParam(q url.Values) (int, error) {
@@ -90,4 +92,36 @@ func parseSeedParam(q url.Values) (int32, error) {
 		return 0, fmt.Errorf("bad seed %q (want a vertex id)", raw)
 	}
 	return int32(v), nil
+}
+
+// parseMinEpochParam extracts the optional ?min_epoch= read-your-writes bound:
+// a base-10 integer >= 0 (0 when absent, meaning no bound).
+func parseMinEpochParam(q url.Values) (int64, error) {
+	raw := q.Get("min_epoch")
+	if raw == "" {
+		return 0, nil
+	}
+	v, err := strconv.ParseInt(raw, 10, 64)
+	if err != nil || v < 0 {
+		return 0, fmt.Errorf("bad min_epoch %q (want an integer >= 0)", raw)
+	}
+	return v, nil
+}
+
+// parseTimeoutParam extracts the optional ?timeout_ms= deadline: a base-10
+// integer >= 1 of milliseconds (0 when absent). Values beyond the largest
+// time.Duration saturate rather than wrap negative.
+func parseTimeoutParam(q url.Values) (time.Duration, error) {
+	raw := q.Get("timeout_ms")
+	if raw == "" {
+		return 0, nil
+	}
+	ms, err := strconv.ParseInt(raw, 10, 64)
+	if err != nil || ms < 1 {
+		return 0, fmt.Errorf("bad timeout_ms %q (want an integer >= 1)", raw)
+	}
+	if ms > int64(math.MaxInt64/time.Millisecond) {
+		return math.MaxInt64, nil
+	}
+	return time.Duration(ms) * time.Millisecond, nil
 }

@@ -1,8 +1,8 @@
 // Package server implements anyscand: a long-running HTTP service that keeps
 // a registry of loaded graphs, runs anySCAN clusterings as asynchronous
 // anytime jobs on a worker pool (pause / resume / cancel / checkpoint /
-// restart recovery), and answers interactive clustering queries from cached
-// sweep explorers without recomputing structural similarity.
+// restart recovery), and answers interactive clustering queries from a
+// per-graph query index without recomputing structural similarity.
 package server
 
 import (
@@ -16,9 +16,6 @@ import (
 	"strconv"
 	"strings"
 	"time"
-
-	"anyscan/internal/faultinject"
-	"anyscan/internal/index"
 )
 
 // Config configures a Server.
@@ -28,10 +25,6 @@ type Config struct {
 	// IndexThreads is the worker count for query-index construction
 	// (0 = GOMAXPROCS).
 	IndexThreads int
-	// ExplorerThreads is honored when IndexThreads is 0.
-	//
-	// Deprecated: use IndexThreads.
-	ExplorerThreads int
 	// Overload configures admission control, deadlines, rate limits, and the
 	// index memory budget; zero values pick production-safe defaults.
 	Overload OverloadConfig
@@ -55,7 +48,7 @@ type OverloadConfig struct {
 	// it is shed (0 → 2s).
 	QueueWait time.Duration
 	// QueryTimeout is the default deadline on index-building routes —
-	// /v1/query and its deprecated aliases, graph loads (0 → 60s, negative →
+	// /v1/query, /v1/local, mutations, graph loads (0 → 60s, negative →
 	// none). Clients may shorten it per request with ?timeout_ms=.
 	QueryTimeout time.Duration
 	// RequestTimeout is the default deadline on every other route
@@ -123,13 +116,9 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	threads := cfg.IndexThreads
-	if threads == 0 {
-		threads = cfg.ExplorerThreads
-	}
 	ocfg := cfg.Overload.withDefaults()
 	admit := newAdmission(ocfg.BuildSlots, ocfg.QueueDepth, ocfg.QueueWait, met)
-	idx := newIndexCache(met, threads, admit, ocfg.IndexMemoryBudget)
+	idx := newIndexCache(met, cfg.IndexThreads, admit, ocfg.IndexMemoryBudget)
 	s := &Server{
 		reg:        reg,
 		jobs:       jobs,
@@ -160,50 +149,37 @@ func (s *Server) Jobs() *Manager { return s.jobs }
 // http.Server.Shutdown.
 func (s *Server) Drain(ctx context.Context) error { return s.jobs.Close(ctx) }
 
-// routes registers every endpoint twice: under the canonical versioned
-// prefix /v1 and under the original unversioned path, kept as a deprecated
-// alias for one release so existing clients keep working. The one-shot
-// /cluster and /sweep endpoints are folded into GET /v1/query; their
-// unversioned paths remain as aliases answered by the same index-backed
-// machinery.
+// routes registers every endpoint under the versioned prefix /v1.
 func (s *Server) routes() {
 	// Every route carries a default deadline, propagated through the request
 	// context into index builds and parallel loops: heavy routes (index-
-	// building queries, graph loads) get the query timeout, everything else
-	// the request timeout. Clients may shorten (never extend) the deadline
-	// with ?timeout_ms=.
+	// building reads and mutations, graph loads) get the query timeout,
+	// everything else the request timeout. Clients may shorten (never
+	// extend) the deadline with ?timeout_ms=.
 	heavy := func(h http.HandlerFunc) http.HandlerFunc { return s.withDeadline(s.ocfg.QueryTimeout, h) }
 	light := func(h http.HandlerFunc) http.HandlerFunc { return s.withDeadline(s.ocfg.RequestTimeout, h) }
-	handle := func(pattern string, h http.HandlerFunc) {
-		method, path, _ := strings.Cut(pattern, " ")
-		s.mux.HandleFunc(method+" /v1"+path, h)
-		s.mux.HandleFunc(pattern, h) // deprecated unversioned alias
-	}
-	handle("POST /graphs", heavy(s.handleLoadGraph))
-	handle("GET /graphs", light(s.handleListGraphs))
-	handle("DELETE /graphs/{name}", light(s.handleEvictGraph))
-	handle("POST /graphs/{name}/edges", heavy(s.handleMutate))
+	s.mux.HandleFunc("POST /v1/graphs", heavy(s.handleLoadGraph))
+	s.mux.HandleFunc("GET /v1/graphs", light(s.handleListGraphs))
+	s.mux.HandleFunc("DELETE /v1/graphs/{name}", light(s.handleEvictGraph))
+	s.mux.HandleFunc("POST /v1/graphs/{name}/edges", heavy(s.handleMutate))
 
-	handle("POST /jobs", light(s.handleSubmitJob))
-	handle("GET /jobs", light(s.handleListJobs))
-	handle("GET /jobs/{id}", light(s.handleJobStatus))
-	handle("GET /jobs/{id}/snapshot", light(s.handleJobSnapshot))
-	handle("GET /jobs/{id}/result", light(s.handleJobResult))
-	handle("POST /jobs/{id}/pause", light(s.jobControl((*Manager).Pause)))
-	handle("POST /jobs/{id}/resume", light(s.jobControl((*Manager).Resume)))
-	handle("POST /jobs/{id}/cancel", light(s.jobControl((*Manager).Cancel)))
+	s.mux.HandleFunc("POST /v1/jobs", light(s.handleSubmitJob))
+	s.mux.HandleFunc("GET /v1/jobs", light(s.handleListJobs))
+	s.mux.HandleFunc("GET /v1/jobs/{id}", light(s.handleJobStatus))
+	s.mux.HandleFunc("GET /v1/jobs/{id}/snapshot", light(s.handleJobSnapshot))
+	s.mux.HandleFunc("GET /v1/jobs/{id}/result", light(s.handleJobResult))
+	s.mux.HandleFunc("POST /v1/jobs/{id}/pause", light(s.jobControl((*Manager).Pause)))
+	s.mux.HandleFunc("POST /v1/jobs/{id}/resume", light(s.jobControl((*Manager).Resume)))
+	s.mux.HandleFunc("POST /v1/jobs/{id}/cancel", light(s.jobControl((*Manager).Cancel)))
 
+	// Reads may build the graph's index on first touch, so they get the
+	// heavy deadline.
 	s.mux.HandleFunc("GET /v1/query", heavy(s.handleQuery))
-	// Seed-centered community queries: may build the index on first touch,
-	// so the route gets the heavy deadline like /v1/query.
 	s.mux.HandleFunc("GET /v1/local", heavy(s.handleLocal))
-	// Deprecated pre-/v1 query surface, answered by the same index cache.
-	s.mux.HandleFunc("GET /cluster", heavy(s.handleCluster))
-	s.mux.HandleFunc("GET /sweep", heavy(s.handleSweep))
 
-	handle("GET /metrics", s.handleMetrics)
-	handle("GET /healthz", s.handleHealthz)
-	handle("GET /readyz", s.handleReadyz)
+	s.mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
+	s.mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
+	s.mux.HandleFunc("GET /v1/readyz", s.handleReadyz)
 }
 
 // withDeadline attaches the route's default deadline to the request context
@@ -218,12 +194,13 @@ func (s *Server) withDeadline(d time.Duration, h http.HandlerFunc) http.HandlerF
 		// on this route, so assigning to it would make one request's
 		// ?timeout_ms= the route's deadline forever after.
 		timeout := d
-		if raw := r.URL.Query().Get("timeout_ms"); raw != "" {
-			if ms, err := strconv.Atoi(raw); err == nil && ms > 0 {
-				if req := time.Duration(ms) * time.Millisecond; timeout <= 0 || req < timeout {
-					timeout = req
-				}
-			}
+		req, err := parseTimeoutParam(r.URL.Query())
+		if err != nil {
+			writeError(w, http.StatusBadRequest, err)
+			return
+		}
+		if req > 0 && (timeout <= 0 || req < timeout) {
+			timeout = req
 		}
 		if timeout <= 0 {
 			h(w, r)
@@ -271,8 +248,8 @@ func (s *Server) observe(r *http.Request, sw *statusWriter, start time.Time) {
 // rate limiting — throttling the load balancer's health checks or the
 // metrics scraper only makes an overload harder to see.
 func probePath(path string) bool {
-	switch strings.TrimPrefix(path, "/v1") {
-	case "/healthz", "/readyz", "/metrics":
+	switch path {
+	case "/v1/healthz", "/v1/readyz", "/v1/metrics":
 		return true
 	}
 	return false
@@ -468,326 +445,6 @@ func (s *Server) jobControl(verb func(*Manager, string) error) http.HandlerFunc 
 func wantAssignments(r *http.Request) bool {
 	v := r.URL.Query().Get("assignments")
 	return v == "1" || v == "true"
-}
-
-// --- interactive queries --------------------------------------------------
-
-// handleQuery answers GET /v1/query, the unified interactive endpoint: both
-// μ and ε are request parameters served from the per-graph query index (one
-// σ pass per graph, ever). With a single eps value the response carries the
-// exact clustering at (μ, ε); with a comma-separated eps list, or none (the
-// server then probes up to limit= interesting thresholds), it carries a
-// profile of summary points per ε.
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	name := q.Get("graph")
-	if name == "" {
-		writeError(w, http.StatusBadRequest,
-			errors.New("need graph=<name>&mu=<int>[&eps=<float>[,<float>...]][&approx=<delta>]"))
-		return
-	}
-	mu, err := parseMuParam(q)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	approx, err := parseApproxParam(q)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	ge, err := s.reg.Get(name)
-	if err != nil {
-		writeError(w, errorCode(err), err)
-		return
-	}
-	minEpoch, err := parseMinEpoch(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-
-	raw := q.Get("eps")
-	if raw != "" && !strings.Contains(raw, ",") {
-		eps, err := parseEpsParam(raw)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		s.serveClustering(w, r, ge, mu, eps, approx, minEpoch)
-		return
-	}
-
-	// Profile form (eps list or probed thresholds). Profiles are served from
-	// the exact sweep explorer; an accuracy dial would silently change what
-	// every point means, so the combination is rejected outright.
-	if approx > 0 {
-		writeError(w, http.StatusBadRequest,
-			errors.New("approx is only supported with a single eps (profile queries are always exact)"))
-		return
-	}
-	epsValues, err := parseEpsList(raw)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	limit := 16
-	if rawLimit := q.Get("limit"); rawLimit != "" {
-		if limit, err = strconv.Atoi(rawLimit); err != nil || limit <= 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad limit %q", rawLimit))
-			return
-		}
-	}
-	s.serveProfile(w, r, ge, mu, epsValues, limit, minEpoch)
-}
-
-// serveClustering answers one (μ, ε) clustering, degrading to the last good
-// index — explicitly marked stale — when the fresh build fails or is shed.
-// Read-your-writes requests (minEpoch > 0) never degrade: a stale answer
-// would silently violate the very guarantee the client asked for.
-func (s *Server) serveClustering(w http.ResponseWriter, r *http.Request, ge *GraphEntry, mu int, eps, approx float64, minEpoch int64) {
-	resp, code, err := s.queryClustering(r.Context(), ge, mu, eps, approx, minEpoch, wantAssignments(r))
-	if err != nil {
-		if minEpoch == 0 && s.degradeClustering(w, r, ge, mu, eps, approx, err) {
-			return
-		}
-		s.countDeadline(err)
-		writeError(w, code, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// degradeClustering serves a stale-marked clustering when the fresh index is
-// unavailable for capacity reasons (shed build, expired deadline, failed
-// rebuild) and a last good index exists. Parameter errors never degrade.
-func (s *Server) degradeClustering(w http.ResponseWriter, r *http.Request, ge *GraphEntry, mu int, eps, approx float64, cause error) bool {
-	if !degradable(cause) {
-		return false
-	}
-	st, ok := s.idx.staleFor(ge.Name, approx)
-	if !ok {
-		return false
-	}
-	start := time.Now()
-	res, err := st.idx.Query(mu, eps)
-	if err != nil {
-		return false
-	}
-	queryUS := time.Since(start).Microseconds()
-	s.met.QueryUS.Add(queryUS)
-	s.met.QueriesServed.Add(1)
-	s.met.StaleServed.Add(1)
-	s.log.Warn("serving stale index", "graph", ge.Name, "cause", cause.Error())
-	w.Header().Set("X-Anyscan-Stale", "1")
-	writeJSON(w, http.StatusOK, QueryResponse{
-		Graph:             ge.Name,
-		Mu:                mu,
-		Eps:               eps,
-		Approx:            effectiveApprox(st.idx),
-		CacheHit:          true,
-		Stale:             true,
-		QueryMS:           float64(queryUS) / 1000,
-		ClusteringPayload: clusteringPayload(res, wantAssignments(r)),
-	})
-	return true
-}
-
-// effectiveApprox is the accuracy dial an answer from idx was actually
-// computed at: the index's delta when the sketch path is in effect, 0 when
-// the index is exact — including approximate builds that fell back to the
-// exact similarity pass (non-unit edge weights).
-func effectiveApprox(idx *index.Index) float64 {
-	if a := idx.Approx(); a.Delta > 0 && !a.ExactFallback {
-		return a.Delta
-	}
-	return 0
-}
-
-// degradable reports whether an error is a capacity condition that stale
-// serving may paper over, as opposed to a caller mistake.
-func degradable(err error) bool {
-	var oe *OverloadError
-	return errors.As(err, &oe) ||
-		errors.Is(err, context.DeadlineExceeded) ||
-		errors.Is(err, context.Canceled) ||
-		errors.Is(err, faultinject.ErrInjected)
-}
-
-func (s *Server) countDeadline(err error) {
-	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-		s.met.DeadlineExceeded.Add(1)
-	}
-}
-
-// queryClustering answers one (μ, ε) clustering. Graphs with live epoch
-// chains (mutated via POST /graphs/{name}/edges) are served from the current
-// epoch so mutations are visible; everything else takes the immutable-index
-// path — sketch-approximate when the request carries an accuracy dial. A
-// minEpoch bound on an unmutated graph is a 409: no epoch chain exists that
-// could ever satisfy it.
-func (s *Server) queryClustering(ctx context.Context, ge *GraphEntry, mu int, eps, approx float64, minEpoch int64, withAssignments bool) (QueryResponse, int, error) {
-	if lg, ok := s.liveGraphs.lookup(ge.Name, ge.G); ok {
-		if approx > 0 {
-			// Live epochs carry exact σ (incremental maintenance would
-			// invalidate sketch error bands batch by batch), so approx
-			// requests on mutated graphs are answered exactly — a strictly
-			// stronger guarantee than the client asked for.
-			s.met.ApproxLiveExact.Add(1)
-			s.log.Warn("approx query on live graph served exactly",
-				"graph", ge.Name, "approx", approx)
-		}
-		return s.liveClustering(ctx, ge, lg, mu, eps, minEpoch, withAssignments)
-	}
-	if minEpoch > 0 {
-		return QueryResponse{}, http.StatusConflict,
-			fmt.Errorf("graph %q has no live epochs; min_epoch requires a mutated graph", ge.Name)
-	}
-	idx, hit, buildMS, err := s.idx.get(ctx, ge, approx)
-	if err != nil {
-		return QueryResponse{}, http.StatusBadRequest, err
-	}
-	if withAssignments && s.admit != nil {
-		// Assignment-carrying answers serialize O(|V|) state; meter them
-		// through the admission semaphore so a storm of them cannot starve
-		// builds or each other unboundedly.
-		release, err := s.admit.acquireQuery(ctx)
-		if err != nil {
-			return QueryResponse{}, http.StatusServiceUnavailable, err
-		}
-		defer release()
-	}
-	resolvedBefore := idx.Approx().Resolved
-	start := time.Now()
-	res, err := idx.Query(mu, eps)
-	if err != nil {
-		return QueryResponse{}, http.StatusBadRequest, err
-	}
-	queryUS := time.Since(start).Microseconds()
-	s.met.QueryUS.Add(queryUS)
-	s.met.QueriesServed.Add(1)
-	effective := effectiveApprox(idx)
-	if effective > 0 {
-		s.met.ApproxQueries.Add(1)
-		s.met.ApproxResolvedArcs.Add(idx.Approx().Resolved - resolvedBefore)
-	}
-	return QueryResponse{
-		Graph:             ge.Name,
-		Mu:                mu,
-		Eps:               eps,
-		Approx:            effective,
-		CacheHit:          hit,
-		BuildMS:           buildMS,
-		QueryMS:           float64(queryUS) / 1000,
-		ClusteringPayload: clusteringPayload(res, withAssignments),
-	}, 0, nil
-}
-
-// serveProfile answers the profile form, falling back to a stale-derived
-// explorer only implicitly (profiles are summaries; degraded mode serves
-// clusterings, which carry the stale marker end-to-end).
-func (s *Server) serveProfile(w http.ResponseWriter, r *http.Request, ge *GraphEntry, mu int, epsValues []float64, limit int, minEpoch int64) {
-	resp, code, err := s.queryProfile(r.Context(), ge, mu, epsValues, limit, minEpoch)
-	if err != nil {
-		s.countDeadline(err)
-		writeError(w, code, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// queryProfile answers a multi-ε profile for one μ via the explorer derived
-// from the graph's index (no σ work). An empty epsValues list probes up to
-// limit interesting thresholds. Live graphs are routed to per-epoch queries
-// instead (explorers would go stale on every publish).
-func (s *Server) queryProfile(ctx context.Context, ge *GraphEntry, mu int, epsValues []float64, limit int, minEpoch int64) (QueryResponse, int, error) {
-	if lg, ok := s.liveGraphs.lookup(ge.Name, ge.G); ok {
-		return s.liveProfile(ctx, ge, lg, mu, epsValues, minEpoch)
-	}
-	if minEpoch > 0 {
-		return QueryResponse{}, http.StatusConflict,
-			fmt.Errorf("graph %q has no live epochs; min_epoch requires a mutated graph", ge.Name)
-	}
-	ex, hit, buildMS, err := s.idx.explorer(ctx, ge, mu)
-	if err != nil {
-		return QueryResponse{}, http.StatusBadRequest, err
-	}
-	if len(epsValues) == 0 {
-		epsValues = ex.InterestingThresholds(limit)
-	}
-	start := time.Now()
-	profiles := ex.SweepProfile(epsValues)
-	queryUS := time.Since(start).Microseconds()
-	points := make([]SweepPoint, len(profiles))
-	for i, p := range profiles {
-		points[i] = SweepPoint{Eps: p.Eps, Clusters: p.Clusters, Counts: roleCounts(p.Counts)}
-	}
-	s.met.QueryUS.Add(queryUS)
-	s.met.QueriesServed.Add(1)
-	return QueryResponse{
-		Graph:    ge.Name,
-		Mu:       mu,
-		CacheHit: hit,
-		BuildMS:  buildMS,
-		QueryMS:  float64(queryUS) / 1000,
-		Points:   points,
-	}, 0, nil
-}
-
-// handleCluster answers the deprecated GET /cluster endpoint (now an alias
-// of /v1/query with a single eps).
-func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	name := q.Get("graph")
-	mu, err1 := strconv.Atoi(q.Get("mu"))
-	eps, err2 := strconv.ParseFloat(q.Get("eps"), 64)
-	if name == "" || err1 != nil || err2 != nil {
-		writeError(w, http.StatusBadRequest,
-			errors.New("need graph=<name>&mu=<int>&eps=<float>"))
-		return
-	}
-	ge, err := s.reg.Get(name)
-	if err != nil {
-		writeError(w, errorCode(err), err)
-		return
-	}
-	s.serveClustering(w, r, ge, mu, eps, 0, 0)
-}
-
-// handleSweep answers the deprecated GET /sweep endpoint (now an alias of
-// /v1/query's profile form).
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	name := q.Get("graph")
-	mu, err1 := strconv.Atoi(q.Get("mu"))
-	if name == "" || err1 != nil {
-		writeError(w, http.StatusBadRequest, errors.New("need graph=<name>&mu=<int>"))
-		return
-	}
-	ge, err := s.reg.Get(name)
-	if err != nil {
-		writeError(w, errorCode(err), err)
-		return
-	}
-	var epsValues []float64
-	if raw := q.Get("eps"); raw != "" {
-		for _, part := range strings.Split(raw, ",") {
-			v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-			if err != nil {
-				writeError(w, http.StatusBadRequest, fmt.Errorf("bad eps value %q", part))
-				return
-			}
-			epsValues = append(epsValues, v)
-		}
-	}
-	limit := 16
-	if rawLimit := q.Get("limit"); rawLimit != "" {
-		if limit, err = strconv.Atoi(rawLimit); err != nil || limit <= 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad limit %q", rawLimit))
-			return
-		}
-	}
-	s.serveProfile(w, r, ge, mu, epsValues, limit, 0)
 }
 
 // --- observability --------------------------------------------------------

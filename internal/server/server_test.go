@@ -48,7 +48,7 @@ func sharedGraph(t *testing.T) *graph.CSR {
 
 // writeGraphFile serializes g into dir as a binary container (exact
 // round-trip, including isolated vertices) and returns its path.
-func writeGraphFile(t *testing.T, g *graph.CSR, dir string) string {
+func writeGraphFile(t testing.TB, g *graph.CSR, dir string) string {
 	t.Helper()
 	path := filepath.Join(dir, "graph.bin")
 	f, err := os.Create(path)
@@ -434,10 +434,10 @@ func waitState(t *testing.T, c *server.Client, id string, want server.JobState) 
 	}
 }
 
-// TestE2EInteractiveQueries exercises the deprecated unversioned /cluster
-// and /sweep aliases: the first query builds the graph's index (cache miss),
-// repeats hit the cache, answers match the batch clustering, and eviction
-// invalidates the cache.
+// TestE2EInteractiveQueries exercises /v1/query's clustering and profile
+// forms: the first query builds the graph's index (cache miss), repeats hit
+// the cache, answers match the batch clustering, and eviction invalidates
+// the cache.
 func TestE2EInteractiveQueries(t *testing.T) {
 	g := sharedGraph(t)
 	path := writeGraphFile(t, g, t.TempDir())
@@ -446,14 +446,14 @@ func TestE2EInteractiveQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	first, err := c.Cluster(tctx, "g", 4, 0.4, true)
+	first, err := c.Query(tctx, "g", 4, 0.4, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first.CacheHit {
 		t.Fatal("first query reported a cache hit")
 	}
-	second, err := c.Cluster(tctx, "g", 4, 0.55, false)
+	second, err := c.Query(tctx, "g", 4, 0.55, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,39 +471,39 @@ func TestE2EInteractiveQueries(t *testing.T) {
 		t.Fatalf("interactive clustering differs from batch run: %v", err)
 	}
 
-	sweep, err := c.Sweep(tctx, "g", 4, []float64{0.3, 0.4, 0.55})
+	profile, err := c.QueryProfile(tctx, "g", 4, []float64{0.3, 0.4, 0.55}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sweep.CacheHit || len(sweep.Points) != 3 {
-		t.Fatalf("sweep: hit=%v points=%d", sweep.CacheHit, len(sweep.Points))
+	if !profile.CacheHit || len(profile.Points) != 3 {
+		t.Fatalf("profile: hit=%v points=%d", profile.CacheHit, len(profile.Points))
 	}
-	for _, p := range sweep.Points {
+	for _, p := range profile.Points {
 		if p.Eps == 0.4 && p.Clusters != first.Clusters {
-			t.Fatalf("sweep at ε=0.4 found %d clusters, /cluster found %d", p.Clusters, first.Clusters)
+			t.Fatalf("profile at ε=0.4 found %d clusters, the clustering found %d", p.Clusters, first.Clusters)
 		}
 	}
 
 	// Auto-picked thresholds.
-	auto, err := c.Sweep(tctx, "g", 4, nil)
+	auto, err := c.QueryProfile(tctx, "g", 4, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(auto.Points) == 0 {
-		t.Fatal("sweep with auto thresholds returned no points")
+		t.Fatal("profile with auto thresholds returned no points")
 	}
 
 	// Eviction invalidates the index cache.
 	if err := c.EvictGraph(tctx, "g"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Cluster(tctx, "g", 4, 0.4, false); err == nil {
+	if _, err := c.Query(tctx, "g", 4, 0.4, false); err == nil {
 		t.Fatal("query against an evicted graph should fail")
 	}
 	if _, err := c.LoadGraph(tctx, server.LoadGraphRequest{Name: "g", GraphSource: server.GraphSource{Path: path}}); err != nil {
 		t.Fatal(err)
 	}
-	reloaded, err := c.Cluster(tctx, "g", 4, 0.4, false)
+	reloaded, err := c.Query(tctx, "g", 4, 0.4, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -590,10 +590,10 @@ func TestE2EMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitJob(t, c, st.ID)
-	if _, err := c.Cluster(tctx, "g", 4, 0.4, false); err != nil {
+	if _, err := c.Query(tctx, "g", 4, 0.4, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Cluster(tctx, "g", 4, 0.5, false); err != nil {
+	if _, err := c.Query(tctx, "g", 4, 0.5, false); err != nil {
 		t.Fatal(err)
 	}
 

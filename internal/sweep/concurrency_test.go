@@ -11,9 +11,9 @@ import (
 
 // TestExplorerConcurrentQueries hammers one shared Explorer with parallel
 // queries of every kind and asserts each answer is identical to the serial
-// baseline. Run under -race this is the concurrency audit for the anyscand
-// explorer cache: an Explorer must be safe for concurrent readers because
-// the server hands the same instance to every in-flight request.
+// baseline. Run under -race this is the concurrency audit behind the
+// Explorer's documented contract: one instance is safe for any number of
+// concurrent readers.
 func TestExplorerConcurrentQueries(t *testing.T) {
 	g, _, err := gen.LFR(gen.DefaultLFR(600, 12, 7))
 	if err != nil {

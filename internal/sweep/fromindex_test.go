@@ -1,51 +1,11 @@
 package sweep
 
 import (
-	"reflect"
 	"testing"
 
 	"anyscan/internal/index"
 	"anyscan/internal/testutil"
 )
-
-// TestFromIndexMatchesNewExplorer checks that an Explorer derived from a
-// query index is indistinguishable from one built with its own σ pass:
-// identical core thresholds, merge events, clusterings, and dendrograms.
-func TestFromIndexMatchesNewExplorer(t *testing.T) {
-	epsValues := []float64{0.1, 0.3, 0.45, 0.5, 0.6, 0.75, 0.9, 1.0}
-	for _, tc := range testutil.RandomCases(1) {
-		x := index.Build(tc.G, 2)
-		for _, mu := range []int{1, 2, tc.Mu} {
-			direct, err := NewExplorer(tc.G, mu, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			derived, err := FromIndex(x, mu)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(derived.coreThr, direct.coreThr) {
-				t.Fatalf("%s mu=%d: core thresholds differ", tc.Name, mu)
-			}
-			if !reflect.DeepEqual(derived.edges, direct.edges) {
-				t.Fatalf("%s mu=%d: merge events differ", tc.Name, mu)
-			}
-			if !reflect.DeepEqual(derived.sigma, direct.sigma) {
-				t.Fatalf("%s mu=%d: arc thresholds differ", tc.Name, mu)
-			}
-			for _, eps := range epsValues {
-				a := direct.ClusteringAt(eps)
-				b := derived.ClusteringAt(eps)
-				if !reflect.DeepEqual(a.Labels, b.Labels) || !reflect.DeepEqual(a.Roles, b.Roles) {
-					t.Fatalf("%s mu=%d eps=%v: clusterings differ", tc.Name, mu, eps)
-				}
-			}
-			if !reflect.DeepEqual(direct.Dendrogram(), derived.Dendrogram()) {
-				t.Fatalf("%s mu=%d: dendrograms differ", tc.Name, mu)
-			}
-		}
-	}
-}
 
 func TestFromIndexRejectsBadMu(t *testing.T) {
 	x := index.Build(testutil.Karate(), 1)

@@ -31,8 +31,6 @@ import (
 	"anyscan/internal/cluster"
 	"anyscan/internal/graph"
 	"anyscan/internal/index"
-	"anyscan/internal/par"
-	"anyscan/internal/simeval"
 	"anyscan/internal/unionfind"
 )
 
@@ -43,8 +41,7 @@ import (
 // CoreThreshold, Sigma) only reads the precomputed threshold structures and
 // allocates its own scratch state (a fresh union-find per replay), so one
 // Explorer is safe for any number of concurrent readers with no external
-// locking. The anyscand service relies on this to cache a single Explorer
-// per (graph, μ) across requests.
+// locking.
 type Explorer struct {
 	g  graph.Graph
 	mu int
@@ -59,68 +56,15 @@ type mergeEdge struct {
 	u, v int32
 }
 
-// crossing returns the largest float64 t with num >= t*denom, i.e. the
-// exact boundary of the engine's similarity predicate as a function of ε.
-func crossing(num, denom float64) float64 { return simeval.Crossing(num, denom) }
-
 // NewExplorer evaluates all |E| similarities with the given number of
 // workers and prepares the threshold structures. Cost: one exact σ per
-// undirected edge plus an O(|E| log |E|) sort.
+// undirected edge (the query index's σ pass, see index.Build) plus an
+// O(|E| log |E|) sort.
 func NewExplorer(g graph.Graph, mu int, threads int) (*Explorer, error) {
 	if mu < 1 {
 		return nil, fmt.Errorf("sweep: mu must be >= 1, got %d", mu)
 	}
-	n := g.NumVertices()
-	eng := simeval.New(g, 0, simeval.Options{}) // exact values: no pruning
-
-	// Per-arc activation threshold: the largest representable ε at which
-	// the engine's predicate num >= ε*denom still holds. Computing the
-	// exact crossing (rather than the rounded quotient num/denom) keeps the
-	// sweep bit-for-bit consistent with every other algorithm here, even on
-	// unweighted graphs where σ values hit rational boundaries exactly.
-	// Canonical slots (v < q) are evaluated here; mirrors are filled by one
-	// PropagateMirrors pass, which needs no reverse-edge index and therefore
-	// works on compressed backends too.
-	sigma := make([]float64, g.NumArcs())
-	par.For(n, threads, 16, func(i int) {
-		v := int32(i)
-		lo, _ := g.NeighborRange(v)
-		g.EachNeighbor(v, func(j int, q int32, w float32) bool {
-			if v < q {
-				eng.C.Sims.Add(1)
-				num, denom := eng.EdgeNumerator(v, q, w)
-				sigma[lo+int64(j)] = crossing(num, denom)
-			}
-			return true
-		})
-	})
-	graph.PropagateMirrors(g, sigma)
-
-	// coreThr(v): the (μ-1)-th largest σ among v's arcs (v itself provides
-	// one similar member at any ε ≤ 1).
-	coreThr := make([]float64, n)
-	par.ForWorker(n, threads, 32, func(w, i int) {
-		v := int32(i)
-		lo, hi := g.NeighborRange(v)
-		need := mu - 1 // similar neighbors required besides v itself
-		if need <= 0 {
-			coreThr[v] = 1
-			return
-		}
-		if int(hi-lo) < need {
-			coreThr[v] = 0 // can never be a core
-			return
-		}
-		vals := make([]float64, hi-lo)
-		copy(vals, sigma[lo:hi])
-		sort.Sort(sort.Reverse(sort.Float64Slice(vals)))
-		coreThr[v] = vals[need-1]
-	})
-
-	// Merge events: each edge joins the two endpoint clusters as soon as ε
-	// falls to min(σ, coreThr(u), coreThr(v)).
-	edges := mergeEvents(g, sigma, coreThr)
-	return &Explorer{g: g, mu: mu, coreThr: coreThr, edges: edges, sigma: sigma}, nil
+	return FromIndex(index.Build(g, threads), mu)
 }
 
 // mergeEvents collects each undirected edge's merge threshold
