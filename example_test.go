@@ -71,26 +71,35 @@ func ExampleNewExplorer() {
 	// eps=0.9 clusters=0 cores=0
 }
 
-func ExampleNewMaintainerFromGraph() {
-	m, err := anyscan.NewMaintainerFromGraph(exampleGraph(), 3, 0.6)
-	if err != nil {
+func ExampleNewLiveGraph() {
+	lg := anyscan.NewLiveGraph(anyscan.NewIndex(exampleGraph(), 1))
+	clusters := func() int {
+		res, err := lg.Epoch().Query(3, 0.6)
+		if err != nil {
+			panic(err)
+		}
+		return res.NumClusters
+	}
+	triangleA := func(op anyscan.MutationOp) []anyscan.Mutation {
+		return []anyscan.Mutation{
+			{Op: op, U: 0, V: 1, W: 1}, {Op: op, U: 0, V: 2, W: 1}, {Op: op, U: 1, V: 2, W: 1},
+		}
+	}
+	fmt.Println("clusters before:", clusters())
+	// Community A falls apart in one atomic batch...
+	if _, _, err := lg.Apply(triangleA(anyscan.OpDelete)); err != nil {
 		panic(err)
 	}
-	fmt.Println("clusters before:", m.Result().NumClusters)
-	// Community A falls apart edge by edge...
-	m.RemoveEdge(0, 1)
-	m.RemoveEdge(0, 2)
-	m.RemoveEdge(1, 2)
-	fmt.Println("clusters after:", m.Result().NumClusters)
+	fmt.Println("clusters after:", clusters())
 	// ...and reforms when the friendships return.
-	m.AddEdge(0, 1, 1)
-	m.AddEdge(0, 2, 1)
-	m.AddEdge(1, 2, 1)
-	fmt.Println("clusters restored:", m.Result().NumClusters)
+	if _, _, err := lg.Apply(triangleA(anyscan.OpAdd)); err != nil {
+		panic(err)
+	}
+	fmt.Println("clusters restored:", clusters(), "at epoch", lg.Epoch().Seq())
 	// Output:
 	// clusters before: 2
 	// clusters after: 1
-	// clusters restored: 2
+	// clusters restored: 2 at epoch 2
 }
 
 func ExampleBatch() {

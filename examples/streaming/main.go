@@ -1,8 +1,9 @@
 // Streaming: maintain a SCAN clustering while the graph changes — the
 // dynamic social network scenario. New friendships arrive, old ones decay
-// and disappear, and after every batch the exact clustering is available
-// without re-running a batch algorithm: each edge mutation re-evaluates only
-// the similarities around its two endpoints.
+// and disappear, and after every batch the exact clustering at any (μ, ε)
+// is available without re-running a batch algorithm: a batch recomputes
+// only the similarities around its endpoints and publishes a new epoch of
+// the query index.
 //
 //	go run ./examples/streaming
 package main
@@ -24,51 +25,59 @@ func main() {
 		log.Fatal(err)
 	}
 	const mu, eps = 4, 0.4
-	m, err := anyscan.NewMaintainerFromGraph(g, mu, eps)
+	lg := anyscan.NewLiveGraph(anyscan.NewIndex(g, 0))
+	ep := lg.Epoch()
+	res, err := ep.Query(mu, eps)
 	if err != nil {
 		log.Fatal(err)
 	}
-	res := m.Result()
 	fmt.Printf("t=0: %d vertices, %d edges, %d communities\n",
-		m.NumVertices(), m.NumEdges(), res.NumClusters)
+		ep.NumVertices(), ep.NumEdges(), res.NumClusters)
 
 	// ...then stream batches of churn: 70% new ties (biased to close
 	// triangles, as real social ties are), 30% dropped ties.
 	rng := rand.New(rand.NewSource(7))
-	n := int32(m.NumVertices())
+	n := int32(ep.NumVertices())
 	for batch := 1; batch <= 5; batch++ {
-		start := time.Now()
-		before := m.SimEvals
 		const batchSize = 2000
-		for i := 0; i < batchSize; i++ {
+		muts := make([]anyscan.Mutation, 0, batchSize)
+		for len(muts) < batchSize {
+			u := rng.Int31n(n)
+			m := anyscan.Mutation{Op: anyscan.OpAdd, U: u, W: 1}
 			if rng.Float64() < 0.7 {
-				u := rng.Int31n(n)
-				if m.Degree(u) == 0 {
-					m.AddEdge(u, rng.Int31n(n), 1)
-					continue
-				}
-				// Triadic closure: connect u to a neighbor's neighbor.
-				m.AddEdge(u, n2hop(m, u, rng), 1)
+				m.V = closure(ep, u, rng)
 			} else {
-				u := rng.Int31n(n)
-				v := rng.Int31n(n)
-				m.RemoveEdge(u, v)
+				m.Op, m.V = anyscan.OpDelete, walk(ep, u, rng)
 			}
+			if m.U == m.V {
+				continue // a self loop would reject the whole batch
+			}
+			muts = append(muts, m)
 		}
-		maintain := time.Since(start)
+
+		start := time.Now()
+		var st anyscan.ApplyStats
+		ep, st, err = lg.Apply(muts)
+		if err != nil {
+			log.Fatal(err)
+		}
+		apply := time.Since(start)
 
 		qStart := time.Now()
-		res = m.Result()
+		res, err = ep.Query(mu, eps)
+		if err != nil {
+			log.Fatal(err)
+		}
 		q := time.Since(qStart)
 		c := res.RoleCounts()
 		fmt.Printf("t=%d: %7d edges | %4d communities, %5d cores, %5d noise | "+
-			"%d σ re-evals, maintain %v + query %v\n",
-			batch, m.NumEdges(), res.NumClusters, c.Cores, c.Noise(),
-			m.SimEvals-before, maintain.Round(time.Millisecond), q.Round(time.Millisecond))
+			"%d σ re-evals, apply %v + query %v\n",
+			batch, ep.NumEdges(), res.NumClusters, c.Cores, c.Noise(),
+			st.SigmaRecomputed, apply.Round(time.Millisecond), q.Round(time.Millisecond))
 	}
 
 	// Compare against clustering the final graph from scratch.
-	final, err := m.ToCSR()
+	final, err := ep.ToCSR()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -84,23 +93,20 @@ func main() {
 		time.Since(start).Round(time.Millisecond), anyscan.NMI(batchRes, res))
 }
 
-// n2hop picks a random two-hop target from u (or a random vertex).
-func n2hop(m *anyscan.Maintainer, u int32, rng *rand.Rand) int32 {
-	// Walk two random steps using EdgeWeight probes on random vertices is
-	// expensive; instead sample a random neighbor index via degree walks.
-	v := walk(m, u, rng)
-	w := walk(m, v, rng)
-	if w == u || w < 0 {
-		return rng.Int31n(int32(m.NumVertices()))
+// closure picks a triadic-closure target for u: a random two-hop neighbor,
+// or a random vertex when the walk returns to u (or u is isolated).
+func closure(ep *anyscan.LiveEpoch, u int32, rng *rand.Rand) int32 {
+	if w := walk(ep, walk(ep, u, rng), rng); w != u {
+		return w
 	}
-	return w
+	return rng.Int31n(int32(ep.NumVertices()))
 }
 
 // walk returns a uniformly random neighbor of u (or u itself if isolated).
-func walk(m *anyscan.Maintainer, u int32, rng *rand.Rand) int32 {
-	d := m.Degree(u)
-	if d == 0 {
+func walk(ep *anyscan.LiveEpoch, u int32, rng *rand.Rand) int32 {
+	ids, _ := ep.NeighborOrder(u)
+	if len(ids) == 0 {
 		return u
 	}
-	return m.NeighborAt(u, rng.Intn(d))
+	return ids[rng.Intn(len(ids))]
 }

@@ -1,0 +1,50 @@
+package index_test
+
+import (
+	"testing"
+
+	"anyscan/internal/cluster"
+	"anyscan/internal/gen"
+	"anyscan/internal/index"
+	"anyscan/internal/live"
+)
+
+// raceEnabled is set by race_test.go: the race detector's instrumentation
+// allocates, so allocation counts are only meaningful without it.
+var raceEnabled bool
+
+// TestQueryAllocsPinned pins the allocations of one served read — exact
+// index, approximate index and live epoch — at a count that does not grow
+// with |V|: a query allocates its per-query arrays and its result, never
+// per vertex.
+func TestQueryAllocsPinned(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	const mu, eps, maxAllocs = 16, 0.8, 16
+	for _, scale := range []int{11, 12} {
+		g := gen.RMAT(scale, 16<<scale, 0.57, 0.19, 0.19, gen.WeightConfig{}, 7)
+		x := index.Build(g, 1)
+		ax, err := index.BuildApprox(g, 1, 0.01)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, query := range map[string]func(int, float64) (*cluster.Result, error){
+			"index":  x.Query,
+			"approx": ax.Query,
+			"epoch":  live.FromIndex(x).Epoch().Query,
+		} {
+			allocs := testing.AllocsPerRun(5, func() {
+				if _, err := query(mu, eps); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > maxAllocs {
+				t.Errorf("%s query on %d vertices: %v allocations, want at most %d",
+					name, g.NumVertices(), allocs, maxAllocs)
+			} else {
+				t.Logf("%s query on %d vertices: %v allocations", name, g.NumVertices(), allocs)
+			}
+		}
+	}
+}

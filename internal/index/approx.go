@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,7 +13,6 @@ import (
 	"anyscan/internal/local"
 	"anyscan/internal/par"
 	"anyscan/internal/simeval"
-	"anyscan/internal/unionfind"
 )
 
 // Approximate index mode: instead of one exact σ evaluation per edge, Build
@@ -84,7 +82,7 @@ type approxState struct {
 	buildExactArcs int64 // tier-2: undirected edges evaluated exactly at build
 	sketchedArcs   int64 // undirected edges estimated from sketches
 
-	ordersU map[int]*coreOrder // μ → memoized conservative upper core order
+	ordersU map[int]*CoreOrder // μ → memoized conservative upper core order
 }
 
 // ApproxStats reports how an approximate index split its work between the
@@ -224,7 +222,7 @@ func buildApproxCtx(ctx context.Context, g graph.Graph, threads int, delta float
 		sigma:    sigma,
 		simEvals: totals.exact,
 		threads:  threads,
-		orders:   map[int]*coreOrder{},
+		orders:   map[int]*CoreOrder{},
 		approx: &approxState{
 			delta: delta, k: k, seed: seed,
 			band: band, eng: eng,
@@ -265,7 +263,7 @@ func (x *Index) finishApprox() {
 	if a.eng == nil {
 		a.eng = simeval.New(g, 0, simeval.Options{})
 	}
-	a.ordersU = map[int]*coreOrder{}
+	a.ordersU = map[int]*CoreOrder{}
 }
 
 // numeratorEval is the exact-evaluation surface resolveExact needs; both the
@@ -347,155 +345,62 @@ func (x *Index) isCoreApprox(ev numeratorEval, v int32, mu int, eps float64) boo
 // estimate plus the vertex's largest band, so the prefix with upper
 // threshold ≥ ε is a superset of the true cores — each candidate is then
 // verified with isCoreApprox.
-func (x *Index) upperCoreOrderFor(mu int) *coreOrder {
+func (x *Index) upperCoreOrderFor(mu int) *CoreOrder {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	if co, ok := x.approx.ordersU[mu]; ok {
-		return co
-	}
-	n := x.g.NumVertices()
-	co := &coreOrder{}
-	for v := int32(0); v < int32(n); v++ {
-		if mu > 1 {
-			lo, hi := x.g.NeighborRange(v)
-			if int(hi-lo) < mu-1 {
-				continue // too few arcs: no band can make v a core
+	co, ok := x.approx.ordersU[mu]
+	if !ok {
+		co = NewCoreOrder(x.NumVertices(), func(v int32) float64 {
+			if lo, hi := x.g.NeighborRange(v); mu > 1 && int(hi-lo) < mu-1 {
+				return 0 // too few arcs: no band can make v a core
 			}
-		}
-		// An all-zero estimate row can still hide a core inside its bands, so
-		// the candidate filter keys on the *upper* threshold, never the bare
-		// estimate.
-		if t := x.CoreThreshold(v, mu) + x.approx.maxBand[v]; t > 0 {
-			co.verts = append(co.verts, v)
-			co.thr = append(co.thr, t)
-		}
+			// An all-zero estimate row can still hide a core inside its
+			// bands, so the candidate filter keys on the *upper* threshold,
+			// never the bare estimate.
+			return x.CoreThreshold(v, mu) + x.approx.maxBand[v]
+		})
+		x.approx.ordersU[mu] = co
 	}
-	ord := make([]int32, len(co.verts))
-	for i := range ord {
-		ord[i] = int32(i)
-	}
-	sort.Slice(ord, func(a, b int) bool {
-		if co.thr[ord[a]] != co.thr[ord[b]] {
-			return co.thr[ord[a]] > co.thr[ord[b]]
-		}
-		return co.verts[ord[a]] < co.verts[ord[b]]
-	})
-	verts := make([]int32, len(ord))
-	thr := make([]float64, len(ord))
-	for i, o := range ord {
-		verts[i] = co.verts[o]
-		thr[i] = co.thr[o]
-	}
-	co.verts, co.thr = verts, thr
-	x.approx.ordersU[mu] = co
 	return co
 }
 
 // queryApprox answers (μ, ε) from the approximate index: candidate cores
-// from the conservative upper core order, band-aware verification, then the
-// same union/claim walk as the exact Query with effective similarities. The
-// result is deterministic (and thread-count independent): every uncertain
-// arc resolves to the same exact value regardless of which query or worker
-// resolves it first.
+// from the conservative upper core order, band-aware verification, then a
+// union/claim walk that tests each arc's effective similarity (the σ̂ order
+// only bounds the scan), finished by the same labeling and noise split as
+// Replay. The result is deterministic (and thread-count independent): every
+// uncertain arc resolves to the same exact value regardless of which query
+// or worker resolves it first.
 func (x *Index) queryApprox(mu int, eps float64) (*cluster.Result, error) {
 	a := x.approx
-	n := x.g.NumVertices()
-	co := x.upperCoreOrderFor(mu)
-	k := sort.Search(len(co.verts), func(i int) bool { return co.thr[i] < eps })
-	cands := co.verts[:k]
-
-	coreIs := make([]bool, n)
+	cands := x.upperCoreOrderFor(mu).Prefix(eps)
+	r := newReplay(x.NumVertices())
+	each(len(cands), x.threads, func(w, i int) {
+		r.isCore[cands[i]] = x.isCoreApprox(a.eng.ForWorker(w), cands[i], mu, eps)
+	})
 	cores := make([]int32, 0, len(cands))
-	if x.threads != 1 && len(cands) >= parallelQueryMin {
-		par.ForWorker(len(cands), x.threads, par.Adaptive, func(w, i int) {
-			coreIs[cands[i]] = x.isCoreApprox(a.eng.ForWorker(w), cands[i], mu, eps)
-		})
-	} else {
-		ev := a.eng.ForWorker(0)
-		for _, v := range cands {
-			coreIs[v] = x.isCoreApprox(ev, v, mu, eps)
-		}
-	}
 	for _, v := range cands {
-		if coreIs[v] {
+		if r.isCore[v] {
 			cores = append(cores, v)
 		}
 	}
-
-	ds := unionfind.NewConcurrent(n)
-	claim := make([]int32, n)
-	for i := range claim {
-		claim[i] = -1
-	}
-	if x.threads != 1 && len(cores) >= parallelQueryMin {
-		par.ForWorker(len(cores), x.threads, par.Adaptive, func(w, i int) {
-			ev := a.eng.ForWorker(w)
-			u := cores[i]
-			lo, hi := x.g.NeighborRange(u)
-			slack := eps - a.maxBand[u]
-			for e := lo; e < hi; e++ {
-				if x.nbrSig[e] < slack {
-					break
-				}
-				if x.effSig(ev, u, e, eps) < eps {
-					continue
-				}
-				q := x.nbr[e]
-				if coreIs[q] {
-					if u < q {
-						ds.Union(u, q)
-					}
-					continue
-				}
-				for {
-					c := atomic.LoadInt32(&claim[q])
-					if c != -1 && c <= u {
-						break
-					}
-					if atomic.CompareAndSwapInt32(&claim[q], c, u) {
-						break
-					}
-				}
+	each(len(cores), x.threads, func(w, i int) {
+		ev := a.eng.ForWorker(w)
+		u := cores[i]
+		lo, hi := x.g.NeighborRange(u)
+		slack := eps - a.maxBand[u]
+		for e := lo; e < hi; e++ {
+			if x.nbrSig[e] < slack {
+				break
 			}
-		})
-	} else {
-		ev := a.eng.ForWorker(0)
-		for _, u := range cores {
-			lo, hi := x.g.NeighborRange(u)
-			slack := eps - a.maxBand[u]
-			for e := lo; e < hi; e++ {
-				if x.nbrSig[e] < slack {
-					break
-				}
-				if x.effSig(ev, u, e, eps) < eps {
-					continue
-				}
-				q := x.nbr[e]
-				if coreIs[q] {
-					if u < q {
-						ds.Union(u, q)
-					}
-				} else if c := claim[q]; c == -1 || u < c {
-					claim[q] = u
-				}
+			if x.effSig(ev, u, e, eps) >= eps {
+				r.link(u, x.nbr[e])
 			}
 		}
-	}
-
-	res := cluster.NewResult(n)
-	for _, u := range cores {
-		res.Roles[u] = cluster.Core
-		res.Labels[u] = ds.Find(u)
-	}
-	for v := int32(0); v < int32(n); v++ {
-		if c := claim[v]; c >= 0 {
-			res.Roles[v] = cluster.Border
-			res.Labels[v] = ds.Find(c)
-		}
-	}
-	cluster.ClassifyNoise(x.g, res)
-	res.Canonicalize()
-	return res, nil
+	})
+	// The noise split reads the index's own neighbor ids: going through an
+	// approxView would resolve arcs the answer never needed.
+	return r.result(x, cores), nil
 }
 
 // LocalView returns the local.View a seed-centered query at threshold eps
@@ -571,23 +476,7 @@ func (av *approxView) order(v int32) effOrder {
 		o.ids[j] = x.nbr[e]
 		o.sigs[j] = x.effSig(x.approx.eng, v, e, av.eps)
 	}
-	ord := make([]int32, deg)
-	for j := range ord {
-		ord[j] = int32(j)
-	}
-	sort.Slice(ord, func(a, b int) bool {
-		if o.sigs[ord[a]] != o.sigs[ord[b]] {
-			return o.sigs[ord[a]] > o.sigs[ord[b]]
-		}
-		return o.ids[ord[a]] < o.ids[ord[b]]
-	})
-	ids := make([]int32, deg)
-	sigs := make([]float64, deg)
-	for j, oj := range ord {
-		ids[j] = o.ids[oj]
-		sigs[j] = o.sigs[oj]
-	}
-	o = effOrder{ids: ids, sigs: sigs}
+	SortOrder(o.ids, o.sigs)
 
 	av.mu.Lock()
 	av.ords[v] = o

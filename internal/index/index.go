@@ -29,14 +29,12 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"anyscan/internal/cluster"
 	"anyscan/internal/graph"
 	"anyscan/internal/par"
 	"anyscan/internal/simeval"
-	"anyscan/internal/unionfind"
 )
 
 // Index answers exact (μ, ε) clustering queries for one graph.
@@ -72,15 +70,7 @@ type Index struct {
 	approx *approxState
 
 	mu     sync.Mutex
-	orders map[int]*coreOrder // μ → memoized core order
-}
-
-// coreOrder is the per-μ structure: all vertices with a positive core
-// threshold, sorted by descending threshold (ties by id ascending). The
-// cores at ε are exactly the prefix with thr ≥ ε.
-type coreOrder struct {
-	verts []int32
-	thr   []float64
+	orders map[int]*CoreOrder // μ → memoized core order
 }
 
 // Build evaluates all |E| similarities with the given number of workers and
@@ -134,7 +124,7 @@ func BuildCtx(ctx context.Context, g graph.Graph, threads int) (*Index, error) {
 		sigma:    sigma,
 		simEvals: evals,
 		threads:  threads,
-		orders:   map[int]*coreOrder{},
+		orders:   map[int]*CoreOrder{},
 	}
 	if err := x.sortNeighborsCtx(ctx, threads); err != nil {
 		return nil, err
@@ -165,28 +155,17 @@ func (x *Index) sortNeighborsCtx(ctx context.Context, threads int) error {
 	return par.ForCtx(ctx, g.NumVertices(), threads, 32, func(i int) {
 		v := int32(i)
 		lo, hi := g.NeighborRange(v)
-		deg := int(hi - lo)
 		// On a flat CSR this is a storage alias; a compressed backend decodes
 		// once per vertex here (amortized against the O(deg log deg) sort).
 		ids, _ := g.Neighbors(v)
-		ord := make([]int32, deg)
-		for j := range ord {
-			ord[j] = int32(j)
+		o := &byOrder{ids: x.nbr[lo:hi], thr: x.nbrSig[lo:hi]}
+		copy(o.ids, ids)
+		copy(o.thr, x.sigma[lo:hi])
+		if nbrBand != nil {
+			o.band = nbrBand[lo:hi]
+			copy(o.band, band[lo:hi])
 		}
-		sort.Slice(ord, func(a, b int) bool {
-			sa, sb := x.sigma[lo+int64(ord[a])], x.sigma[lo+int64(ord[b])]
-			if sa != sb {
-				return sa > sb
-			}
-			return ids[ord[a]] < ids[ord[b]]
-		})
-		for j, o := range ord {
-			x.nbr[lo+int64(j)] = ids[o]
-			x.nbrSig[lo+int64(j)] = x.sigma[lo+int64(o)]
-			if nbrBand != nil {
-				nbrBand[lo+int64(j)] = band[lo+int64(o)]
-			}
-		}
+		sort.Sort(o)
 	})
 }
 
@@ -219,11 +198,11 @@ func (x *Index) Bytes() int64 {
 	}
 	x.mu.Lock()
 	for _, co := range x.orders {
-		b += int64(len(co.verts))*4 + int64(len(co.thr))*8
+		b += int64(len(co.Verts))*4 + int64(len(co.Thr))*8
 	}
 	if a := x.approx; a != nil {
 		for _, co := range a.ordersU {
-			b += int64(len(co.verts))*4 + int64(len(co.thr))*8
+			b += int64(len(co.Verts))*4 + int64(len(co.Thr))*8
 		}
 	}
 	x.mu.Unlock()
@@ -270,40 +249,15 @@ func (x *Index) CoreThreshold(v int32, mu int) float64 {
 }
 
 // coreOrderFor returns the memoized core order for μ, deriving it on first
-// use: one O(1) threshold lookup per vertex plus an O(k log k) sort over the
-// k vertices that can ever be cores at this μ.
-func (x *Index) coreOrderFor(mu int) *coreOrder {
+// use.
+func (x *Index) coreOrderFor(mu int) *CoreOrder {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	if co, ok := x.orders[mu]; ok {
-		return co
+	co, ok := x.orders[mu]
+	if !ok {
+		co = NewCoreOrder(x.NumVertices(), func(v int32) float64 { return x.CoreThreshold(v, mu) })
+		x.orders[mu] = co
 	}
-	n := x.g.NumVertices()
-	co := &coreOrder{}
-	for v := int32(0); v < int32(n); v++ {
-		if t := x.CoreThreshold(v, mu); t > 0 {
-			co.verts = append(co.verts, v)
-			co.thr = append(co.thr, t)
-		}
-	}
-	ord := make([]int32, len(co.verts))
-	for i := range ord {
-		ord[i] = int32(i)
-	}
-	sort.Slice(ord, func(a, b int) bool {
-		if co.thr[ord[a]] != co.thr[ord[b]] {
-			return co.thr[ord[a]] > co.thr[ord[b]]
-		}
-		return co.verts[ord[a]] < co.verts[ord[b]]
-	})
-	verts := make([]int32, len(ord))
-	thr := make([]float64, len(ord))
-	for i, o := range ord {
-		verts[i] = co.verts[o]
-		thr[i] = co.thr[o]
-	}
-	co.verts, co.thr = verts, thr
-	x.orders[mu] = co
 	return co
 }
 
@@ -324,87 +278,5 @@ func (x *Index) Query(mu int, eps float64) (*cluster.Result, error) {
 	if x.approx != nil && !x.approx.exactFallback {
 		return x.queryApprox(mu, eps)
 	}
-	n := x.g.NumVertices()
-	co := x.coreOrderFor(mu)
-	// Cores at ε are the order prefix with thr ≥ ε.
-	k := sort.Search(len(co.verts), func(i int) bool { return co.thr[i] < eps })
-	cores := co.verts[:k]
-
-	// Small answers stay sequential (a handful of cores does not amortize a
-	// fork/join); large ones fan the core walk out over the lock-free
-	// union-find. Both paths produce the same partition and the same
-	// smallest-core border claims, so after canonicalization the result is
-	// identical either way.
-	ds := unionfind.NewConcurrent(n)
-	claim := make([]int32, n) // border v → smallest adjacent qualifying core
-	for i := range claim {
-		claim[i] = -1
-	}
-	if x.threads != 1 && len(cores) >= parallelQueryMin {
-		par.For(len(cores), x.threads, par.Adaptive, func(i int) {
-			u := cores[i]
-			lo, hi := x.g.NeighborRange(u)
-			for e := lo; e < hi; e++ {
-				if x.nbrSig[e] < eps {
-					break // sorted descending: the rest are dissimilar too
-				}
-				q := x.nbr[e]
-				if x.CoreThreshold(q, mu) >= eps {
-					if u < q { // each core-core edge once
-						ds.Union(u, q)
-					}
-					continue
-				}
-				// CAS-min keeps the claim deterministic under races: the
-				// final value is min over all claiming cores regardless of
-				// arrival order.
-				for {
-					c := atomic.LoadInt32(&claim[q])
-					if c != -1 && c <= u {
-						break
-					}
-					if atomic.CompareAndSwapInt32(&claim[q], c, u) {
-						break
-					}
-				}
-			}
-		})
-	} else {
-		for _, u := range cores {
-			lo, hi := x.g.NeighborRange(u)
-			for e := lo; e < hi; e++ {
-				if x.nbrSig[e] < eps {
-					break // sorted descending: the rest are dissimilar too
-				}
-				q := x.nbr[e]
-				if x.CoreThreshold(q, mu) >= eps {
-					if u < q { // each core-core edge once
-						ds.Union(u, q)
-					}
-				} else if c := claim[q]; c == -1 || u < c {
-					claim[q] = u
-				}
-			}
-		}
-	}
-
-	res := cluster.NewResult(n)
-	for _, u := range cores {
-		res.Roles[u] = cluster.Core
-		res.Labels[u] = ds.Find(u)
-	}
-	for v := int32(0); v < int32(n); v++ {
-		if c := claim[v]; c >= 0 {
-			res.Roles[v] = cluster.Border
-			res.Labels[v] = ds.Find(c)
-		}
-	}
-	cluster.ClassifyNoise(x.g, res)
-	res.Canonicalize()
-	return res, nil
+	return Replay(x, x.coreOrderFor(mu).Prefix(eps), eps, x.threads), nil
 }
-
-// parallelQueryMin is the core-prefix size above which Query fans the
-// core-edge walk out across workers; below it the fork/join overhead exceeds
-// the walk itself.
-const parallelQueryMin = 4096

@@ -147,7 +147,7 @@ func restore(g graph.Graph, payload []byte, threads int) (*Index, error) {
 		g:       g,
 		sigma:   p.Sigma,
 		threads: threads,
-		orders:  map[int]*coreOrder{},
+		orders:  map[int]*CoreOrder{},
 	}
 	if p.Version == indexVersionApprox {
 		if !(p.Delta > 0 && p.Delta < 1) {

@@ -1,0 +1,202 @@
+package index
+
+import (
+	"sort"
+	"sync/atomic"
+
+	"anyscan/internal/cluster"
+	"anyscan/internal/local"
+	"anyscan/internal/par"
+	"anyscan/internal/unionfind"
+)
+
+// OrderLess is the comparator of every threshold order in the system — the
+// σ-sorted neighbor orders and the per-μ core orders alike: threshold
+// descending, ties by id ascending. Ids are unique within an order, so this
+// is a strict total order and every correct sort yields the same array.
+func OrderLess(ta float64, va int32, tb float64, vb int32) bool {
+	if ta != tb {
+		return ta > tb
+	}
+	return va < vb
+}
+
+// SortOrder sorts the parallel slices ids and thr in place into OrderLess
+// order.
+func SortOrder(ids []int32, thr []float64) { sort.Sort(&byOrder{ids: ids, thr: thr}) }
+
+// byOrder permutes ids, thr and — for an approximate index's neighbor
+// orders — the per-arc error bands together. The receivers are pointers
+// because a value receiver would copy all three slice headers on every Less
+// and Swap call through the interface, a cost the build's neighbor sort
+// measurably pays.
+type byOrder struct {
+	ids  []int32
+	thr  []float64
+	band []float32 // nil unless the order carries bands
+}
+
+func (o *byOrder) Len() int           { return len(o.ids) }
+func (o *byOrder) Less(a, b int) bool { return OrderLess(o.thr[a], o.ids[a], o.thr[b], o.ids[b]) }
+func (o *byOrder) Swap(a, b int) {
+	o.ids[a], o.ids[b] = o.ids[b], o.ids[a]
+	o.thr[a], o.thr[b] = o.thr[b], o.thr[a]
+	if o.band != nil {
+		o.band[a], o.band[b] = o.band[b], o.band[a]
+	}
+}
+
+// CoreOrder is a per-μ core order: every vertex with a positive core
+// threshold, in OrderLess order, so the cores at ε are exactly the prefix
+// with Thr ≥ ε. Immutable once derived; callers share it freely.
+type CoreOrder struct {
+	Verts []int32
+	Thr   []float64
+}
+
+// NewCoreOrder derives the core order of the vertices [0, n) under the
+// threshold function thr: two O(1) calls per vertex plus an O(k log k) sort
+// over the k vertices with a positive threshold. The arrays are sized
+// exactly, since memoized orders stay resident.
+func NewCoreOrder(n int, thr func(v int32) float64) *CoreOrder {
+	k := 0
+	for v := int32(0); v < int32(n); v++ {
+		if thr(v) > 0 {
+			k++
+		}
+	}
+	co := &CoreOrder{Verts: make([]int32, 0, k), Thr: make([]float64, 0, k)}
+	for v := int32(0); v < int32(n); v++ {
+		if t := thr(v); t > 0 {
+			co.Verts = append(co.Verts, v)
+			co.Thr = append(co.Thr, t)
+		}
+	}
+	SortOrder(co.Verts, co.Thr)
+	return co
+}
+
+// Prefix returns the cores at ε: the order prefix with Thr ≥ ε.
+func (co *CoreOrder) Prefix(eps float64) []int32 {
+	return co.Verts[:sort.Search(len(co.Thr), func(i int) bool { return co.Thr[i] < eps })]
+}
+
+// Replay is the exact (μ, ε) replay behind both index.Query and
+// live.Epoch.Query. cores must be the ε-prefix of v's core order at μ
+// (CoreOrder.Prefix). Each core walks its σ-sorted neighbor order down to
+// ε, unioning similar core–core edges and claiming every similar non-core
+// for its smallest similar core; the remaining vertices split into hubs and
+// outliers, and the labels are canonicalized. The result is byte-identical
+// to cluster.Reference on the same graph, at any thread count.
+func Replay(v local.View, cores []int32, eps float64, threads int) *cluster.Result {
+	r := newReplay(v.NumVertices())
+	for _, u := range cores {
+		r.isCore[u] = true
+	}
+	each(len(cores), threads, func(_, i int) {
+		u := cores[i]
+		ids, sigs := v.NeighborOrder(u)
+		for j, q := range ids {
+			if sigs[j] < eps {
+				break // sorted descending: the rest are dissimilar too
+			}
+			r.link(u, q)
+		}
+	})
+	return r.result(v, cores)
+}
+
+// parallelQueryMin is the core count above which a query fans its walks out
+// across workers; below it the fork/join overhead exceeds the walk itself.
+const parallelQueryMin = 4096
+
+// each runs fn(worker, i) for every i in [0, n): inline for small n or one
+// thread, on threads workers otherwise.
+func each(n, threads int, fn func(w, i int)) {
+	if threads == 1 || n < parallelQueryMin {
+		for i := 0; i < n; i++ {
+			fn(0, i)
+		}
+		return
+	}
+	par.ForWorker(n, threads, par.Adaptive, fn)
+}
+
+// replay is the per-query state of the union/claim walk. The exact Replay
+// and the approximate index's band-aware walk both fill it through link.
+type replay struct {
+	isCore []bool
+	ds     *unionfind.Concurrent
+	claim  []int32 // non-core q → smallest similar core, -1 while unclaimed
+}
+
+func newReplay(n int) *replay {
+	r := &replay{isCore: make([]bool, n), ds: unionfind.NewConcurrent(n), claim: make([]int32, n)}
+	for i := range r.claim {
+		r.claim[i] = -1
+	}
+	return r
+}
+
+// link records the similar arc u→q of core u: a core–core edge unions the
+// two (each edge once, from its smaller end), a non-core q is claimed by u
+// unless a smaller core already holds it. The CAS-min makes the final claim
+// the minimum over all claiming cores whatever order concurrent walks
+// arrive in.
+func (r *replay) link(u, q int32) {
+	if r.isCore[q] {
+		if u < q {
+			r.ds.Union(u, q)
+		}
+		return
+	}
+	for {
+		c := atomic.LoadInt32(&r.claim[q])
+		if c != -1 && c <= u {
+			return
+		}
+		if atomic.CompareAndSwapInt32(&r.claim[q], c, u) {
+			return
+		}
+	}
+}
+
+// result labels the cores by component and each claimed vertex as a border
+// of its claiming core's component. Every other vertex is a hub when its
+// neighbors (v's NeighborOrder ids, σ order being irrelevant here) carry two
+// or more distinct labels, an outlier otherwise — cluster.ClassifyNoise's
+// rule, read from the resident order instead of the graph backend.
+func (r *replay) result(v local.View, cores []int32) *cluster.Result {
+	res := cluster.NewResult(len(r.claim))
+	for _, u := range cores {
+		res.Roles[u] = cluster.Core
+		res.Labels[u] = r.ds.Find(u)
+	}
+	for q, c := range r.claim {
+		if c >= 0 {
+			res.Roles[q] = cluster.Border
+			res.Labels[q] = r.ds.Find(c)
+		}
+	}
+	for q, role := range res.Roles {
+		if role != cluster.Unclassified {
+			continue
+		}
+		res.Roles[q] = cluster.Outlier
+		ids, _ := v.NeighborOrder(int32(q))
+		first := cluster.NoLabel
+		for _, p := range ids {
+			l := res.Labels[p]
+			if l == cluster.NoLabel || l == first {
+				continue
+			}
+			if first != cluster.NoLabel {
+				res.Roles[q] = cluster.Hub
+				break
+			}
+			first = l
+		}
+	}
+	res.Canonicalize()
+	return res
+}

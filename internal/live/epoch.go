@@ -2,15 +2,14 @@ package live
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"anyscan/internal/cluster"
 	"anyscan/internal/graph"
+	"anyscan/internal/index"
 	"anyscan/internal/local"
-	"anyscan/internal/par"
-	"anyscan/internal/unionfind"
 )
 
 // seg is one vertex's slice of an epoch: its adjacency (ids ascending,
@@ -51,27 +50,12 @@ func (s *seg) coreThreshold(mu int) float64 {
 	return s.osig[need-1]
 }
 
-// sortOrder derives onbr/osig from nbr/sig with the exact comparator of
-// index.sortNeighbors: σ descending, ties by neighbor id ascending.
+// sortOrder derives onbr/osig from nbr/sig in the neighbor order of the
+// static index (index.SortOrder).
 func (s *seg) sortOrder() {
-	deg := len(s.nbr)
-	ord := make([]int32, deg)
-	for j := range ord {
-		ord[j] = int32(j)
-	}
-	sort.Slice(ord, func(a, b int) bool {
-		sa, sb := s.sig[ord[a]], s.sig[ord[b]]
-		if sa != sb {
-			return sa > sb
-		}
-		return s.nbr[ord[a]] < s.nbr[ord[b]]
-	})
-	s.onbr = make([]int32, deg)
-	s.osig = make([]float64, deg)
-	for j, o := range ord {
-		s.onbr[j] = s.nbr[o]
-		s.osig[j] = s.sig[o]
-	}
+	s.onbr = slices.Clone(s.nbr)
+	s.osig = slices.Clone(s.sig)
+	index.SortOrder(s.onbr, s.osig)
 }
 
 // repairOrder rebuilds s.onbr/s.osig from the parent segment's order when
@@ -99,12 +83,12 @@ func (s *seg) repairOrder(old *seg, changed map[int32]bool) {
 		j, _ := s.find(q)
 		chS[i] = s.sig[j]
 	}
-	sort.Sort(&orderPairs{ids: chN, sig: chS})
+	index.SortOrder(chN, chS)
 	s.onbr = make([]int32, 0, deg)
 	s.osig = make([]float64, 0, deg)
 	i, j := 0, 0
 	for i < len(keepN) && j < len(chN) {
-		if orderLess(keepS[i], keepN[i], chS[j], chN[j]) {
+		if index.OrderLess(keepS[i], keepN[i], chS[j], chN[j]) {
 			s.onbr = append(s.onbr, keepN[i])
 			s.osig = append(s.osig, keepS[i])
 			i++
@@ -116,37 +100,6 @@ func (s *seg) repairOrder(old *seg, changed map[int32]bool) {
 	}
 	s.onbr = append(append(s.onbr, keepN[i:]...), chN[j:]...)
 	s.osig = append(append(s.osig, keepS[i:]...), chS[j:]...)
-}
-
-// orderLess is the neighbor-order comparator: σ descending, id ascending.
-func orderLess(sa float64, qa int32, sb float64, qb int32) bool {
-	if sa != sb {
-		return sa > sb
-	}
-	return qa < qb
-}
-
-type orderPairs struct {
-	ids []int32
-	sig []float64
-}
-
-func (p *orderPairs) Len() int { return len(p.ids) }
-func (p *orderPairs) Less(a, b int) bool {
-	return orderLess(p.sig[a], p.ids[a], p.sig[b], p.ids[b])
-}
-func (p *orderPairs) Swap(a, b int) {
-	p.ids[a], p.ids[b] = p.ids[b], p.ids[a]
-	p.sig[a], p.sig[b] = p.sig[b], p.sig[a]
-}
-
-// coreOrder is the per-μ core order: all vertices with a positive core
-// threshold sorted by threshold descending (ties by id ascending). Immutable
-// once derived; epochs share coreOrder values for every μ the mutation batch
-// left untouched.
-type coreOrder struct {
-	verts []int32
-	thr   []float64
 }
 
 // Epoch is one immutable published version of a live graph. Readers resolve
@@ -162,7 +115,7 @@ type Epoch struct {
 	threads int
 
 	mu     sync.Mutex
-	orders map[int]*coreOrder // μ → memoized core order
+	orders map[int]*index.CoreOrder // μ → memoized core order
 }
 
 // Seq returns the epoch's sequence number. Epoch 0 is the graph the live
@@ -208,61 +161,33 @@ func (e *Epoch) NeighborOrder(v int32) (ids []int32, sigs []float64) {
 func (e *Epoch) LocalView(eps float64) local.View { return e }
 
 // coreOrderFor returns the memoized core order for μ, deriving it on first
-// use exactly as index.coreOrderFor does.
-func (e *Epoch) coreOrderFor(mu int) *coreOrder {
+// use exactly as the static index does.
+func (e *Epoch) coreOrderFor(mu int) *index.CoreOrder {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if co, ok := e.orders[mu]; ok {
-		return co
+	co, ok := e.orders[mu]
+	if !ok {
+		co = index.NewCoreOrder(len(e.segs), func(v int32) float64 { return e.segs[v].coreThreshold(mu) })
+		e.orders[mu] = co
 	}
-	co := &coreOrder{}
-	for v := int32(0); v < int32(len(e.segs)); v++ {
-		if t := e.segs[v].coreThreshold(mu); t > 0 {
-			co.verts = append(co.verts, v)
-			co.thr = append(co.thr, t)
-		}
-	}
-	ord := make([]int32, len(co.verts))
-	for i := range ord {
-		ord[i] = int32(i)
-	}
-	sort.Slice(ord, func(a, b int) bool {
-		if co.thr[ord[a]] != co.thr[ord[b]] {
-			return co.thr[ord[a]] > co.thr[ord[b]]
-		}
-		return co.verts[ord[a]] < co.verts[ord[b]]
-	})
-	verts := make([]int32, len(ord))
-	thr := make([]float64, len(ord))
-	for i, o := range ord {
-		verts[i] = co.verts[o]
-		thr[i] = co.thr[o]
-	}
-	co.verts, co.thr = verts, thr
-	e.orders[mu] = co
 	return co
 }
 
 // ordersSnapshot returns a shallow copy of the memoized core-order map.
 // The coreOrder values are immutable, so sharing them across epochs is safe.
-func (e *Epoch) ordersSnapshot() map[int]*coreOrder {
+func (e *Epoch) ordersSnapshot() map[int]*index.CoreOrder {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	m := make(map[int]*coreOrder, len(e.orders))
+	m := make(map[int]*index.CoreOrder, len(e.orders))
 	for mu, co := range e.orders {
 		m[mu] = co
 	}
 	return m
 }
 
-// parallelQueryMin mirrors index.parallelQueryMin: the core-prefix size above
-// which Query fans out across workers.
-const parallelQueryMin = 4096
-
 // Query returns the exact SCAN clustering at (μ, ε) for this epoch without
-// recomputing any similarity. It replays exactly the semantics of
-// index.Query — core-order prefix, similar-neighbor prefixes, smallest-core
-// border claims, hub/outlier split, canonicalization — so the result is
+// recomputing any similarity. It runs index.Replay — the static index's own
+// replay — over the epoch's neighbor and core orders, so the result is
 // byte-identical to index.Build + Query on the equivalent static CSR. Safe
 // for any number of concurrent callers.
 func (e *Epoch) Query(mu int, eps float64) (*cluster.Result, error) {
@@ -272,99 +197,7 @@ func (e *Epoch) Query(mu int, eps float64) (*cluster.Result, error) {
 	if !(eps > 0 && eps <= 1) {
 		return nil, fmt.Errorf("live: eps must be in (0,1], got %v", eps)
 	}
-	n := len(e.segs)
-	co := e.coreOrderFor(mu)
-	k := sort.Search(len(co.verts), func(i int) bool { return co.thr[i] < eps })
-	cores := co.verts[:k]
-
-	ds := unionfind.NewConcurrent(n)
-	claim := make([]int32, n) // border v → smallest adjacent qualifying core
-	for i := range claim {
-		claim[i] = -1
-	}
-	if e.threads != 1 && len(cores) >= parallelQueryMin {
-		par.For(len(cores), e.threads, par.Adaptive, func(i int) {
-			u := cores[i]
-			s := e.segs[u]
-			for j, q := range s.onbr {
-				if s.osig[j] < eps {
-					break // sorted descending: the rest are dissimilar too
-				}
-				if e.segs[q].coreThreshold(mu) >= eps {
-					if u < q { // each core-core edge once
-						ds.Union(u, q)
-					}
-					continue
-				}
-				for {
-					c := atomic.LoadInt32(&claim[q])
-					if c != -1 && c <= u {
-						break
-					}
-					if atomic.CompareAndSwapInt32(&claim[q], c, u) {
-						break
-					}
-				}
-			}
-		})
-	} else {
-		for _, u := range cores {
-			s := e.segs[u]
-			for j, q := range s.onbr {
-				if s.osig[j] < eps {
-					break // sorted descending: the rest are dissimilar too
-				}
-				if e.segs[q].coreThreshold(mu) >= eps {
-					if u < q { // each core-core edge once
-						ds.Union(u, q)
-					}
-				} else if c := claim[q]; c == -1 || u < c {
-					claim[q] = u
-				}
-			}
-		}
-	}
-
-	res := cluster.NewResult(n)
-	for _, u := range cores {
-		res.Roles[u] = cluster.Core
-		res.Labels[u] = ds.Find(u)
-	}
-	for v := int32(0); v < int32(n); v++ {
-		if c := claim[v]; c >= 0 {
-			res.Roles[v] = cluster.Border
-			res.Labels[v] = ds.Find(c)
-		}
-	}
-	e.classifyNoise(res)
-	res.Canonicalize()
-	return res, nil
-}
-
-// classifyNoise splits unclassified vertices into hubs (≥2 distinct adjacent
-// cluster labels) and outliers, exactly as cluster.ClassifyNoise does on a
-// CSR.
-func (e *Epoch) classifyNoise(r *cluster.Result) {
-	for v := int32(0); v < int32(len(e.segs)); v++ {
-		if r.Roles[v] == cluster.Core || r.Roles[v] == cluster.Border {
-			continue
-		}
-		first := cluster.NoLabel
-		role := cluster.Outlier
-		for _, q := range e.segs[v].nbr {
-			l := r.Labels[q]
-			if l == cluster.NoLabel {
-				continue
-			}
-			if first == cluster.NoLabel {
-				first = l
-			} else if l != first {
-				role = cluster.Hub
-				break
-			}
-		}
-		r.Roles[v] = role
-	}
+	return index.Replay(e, e.coreOrderFor(mu).Prefix(eps), eps, e.threads), nil
 }
 
 // ToCSR materializes the epoch's adjacency as a static CSR — the graph an
@@ -395,7 +228,7 @@ func (e *Epoch) Bytes() int64 {
 	}
 	e.mu.Lock()
 	for _, co := range e.orders {
-		b += int64(len(co.verts))*4 + int64(len(co.thr))*8
+		b += int64(len(co.Verts))*4 + int64(len(co.Thr))*8
 	}
 	e.mu.Unlock()
 	return b

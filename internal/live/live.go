@@ -1,11 +1,11 @@
 // Package live serves (μ, ε) clustering queries over a *mutable* graph: a
-// live.Graph owns an adjacency store plus a mutation log, applies batched
-// edge insert/delete/reweight operations, and incrementally patches the
+// live.Graph owns an adjacency store, applies batched edge
+// insert/delete/reweight operations, and incrementally patches the
 // query-index structures of package index — recomputing σ only for arcs
-// incident to touched vertices (the locality fact package dynamic is built
-// on: mutating edge (u,v) perturbs norms, and hence σ, only for arcs
-// touching u or v), repairing the σ-sorted neighbor orders, and carrying
-// forward every per-μ core order the batch did not disturb.
+// incident to touched vertices (mutating edge (u,v) perturbs norms, and
+// hence σ, only for arcs touching u or v), repairing the σ-sorted neighbor
+// orders, and carrying forward every per-μ core order the batch did not
+// disturb.
 //
 // Each applied batch publishes a new immutable Epoch through copy-on-write
 // per-vertex segments: untouched vertices share their segment with the
@@ -75,8 +75,8 @@ type Mutation struct {
 
 // validate checks one mutation structurally against a graph of n vertices,
 // with the same rejection rules (and error wording) as the edge-list
-// hardening in package graph and dynamic.Maintainer: self loops and NaN,
-// infinite, or non-positive weights are errors, never silent corruption.
+// hardening in package graph: self loops and NaN, infinite, or non-positive
+// weights are errors, never silent corruption.
 func (m Mutation) validate(n int32) error {
 	if m.Op > OpReweight {
 		return fmt.Errorf("unknown op %d", uint8(m.Op))
@@ -101,14 +101,6 @@ func (m Mutation) validate(n int32) error {
 		}
 	}
 	return nil
-}
-
-// LogEntry is one committed batch in the mutation log: the batch that
-// produced epoch Seq from epoch Seq-1. Replaying every entry in order onto
-// the epoch-0 graph reproduces the current epoch exactly.
-type LogEntry struct {
-	Seq  int64
-	Muts []Mutation
 }
 
 // ApplyStats reports what one Apply did.
@@ -137,10 +129,9 @@ type ApplyStats struct {
 type Graph struct {
 	writeMu sync.Mutex // serializes Apply
 
-	mu  sync.Mutex // guards the (cur, pub) pair and log
+	mu  sync.Mutex // guards the (cur, pub) pair
 	cur atomic.Pointer[Epoch]
 	pub chan struct{} // closed and replaced on every publish
-	log []LogEntry
 
 	// maxWant is the highest epoch any WaitEpoch caller has ever demanded;
 	// Lag reports how far the published epoch trails it.
@@ -207,7 +198,7 @@ func FromIndexLogger(x *index.Index, lg *slog.Logger) *Graph {
 		}
 		segs[v] = &arr[v]
 	}
-	e := &Epoch{segs: segs, edges: g.NumEdges(), threads: x.Threads(), orders: map[int]*coreOrder{}}
+	e := &Epoch{segs: segs, edges: g.NumEdges(), threads: x.Threads(), orders: map[int]*index.CoreOrder{}}
 	out := &Graph{pub: make(chan struct{}), threads: x.Threads()}
 	out.cur.Store(e)
 	return out
@@ -228,13 +219,6 @@ func (g *Graph) Epoch() *Epoch { return g.cur.Load() }
 
 // NumVertices returns the vertex count (fixed for the graph's lifetime).
 func (g *Graph) NumVertices() int { return len(g.cur.Load().segs) }
-
-// Log returns a copy of the committed mutation log.
-func (g *Graph) Log() []LogEntry {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return append([]LogEntry(nil), g.log...)
-}
 
 // Lag returns how many epochs the published state trails the newest epoch
 // any WaitEpoch caller has demanded (0 when all demands are satisfied). The
@@ -304,13 +288,12 @@ type change struct {
 	del bool
 }
 
-// Apply resolves one batch of mutations against the current epoch, appends
-// it to the mutation log, and publishes a new epoch with the index patched
-// incrementally:
+// Apply resolves one batch of mutations against the current epoch and
+// publishes a new epoch with the index patched incrementally:
 //
 //   - the batch is atomic: any invalid mutation (bad vertex, self loop, bad
 //     weight, reweight of an absent edge) rejects the whole batch with no
-//     state change and no log entry;
+//     state change;
 //   - operations resolve sequentially within the batch (add then delete of
 //     the same edge cancels out), and only the net changes are applied;
 //   - σ is recomputed only for arcs incident to touched vertices (the
@@ -410,12 +393,6 @@ func (g *Graph) Apply(muts []Mutation) (*Epoch, ApplyStats, error) {
 		st.Publish = time.Since(start)
 		return parent, st, nil
 	}
-
-	// Commit the batch to the log before building the epoch: the entry is on
-	// record before the state it produces becomes visible.
-	g.mu.Lock()
-	g.log = append(g.log, LogEntry{Seq: parent.seq + 1, Muts: append([]Mutation(nil), muts...)})
-	g.mu.Unlock()
 
 	newSegs := make([]*seg, n)
 	copy(newSegs, parent.segs)
@@ -559,7 +536,7 @@ func (g *Graph) Apply(muts []Mutation) (*Epoch, ApplyStats, error) {
 	// it (drop moved vertices, merge-insert their new positions). The
 	// (thr desc, id asc) comparator is a total order, so the patched array
 	// is identical to a fresh derivation.
-	childOrders := make(map[int]*coreOrder)
+	childOrders := make(map[int]*index.CoreOrder)
 	for mu, co := range parent.ordersSnapshot() {
 		var rm map[int32]bool
 		var addV []int32
@@ -601,60 +578,25 @@ func (g *Graph) Apply(muts []Mutation) (*Epoch, ApplyStats, error) {
 }
 
 // patchCoreOrder returns co minus the vertices in rm, with the (addV, addT)
-// entries merge-inserted at their sorted positions (thr desc, id asc).
-func patchCoreOrder(co *coreOrder, rm map[int32]bool, addV []int32, addT []float64) *coreOrder {
-	keepV := make([]int32, 0, len(co.verts))
-	keepT := make([]float64, 0, len(co.verts))
-	for i, v := range co.verts {
+// entries merge-inserted at their index.OrderLess positions. It sorts addV
+// and addT in place.
+func patchCoreOrder(co *index.CoreOrder, rm map[int32]bool, addV []int32, addT []float64) *index.CoreOrder {
+	index.SortOrder(addV, addT)
+	n := len(co.Verts) - len(rm) + len(addV)
+	out := &index.CoreOrder{Verts: make([]int32, 0, n), Thr: make([]float64, 0, n)}
+	j := 0
+	for i, v := range co.Verts {
 		if rm[v] {
 			continue
 		}
-		keepV = append(keepV, v)
-		keepT = append(keepT, co.thr[i])
-	}
-	ord := make([]int32, len(addV))
-	for i := range ord {
-		ord[i] = int32(i)
-	}
-	sort.Slice(ord, func(a, b int) bool {
-		if addT[ord[a]] != addT[ord[b]] {
-			return addT[ord[a]] > addT[ord[b]]
+		for ; j < len(addV) && !index.OrderLess(co.Thr[i], v, addT[j], addV[j]); j++ {
+			out.Verts = append(out.Verts, addV[j])
+			out.Thr = append(out.Thr, addT[j])
 		}
-		return addV[ord[a]] < addV[ord[b]]
-	})
-	out := &coreOrder{
-		verts: make([]int32, 0, len(keepV)+len(addV)),
-		thr:   make([]float64, 0, len(keepV)+len(addV)),
+		out.Verts = append(out.Verts, v)
+		out.Thr = append(out.Thr, co.Thr[i])
 	}
-	i, j := 0, 0
-	for i < len(keepV) && j < len(ord) {
-		av, at := addV[ord[j]], addT[ord[j]]
-		if orderLessCore(keepT[i], keepV[i], at, av) {
-			out.verts = append(out.verts, keepV[i])
-			out.thr = append(out.thr, keepT[i])
-			i++
-		} else {
-			out.verts = append(out.verts, av)
-			out.thr = append(out.thr, at)
-			j++
-		}
-	}
-	for ; i < len(keepV); i++ {
-		out.verts = append(out.verts, keepV[i])
-		out.thr = append(out.thr, keepT[i])
-	}
-	for ; j < len(ord); j++ {
-		out.verts = append(out.verts, addV[ord[j]])
-		out.thr = append(out.thr, addT[ord[j]])
-	}
+	out.Verts = append(out.Verts, addV[j:]...)
+	out.Thr = append(out.Thr, addT[j:]...)
 	return out
-}
-
-// orderLessCore is the core-order comparator: threshold descending, id
-// ascending.
-func orderLessCore(ta float64, va int32, tb float64, vb int32) bool {
-	if ta != tb {
-		return ta > tb
-	}
-	return va < vb
 }

@@ -12,9 +12,10 @@ import (
 )
 
 // idxKey identifies one cached query index: the graph name plus the
-// approximation delta it was built with. The exact index (delta 0) and each
+// approximation delta it was built with. The exact index (delta 0) and the
 // requested accuracy dial are distinct cache residents — they answer with
-// different guarantees, so they can never share storage.
+// different guarantees, so they can never share storage — but a graph keeps
+// at most one dial resident (see dropOtherDialsLocked).
 type idxKey struct {
 	name  string
 	delta float64
@@ -66,7 +67,8 @@ type staleIndex struct {
 //   - builds pass through the admission semaphore when one is configured, so
 //     a storm of first queries for distinct graphs sheds instead of piling
 //     up σ passes;
-//   - a byte budget bounds resident indexes with LRU eviction;
+//   - a graph keeps at most one approximate dial resident beside its exact
+//     index, and a byte budget bounds resident indexes with LRU eviction;
 //   - the last good index per key survives in the stale store for
 //     degraded-mode serving (droppable under memory pressure).
 type indexCache struct {
@@ -203,6 +205,9 @@ func (c *indexCache) build(ctx context.Context, e *indexEntry) {
 		// Publish as the last good index for degraded-mode serving, then
 		// enforce the byte budget (never evicting the entry just built).
 		c.stale[e.key] = &staleIndex{idx: idx, g: e.g, built: time.Now()}
+		if e.key.delta > 0 {
+			c.dropOtherDialsLocked(e.key)
+		}
 		c.enforceBudgetLocked(e)
 	}
 	// When the entry was evicted mid-build the result is handed only to the
@@ -229,6 +234,32 @@ func (c *indexCache) runBuild(ctx context.Context, e *indexEntry) (*index.Index,
 		return index.BuildApproxCtx(ctx, e.g, c.threads, e.key.delta)
 	}
 	return index.BuildCtx(ctx, e.g, c.threads)
+}
+
+// dropOtherDialsLocked keeps at most one approximate dial per graph resident
+// beside its exact index: a successful build at δ > 0 drops the graph's
+// finished entries and stale snapshots at every other δ > 0. Without it each
+// distinct ?approx= value would pin another index, plus its stale twin, for
+// the daemon's lifetime whenever no memory budget is set. A build still in
+// flight at another δ stays and, once it succeeds, drops this one in turn.
+// c.mu must be held.
+func (c *indexCache) dropOtherDialsLocked(keep idxKey) {
+	other := func(key idxKey) bool { return key.name == keep.name && key.delta > 0 && key != keep }
+	for key, e := range c.entries {
+		if !other(key) {
+			continue
+		}
+		select {
+		case <-e.ready:
+			delete(c.entries, key)
+		default: // still building
+		}
+	}
+	for key := range c.stale {
+		if other(key) {
+			delete(c.stale, key)
+		}
+	}
 }
 
 // staleFor returns the last good index for the (graph, delta) key, if any.

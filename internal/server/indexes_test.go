@@ -202,3 +202,38 @@ func TestIndexCacheMemoryBudget(t *testing.T) {
 		t.Fatalf("tiny budget: %d entries resident, want only the latest build", n)
 	}
 }
+
+// TestIndexCacheOneApproxDial walks the accuracy dial through ten values on
+// one graph with no memory budget: only the exact index and the latest dial
+// may stay resident, counting stale snapshots.
+func TestIndexCacheOneApproxDial(t *testing.T) {
+	ge := &GraphEntry{Name: "g", G: gen.RMAT(10, 8192, 0.57, 0.19, 0.19, gen.WeightConfig{}, 1)}
+	c := newIndexCache(&Metrics{}, 1, nil, 0)
+	deltas := []float64{0, 0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.07, 0.08, 0.09, 0.10}
+	for _, delta := range deltas {
+		if _, _, _, err := c.get(context.Background(), ge, delta); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.mu.Lock()
+	resident := map[*index.Index]bool{}
+	for key, e := range c.entries {
+		if key.name == "g" {
+			resident[e.idx] = true
+		}
+	}
+	for key, s := range c.stale {
+		if key.name == "g" {
+			resident[s.idx] = true
+		}
+	}
+	_, exact := c.entries[idxKey{name: "g"}]
+	_, latest := c.entries[idxKey{name: "g", delta: 0.10}]
+	c.mu.Unlock()
+	if len(resident) > 2 {
+		t.Fatalf("%d indexes resident for one graph after %d dial values, want at most 2", len(resident), len(deltas))
+	}
+	if !exact || !latest {
+		t.Fatalf("exact index resident %v, latest dial resident %v; both must stay", exact, latest)
+	}
+}
