@@ -1,6 +1,7 @@
 package index_test
 
 import (
+	"runtime"
 	"testing"
 
 	"anyscan/internal/cluster"
@@ -45,6 +46,37 @@ func TestQueryAllocsPinned(t *testing.T) {
 			} else {
 				t.Logf("%s query on %d vertices: %v allocations", name, g.NumVertices(), allocs)
 			}
+		}
+	}
+}
+
+// TestBuildAllocBytesPerArcPinned pins the bytes a single-threaded build
+// allocates per arc, exact and approximate: σ and the error bands are
+// written once, in place, into the sorted neighbor orders, so neither build
+// allocates a second arc-sized σ or band array.
+func TestBuildAllocBytesPerArcPinned(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	g := gen.RMAT(12, 16<<12, 0.57, 0.19, 0.19, gen.WeightConfig{}, 7)
+	for _, c := range []struct {
+		name   string
+		delta  float64
+		maxPer float64
+	}{{"exact", 0, 22}, {"approx", 0.01, 60}} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		x, err := index.BuildApprox(g, 1, c.delta)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.KeepAlive(x)
+		perArc := float64(after.TotalAlloc-before.TotalAlloc) / float64(g.NumArcs())
+		if perArc > c.maxPer {
+			t.Errorf("%s build of %d arcs: %.1f B/arc allocated, want at most %v", c.name, g.NumArcs(), perArc, c.maxPer)
+		} else {
+			t.Logf("%s build of %d arcs: %.1f B/arc allocated", c.name, g.NumArcs(), perArc)
 		}
 	}
 }

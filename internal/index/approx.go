@@ -54,20 +54,18 @@ const defaultSketchSeed = 0xA17C5EED
 const approxUnresolved = ^uint64(0)
 
 // approxState carries everything the band-aware query paths need beyond the
-// exact index fields. band is in CSR arc order (what persistence stores);
-// nbrBand is the same values permuted into the σ-sorted neighbor order.
+// exact index fields.
 type approxState struct {
 	delta float64
 	k     int
 	seed  uint64
 
 	// exactFallback marks a build that requested approximation but ran the
-	// exact pass anyway (non-unit edge weights). band and friends are nil and
-	// every query takes the exact path.
+	// exact pass anyway (non-unit edge weights). nbrBand and friends are nil
+	// and every query takes the exact path.
 	exactFallback bool
 
-	band    []float32 // per arc (CSR order): σ̂ confidence half-width
-	nbrBand []float32 // band permuted into the sorted neighbor order
+	nbrBand []float32 // per arc, parallel to nbr/nbrSig: σ̂ confidence half-width
 	maxBand []float64 // per vertex: max band over its arcs (walk slack)
 
 	// resolved memoizes query-time exact evaluations, one slot per sorted
@@ -94,15 +92,6 @@ type ApproxStats struct {
 	BuildExact    int64   // edges evaluated exactly at build (cheap-arc tier)
 	Sketched      int64   // edges estimated from sketches
 	Resolved      int64   // arc slots resolved exactly at query time so far
-}
-
-// Delta returns the accuracy dial the index was built with (0 for an exact
-// index).
-func (x *Index) Delta() float64 {
-	if x.approx == nil {
-		return 0
-	}
-	return x.approx.delta
 }
 
 // Approx reports the approximate-mode statistics (zero value for an exact
@@ -161,7 +150,9 @@ func buildApproxCtx(ctx context.Context, g graph.Graph, threads int, delta float
 	}
 	t := simeval.HoeffdingHalfWidth(k, delta)
 	eng := simeval.New(g, 0, simeval.Options{})
-	sigma := make([]float64, g.NumArcs())
+	// σ̂ and its band are written in CSR arc order, mirrored, and then
+	// permuted into σ order in place by the neighbor sort, as in BuildCtx.
+	sig := make([]float64, g.NumArcs())
 	band := make([]float32, g.NumArcs())
 	type tally struct{ exact, sketched int64 }
 	totals, err := par.ReduceCtx(ctx, g.NumVertices(), threads, par.Adaptive, func(w, i int, acc tally) tally {
@@ -180,7 +171,7 @@ func buildApproxCtx(ctx context.Context, g graph.Graph, threads int, delta float
 				// accurate. Band 0: the value is exact.
 				acc.exact++
 				num, denom := we.EdgeNumerator(v, q, wt)
-				sigma[lo+int64(j)] = simeval.Crossing(num, denom)
+				sig[lo+int64(j)] = simeval.Crossing(num, denom)
 				return true
 			}
 			acc.sketched++
@@ -205,7 +196,7 @@ func buildApproxCtx(ctx context.Context, g graph.Graph, threads int, delta float
 			if float64(bw) < hw {
 				bw = math.Nextafter32(bw, float32(math.Inf(1)))
 			}
-			sigma[lo+int64(j)] = s
+			sig[lo+int64(j)] = s
 			band[lo+int64(j)] = bw
 			return true
 		})
@@ -214,18 +205,18 @@ func buildApproxCtx(ctx context.Context, g graph.Graph, threads int, delta float
 	if err != nil {
 		return nil, err
 	}
-	graph.PropagateMirrors(g, sigma)
+	graph.PropagateMirrors(g, sig)
 	graph.PropagateMirrors(g, band)
 
 	x := &Index{
 		g:        g,
-		sigma:    sigma,
+		nbrSig:   sig,
 		simEvals: totals.exact,
 		threads:  threads,
 		orders:   map[int]*CoreOrder{},
 		approx: &approxState{
 			delta: delta, k: k, seed: seed,
-			band: band, eng: eng,
+			nbrBand: band, eng: eng,
 			buildExactArcs: totals.exact,
 			sketchedArcs:   totals.sketched,
 		},
@@ -239,8 +230,8 @@ func buildApproxCtx(ctx context.Context, g graph.Graph, threads int, delta float
 }
 
 // finishApprox derives the per-vertex walk slack and the query-time
-// resolution cache from the sorted band array. Called after sortNeighborsCtx
-// (which fills nbrBand) on both the build and the restore path.
+// resolution cache from the band array. Called after sortNeighborsCtx on both
+// the build and the restore path.
 func (x *Index) finishApprox() {
 	a := x.approx
 	g := x.g
@@ -445,14 +436,7 @@ func (av *approxView) NeighborOrder(v int32) ([]int32, []float64) {
 }
 
 func (av *approxView) CoreThreshold(v int32, mu int) float64 {
-	if mu <= 1 {
-		return 1
-	}
-	o := av.order(v)
-	if len(o.sigs) < mu-1 {
-		return 0
-	}
-	return o.sigs[mu-2]
+	return CoreThresholdOf(av.order(v).sigs, mu)
 }
 
 // order returns v's effective neighbor order, computing and memoizing it on

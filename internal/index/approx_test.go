@@ -43,6 +43,8 @@ func TestApproxDecisionsOutsideBandMatchExact(t *testing.T) {
 			t.Fatalf("%s: BuildApprox: %v", tc.Name, err)
 		}
 		xe := index.Build(g, 1)
+		asig, aband := xa.ArcOrder()
+		esig, _ := xe.ArcOrder()
 		eng := simeval.New(g, 0, simeval.Options{})
 		for _, eps := range []float64{0.2, 0.35, 0.5, 0.65, 0.8} {
 			checked, confident := 0, 0
@@ -54,17 +56,17 @@ func TestApproxDecisionsOutsideBandMatchExact(t *testing.T) {
 						continue
 					}
 					e := lo + int64(j)
-					est, band := xa.Sigma(e), xa.ArcBand(e)
+					est, band := asig[e], float64(aband[e])
 					checked++
 					if !(est-band >= eps || est+band < eps) {
 						continue // inside the band: resolved exactly at query time
 					}
 					confident++
 					got := est >= eps
-					want := xe.Sigma(e) >= eps
+					want := esig[e] >= eps
 					if got != want {
 						t.Fatalf("%s eps=%v arc (%d,%d): approx decision %v, exact %v (est=%v band=%v exact σ=%v)",
-							tc.Name, eps, v, q, got, want, est, band, xe.Sigma(e))
+							tc.Name, eps, v, q, got, want, est, band, esig[e])
 					}
 					// Cross-check against the engine decision surface too.
 					if eng.Sigma(v, q) >= eps != want {
@@ -90,8 +92,8 @@ func TestApproxDeltaZeroIsExact(t *testing.T) {
 		if err != nil {
 			t.Fatalf("BuildApprox(0): %v", err)
 		}
-		if xa.Delta() != 0 {
-			t.Fatalf("δ=0 index reports Delta %v", xa.Delta())
+		if d := xa.Approx().Delta; d != 0 {
+			t.Fatalf("δ=0 index reports Delta %v", d)
 		}
 		xe := index.Build(g, 2)
 		for _, eps := range []float64{0.3, 0.5, 0.7} {
@@ -252,8 +254,8 @@ func TestApproxSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	if y.Delta() != x.Delta() {
-		t.Fatalf("Delta lost in round trip: %v vs %v", y.Delta(), x.Delta())
+	if y.Approx().Delta != x.Approx().Delta {
+		t.Fatalf("Delta lost in round trip: %v vs %v", y.Approx().Delta, x.Approx().Delta)
 	}
 	for _, eps := range []float64{0.3, 0.6} {
 		a, err := x.Query(tc.Mu, eps)
@@ -284,8 +286,8 @@ func TestApproxWeightedFallsBackExact(t *testing.T) {
 	if !st.ExactFallback {
 		t.Fatal("weighted graph did not trigger the exact fallback")
 	}
-	if xa.Delta() != 0.05 {
-		t.Fatalf("fallback build lost its dial: Delta=%v", xa.Delta())
+	if d := xa.Approx().Delta; d != 0.05 {
+		t.Fatalf("fallback build lost its dial: Delta=%v", d)
 	}
 	xe := index.Build(g, 2)
 	for _, eps := range []float64{0.3, 0.5, 0.7} {
@@ -310,8 +312,8 @@ func TestApproxWeightedFallsBackExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if y.Delta() != 0 {
-		t.Fatalf("exact-fallback file restored with Delta=%v", y.Delta())
+	if d := y.Approx().Delta; d != 0 {
+		t.Fatalf("exact-fallback file restored with Delta=%v", d)
 	}
 }
 

@@ -13,11 +13,10 @@ func BuildApproxK(g graph.Graph, threads int, delta float64, k int, seed uint64)
 	return buildApproxCtx(context.Background(), g, threads, delta, k, seed)
 }
 
-// ArcBand returns the error band of arc e in CSR arc order (0 for an exact
-// index or an exact-tier arc).
-func (x *Index) ArcBand(e int64) float64 {
-	if x.approx == nil || x.approx.band == nil {
-		return 0
-	}
-	return float64(x.approx.band[e])
+// ArcOrder returns the index's σ and error bands in CSR arc order, the
+// persisted layout (band is nil for an exact index), so tests can tie a
+// value to its arc.
+func (x *Index) ArcOrder() (sig []float64, band []float32) {
+	p := x.payload()
+	return p.Sigma, p.Band
 }

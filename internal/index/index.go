@@ -46,17 +46,14 @@ import (
 type Index struct {
 	g graph.Graph
 
-	// sigma[e] is the activation threshold of arc e in CSR arc order: the
-	// largest representable ε at which the similarity predicate of the arc's
-	// endpoints still holds (simeval.Crossing of the exact numerator and
-	// denominator). Symmetric across arc mirrors. Retained in arc order so
-	// persistence and sweep.FromIndex can consume it directly.
-	sigma []float64
-
 	// nbr/nbrSig are the per-vertex neighbor orders, parallel to the CSR
 	// offset ranges: within each vertex's range, neighbors sorted by σ
-	// descending (ties by neighbor id ascending). The ε-similar neighbors of
-	// v are the maximal prefix with nbrSig ≥ ε.
+	// descending (ties by neighbor id ascending). nbrSig holds each arc's
+	// activation threshold — the largest representable ε at which the
+	// similarity predicate of its endpoints still holds (simeval.Crossing of
+	// the exact numerator and denominator) — and is the only in-memory copy
+	// of σ: CSR arc order exists only in the persisted file (persist.go).
+	// The ε-similar neighbors of v are the maximal prefix with nbrSig ≥ ε.
 	nbr    []int32
 	nbrSig []float64
 
@@ -96,10 +93,11 @@ func BuildCtx(ctx context.Context, g graph.Graph, threads int) (*Index, error) {
 	// Each worker evaluates through its own WorkerEngine (degree-adaptive
 	// join kernels, private scratch) and counts its evaluations in the
 	// reduction accumulator, so the hot loop touches no shared cache line.
-	// Only the canonical arc slot (v < q) is written here; the mirror slots
-	// are filled by one PropagateMirrors pass afterwards, which works on any
-	// backend without materializing a reverse-edge index.
-	sigma := make([]float64, g.NumArcs())
+	// Only the canonical arc slot (v < q) is written here, in CSR arc order;
+	// the mirror slots are filled by one PropagateMirrors pass afterwards,
+	// which works on any backend without materializing a reverse-edge index,
+	// and the neighbor sort then permutes the array into σ order in place.
+	sig := make([]float64, g.NumArcs())
 	evals, err := par.ReduceCtx(ctx, n, threads, par.Adaptive, func(w, i int, acc int64) int64 {
 		we := eng.ForWorker(w)
 		v := int32(i)
@@ -108,7 +106,7 @@ func BuildCtx(ctx context.Context, g graph.Graph, threads int) (*Index, error) {
 			if v < q {
 				acc++
 				num, denom := we.EdgeNumerator(v, q, wt)
-				sigma[lo+int64(j)] = simeval.Crossing(num, denom)
+				sig[lo+int64(j)] = simeval.Crossing(num, denom)
 			}
 			return true
 		})
@@ -117,11 +115,11 @@ func BuildCtx(ctx context.Context, g graph.Graph, threads int) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	graph.PropagateMirrors(g, sigma)
+	graph.PropagateMirrors(g, sig)
 
 	x := &Index{
 		g:        g,
-		sigma:    sigma,
+		nbrSig:   sig,
 		simEvals: evals,
 		threads:  threads,
 		orders:   map[int]*CoreOrder{},
@@ -133,7 +131,10 @@ func BuildCtx(ctx context.Context, g graph.Graph, threads int) (*Index, error) {
 	return x, nil
 }
 
-// sortNeighbors derives nbr/nbrSig from the arc-order sigma slice.
+// sortNeighbors turns the arc-order nbrSig (and, for an approximate index,
+// nbrBand) into the σ-sorted neighbor orders: it fills nbr with each
+// vertex's adjacency and sorts every vertex's range of the three parallel
+// arrays in place.
 func (x *Index) sortNeighbors(threads int) {
 	x.sortNeighborsCtx(nil, threads)
 }
@@ -143,14 +144,9 @@ func (x *Index) sortNeighbors(threads int) {
 func (x *Index) sortNeighborsCtx(ctx context.Context, threads int) error {
 	g := x.g
 	x.nbr = make([]int32, g.NumArcs())
-	x.nbrSig = make([]float64, g.NumArcs())
-	var band, nbrBand []float32
-	if x.approx != nil && x.approx.band != nil {
-		// Approximate indexes carry the per-arc error band through the same
-		// permutation, so the sorted order and its bands stay parallel.
-		band = x.approx.band
-		nbrBand = make([]float32, g.NumArcs())
-		x.approx.nbrBand = nbrBand
+	var band []float32
+	if x.approx != nil {
+		band = x.approx.nbrBand
 	}
 	return par.ForCtx(ctx, g.NumVertices(), threads, 32, func(i int) {
 		v := int32(i)
@@ -160,10 +156,11 @@ func (x *Index) sortNeighborsCtx(ctx context.Context, threads int) error {
 		ids, _ := g.Neighbors(v)
 		o := &byOrder{ids: x.nbr[lo:hi], thr: x.nbrSig[lo:hi]}
 		copy(o.ids, ids)
-		copy(o.thr, x.sigma[lo:hi])
-		if nbrBand != nil {
-			o.band = nbrBand[lo:hi]
-			copy(o.band, band[lo:hi])
+		if band != nil {
+			// Approximate indexes carry the per-arc error band through the
+			// same permutation, so the sorted order and its bands stay
+			// parallel.
+			o.band = band[lo:hi]
 		}
 		sort.Sort(o)
 	})
@@ -187,14 +184,13 @@ func (x *Index) SimEvals() int64 { return x.simEvals }
 func (x *Index) BuildTime() time.Duration { return x.buildTau }
 
 // Bytes returns the approximate resident size of the index's own storage
-// (σ thresholds, sorted neighbor orders, memoized core orders) — the graph
-// itself is owned by the caller and not counted. Serving caches use this to
-// enforce a memory budget with LRU eviction.
+// (sorted neighbor orders with their σ thresholds, memoized core orders) —
+// the graph itself is owned by the caller and not counted. Serving caches use
+// this to enforce a memory budget with LRU eviction.
 func (x *Index) Bytes() int64 {
-	b := int64(len(x.sigma))*8 + int64(len(x.nbr))*4 + int64(len(x.nbrSig))*8
+	b := int64(len(x.nbr))*4 + int64(len(x.nbrSig))*8
 	if a := x.approx; a != nil {
-		b += int64(len(a.band))*4 + int64(len(a.nbrBand))*4 +
-			int64(len(a.maxBand))*8 + int64(len(a.resolved))*8
+		b += int64(len(a.nbrBand))*4 + int64(len(a.maxBand))*8 + int64(len(a.resolved))*8
 	}
 	x.mu.Lock()
 	for _, co := range x.orders {
@@ -208,16 +204,6 @@ func (x *Index) Bytes() int64 {
 	x.mu.Unlock()
 	return b
 }
-
-// Sigma returns the activation threshold of arc e (the largest ε at which
-// the arc's endpoints are similar). Arcs are in CSR order, mirrors agree.
-func (x *Index) Sigma(arc int64) float64 { return x.sigma[arc] }
-
-// ArcSigmas returns the per-arc activation thresholds in CSR arc order.
-// The slice is the index's own backing storage, shared to avoid copying
-// |E| floats: callers must treat it as read-only. sweep.FromIndex uses it
-// to derive a μ-fixed Explorer without a second similarity pass.
-func (x *Index) ArcSigmas() []float64 { return x.sigma }
 
 // NeighborOrder returns v's σ-sorted neighbor order: neighbor ids sorted by
 // σ descending (ties by id ascending) and the parallel activation thresholds.
@@ -234,23 +220,32 @@ func (x *Index) NeighborOrder(v int32) (ids []int32, sigs []float64) {
 func (x *Index) Threads() int { return x.threads }
 
 // CoreThreshold returns the largest ε at which v is a core at the given μ
-// (0 = never a core). O(1): the (μ-1)-th largest σ among v's arcs, read off
-// the sorted neighbor order; σ(v,v)=1 supplies v's own membership.
+// (0 = never a core). O(1), read off the sorted neighbor order
+// (CoreThresholdOf).
 func (x *Index) CoreThreshold(v int32, mu int) float64 {
+	lo, hi := x.g.NeighborRange(v)
+	return CoreThresholdOf(x.nbrSig[lo:hi], mu)
+}
+
+// CoreThresholdOf is the core threshold at μ of a vertex whose σ-sorted
+// neighbor thresholds are sigs: the (μ-1)-th largest σ among its arcs, as
+// σ(v,v)=1 supplies the vertex's own membership; 1 for μ ≤ 1 and 0 when the
+// vertex has fewer than μ-1 arcs. Every row layout — the index, a live
+// epoch's segments, an approximate index's effective orders — answers
+// CoreThreshold through it.
+func CoreThresholdOf(sigs []float64, mu int) float64 {
 	if mu <= 1 {
 		return 1
 	}
-	lo, hi := x.g.NeighborRange(v)
-	need := mu - 1
-	if int(hi-lo) < need {
+	if len(sigs) < mu-1 {
 		return 0
 	}
-	return x.nbrSig[lo+int64(need-1)]
+	return sigs[mu-2]
 }
 
-// coreOrderFor returns the memoized core order for μ, deriving it on first
-// use.
-func (x *Index) coreOrderFor(mu int) *CoreOrder {
+// CoreOrder returns the memoized core order for μ, deriving it on first use.
+// The order is shared and immutable: callers must treat it as read-only.
+func (x *Index) CoreOrder(mu int) *CoreOrder {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	co, ok := x.orders[mu]
@@ -278,5 +273,5 @@ func (x *Index) Query(mu int, eps float64) (*cluster.Result, error) {
 	if x.approx != nil && !x.approx.exactFallback {
 		return x.queryApprox(mu, eps)
 	}
-	return Replay(x, x.coreOrderFor(mu).Prefix(eps), eps, x.threads), nil
+	return Replay(x, x.CoreOrder(mu).Prefix(eps), eps, x.threads), nil
 }

@@ -5,17 +5,20 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"slices"
 
 	"anyscan/internal/frame"
 	"anyscan/internal/graph"
 )
 
 // Index container format: the shared framed+CRC container of package frame
-// wrapping a gob-encoded indexPayload. Only the arc-order σ slice (plus, for
-// approximate indexes, the per-arc error bands and the sketch parameters) is
-// persisted — the sorted neighbor orders and per-μ core orders are cheap,
-// deterministic derivations and are rebuilt on load, which keeps the file a
-// third of the in-memory size and the format independent of query history.
+// wrapping a gob-encoded indexPayload. Only σ (plus, for approximate indexes,
+// the per-arc error bands and the sketch parameters) is persisted, in CSR arc
+// order — the one place arc order survives. The neighbor ids of the sorted
+// orders and the per-μ core orders are cheap, deterministic derivations and
+// are rebuilt on load by sorting the loaded arrays in place, which keeps the
+// file at 8 B per arc against 12 resident and the format independent of
+// query history.
 //
 // Payload version 1 is an exact index; version 2 adds the approximate-mode
 // fields. Exact indexes — including any built with the δ=0 dial — keep
@@ -61,13 +64,30 @@ func (x *Index) payload() indexPayload {
 	p := indexPayload{
 		Version: indexVersion,
 		Graph:   graph.FingerprintOf(x.g),
-		Sigma:   x.sigma,
+		Sigma:   arcOrder(x, x.nbrSig),
 	}
 	if a := x.approx; a != nil && !a.exactFallback {
 		p.Version = indexVersionApprox
-		p.Delta, p.K, p.Seed, p.Band = a.delta, a.k, a.seed, a.band
+		p.Delta, p.K, p.Seed, p.Band = a.delta, a.k, a.seed, arcOrder(x, a.nbrBand)
 	}
 	return p
+}
+
+// arcOrder returns vals, an array parallel to the σ-sorted neighbor orders,
+// permuted back into CSR arc order. A vertex's adjacency is strictly
+// id-sorted, so the arc slot of neighbor q is q's rank in that adjacency.
+func arcOrder[T any](x *Index, vals []T) []T {
+	g := x.g
+	out := make([]T, len(vals))
+	for v := int32(0); v < int32(g.NumVertices()); v++ {
+		lo, hi := g.NeighborRange(v)
+		ids, _ := g.Neighbors(v)
+		for e := lo; e < hi; e++ {
+			j, _ := slices.BinarySearch(ids, x.nbr[e])
+			out[lo+int64(j)] = vals[e]
+		}
+	}
+	return out
 }
 
 // Save serializes the index so it can be restored later — possibly in
@@ -145,7 +165,7 @@ func restore(g graph.Graph, payload []byte, threads int) (*Index, error) {
 	}
 	x := &Index{
 		g:       g,
-		sigma:   p.Sigma,
+		nbrSig:  p.Sigma,
 		threads: threads,
 		orders:  map[int]*CoreOrder{},
 	}
@@ -164,7 +184,7 @@ func restore(g graph.Graph, payload []byte, threads int) (*Index, error) {
 				return nil, fmt.Errorf("anyscan: index arc %d band %v out of range [0,1]", e, b)
 			}
 		}
-		x.approx = &approxState{delta: p.Delta, k: p.K, seed: p.Seed, band: p.Band}
+		x.approx = &approxState{delta: p.Delta, k: p.K, seed: p.Seed, nbrBand: p.Band}
 	}
 	x.sortNeighbors(threads)
 	if x.approx != nil {

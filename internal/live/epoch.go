@@ -13,15 +13,14 @@ import (
 )
 
 // seg is one vertex's slice of an epoch: its adjacency (ids ascending,
-// weights parallel), the activation thresholds of its arcs in both id order
-// (sig, parallel to nbr) and σ-sorted order (osig/onbr, σ descending with
-// ties by id ascending), and its closed-neighborhood norm. Segments are
-// immutable once their epoch publishes; epochs share the segments of
-// untouched vertices, which is what makes publication copy-on-write.
+// weights parallel), the activation thresholds of its arcs in σ-sorted order
+// (osig/onbr, σ descending with ties by id ascending), and its
+// closed-neighborhood norm. Segments are immutable once their epoch
+// publishes; epochs share the segments of untouched vertices, which is what
+// makes publication copy-on-write.
 type seg struct {
 	nbr  []int32   // neighbor ids, ascending
 	wt   []float32 // weights, parallel to nbr
-	sig  []float64 // activation thresholds, parallel to nbr
 	onbr []int32   // neighbor ids sorted by σ desc, id asc
 	osig []float64 // thresholds, parallel to onbr
 
@@ -37,51 +36,39 @@ func (s *seg) find(q int32) (int, bool) {
 }
 
 // coreThreshold is the largest ε at which the segment's vertex is a core at
-// μ: the (μ-1)-th largest σ among its arcs (σ(v,v)=1 supplies the μ-th
-// similar member). Mirrors index.CoreThreshold exactly.
-func (s *seg) coreThreshold(mu int) float64 {
-	if mu <= 1 {
-		return 1
-	}
-	need := mu - 1
-	if len(s.osig) < need {
-		return 0
-	}
-	return s.osig[need-1]
-}
+// μ, read off its sorted order (index.CoreThresholdOf).
+func (s *seg) coreThreshold(mu int) float64 { return index.CoreThresholdOf(s.osig, mu) }
 
-// sortOrder derives onbr/osig from nbr/sig in the neighbor order of the
-// static index (index.SortOrder).
-func (s *seg) sortOrder() {
+// sortOrder derives onbr/osig from nbr and sig, the σ row parallel to nbr,
+// in the neighbor order of the static index (index.SortOrder). sig itself is
+// left untouched.
+func (s *seg) sortOrder(sig []float64) {
 	s.onbr = slices.Clone(s.nbr)
-	s.osig = slices.Clone(s.sig)
+	s.osig = slices.Clone(sig)
 	index.SortOrder(s.onbr, s.osig)
 }
 
 // repairOrder rebuilds s.onbr/s.osig from the parent segment's order when
-// only the arcs towards changed vertices moved: entries outside changed keep
-// their relative order (their σ did not move), the changed entries are
-// re-sorted and merged back in. O(deg + k log k) for k changed arcs, against
-// O(deg log deg) for a full sort. The (σ desc, id asc) comparator is a total
-// order, so the merged array is the unique sorted order — identical to what
-// sortOrder would produce.
-func (s *seg) repairOrder(old *seg, changed map[int32]bool) {
+// only the arcs towards some neighbors moved: moved(q) reports the new σ of
+// the arc towards q and whether it moved. Entries that did not move keep
+// their relative order, the moved entries are re-sorted and merged back in.
+// O(deg + k log k) for k moved arcs, against O(deg log deg) for a full sort.
+// The (σ desc, id asc) comparator is a total order, so the merged array is
+// the unique sorted order — identical to what sortOrder would produce.
+func (s *seg) repairOrder(old *seg, moved func(q int32) (float64, bool)) {
 	deg := len(s.nbr)
 	keepN := make([]int32, 0, deg)
 	keepS := make([]float64, 0, deg)
 	var chN []int32
+	var chS []float64
 	for i, q := range old.onbr {
-		if changed[q] {
+		if sg, ok := moved(q); ok {
 			chN = append(chN, q)
+			chS = append(chS, sg)
 			continue
 		}
 		keepN = append(keepN, q)
 		keepS = append(keepS, old.osig[i])
-	}
-	chS := make([]float64, len(chN))
-	for i, q := range chN {
-		j, _ := s.find(q)
-		chS[i] = s.sig[j]
 	}
 	index.SortOrder(chN, chS)
 	s.onbr = make([]int32, 0, deg)
@@ -224,7 +211,7 @@ func (e *Epoch) ToCSR() (*graph.CSR, error) {
 func (e *Epoch) Bytes() int64 {
 	var b int64
 	for _, s := range e.segs {
-		b += int64(len(s.nbr))*8 + int64(len(s.wt))*4 + int64(len(s.sig))*8 + int64(len(s.osig))*8
+		b += int64(len(s.nbr))*8 + int64(len(s.wt))*4 + int64(len(s.osig))*8
 	}
 	e.mu.Lock()
 	for _, co := range e.orders {

@@ -142,9 +142,9 @@ type Graph struct {
 
 // FromIndex wraps an already-built query index as epoch 0 of a live graph.
 // Zero-copy when the index was built over a flat *graph.CSR: the epoch's
-// segments alias the index's neighbor orders, arc thresholds, and the CSR's
-// adjacency and norms, so promotion of a served static index to a live graph
-// costs O(|V|) pointers, not a rebuild. The index and its CSR must not be
+// segments alias the index's neighbor orders and the CSR's adjacency and
+// norms, so promotion of a served static index to a live graph costs O(|V|)
+// pointers, not a rebuild. The index and its CSR must not be
 // mutated afterwards (they are immutable by contract already).
 //
 // An index over any other backend — a read-only, possibly mmap-backed
@@ -186,13 +186,11 @@ func FromIndexLogger(x *index.Index, lg *slog.Logger) *Graph {
 	n := g.NumVertices()
 	arr := make([]seg, n)
 	segs := make([]*seg, n)
-	sigma := x.ArcSigmas()
 	for v := int32(0); v < int32(n); v++ {
 		adj, wt := g.Neighbors(v)
-		lo, hi := g.NeighborRange(v)
 		onbr, osig := x.NeighborOrder(v)
 		arr[v] = seg{
-			nbr: adj, wt: wt, sig: sigma[lo:hi],
+			nbr: adj, wt: wt,
 			onbr: onbr, osig: osig,
 			norm: g.Norm(v), sqrtNorm: g.SqrtNorm(v),
 		}
@@ -400,15 +398,14 @@ func (g *Graph) Apply(muts []Mutation) (*Epoch, ApplyStats, error) {
 	// Touched vertices (mutation endpoints): rebuild adjacency with the net
 	// changes merged in, recompute the norm from scratch in ascending id
 	// order (the exact accumulation of graph.CSR), every incident σ pending.
+	// tsig holds each touched vertex's σ row in adjacency order for the
+	// length of this Apply only; segments keep σ in their sorted order alone.
 	touched := make([]int32, 0, len(delta))
 	for v := range delta {
 		touched = append(touched, v)
 	}
 	sort.Slice(touched, func(a, b int) bool { return touched[a] < touched[b] })
-	inT := make(map[int32]bool, len(touched))
-	for _, v := range touched {
-		inT[v] = true
-	}
+	tsig := make(map[int32][]float64, len(touched))
 	st.Touched = len(touched)
 	for _, t := range touched {
 		old := parent.segs[t]
@@ -446,20 +443,21 @@ func (g *Graph) Apply(muts []Mutation) (*Epoch, ApplyStats, error) {
 		}
 		s.norm = l
 		s.sqrtNorm = math.Sqrt(l)
-		s.sig = make([]float64, len(s.nbr))
+		tsig[t] = make([]float64, len(s.nbr))
 		newSegs[t] = s
 	}
 
 	// Ring vertices: unmutated neighbors of touched vertices. Their
 	// adjacency and norm are unchanged (shared with the parent segment), but
 	// the σ of their arcs towards touched vertices moved, so they get a
-	// fresh sig copy and a repaired order. A deleted edge has both endpoints
-	// touched, so ring membership is complete from the *new* adjacency.
+	// repaired order, reading each moved σ from the touched side's row (σ is
+	// symmetric). A deleted edge has both endpoints touched, so ring
+	// membership is complete from the *new* adjacency.
 	var ring []int32
 	inR := make(map[int32]bool)
 	for _, t := range touched {
 		for _, q := range newSegs[t].nbr {
-			if inT[q] || inR[q] {
+			if tsig[q] != nil || inR[q] {
 				continue
 			}
 			inR[q] = true
@@ -469,31 +467,32 @@ func (g *Graph) Apply(muts []Mutation) (*Epoch, ApplyStats, error) {
 	sort.Slice(ring, func(a, b int) bool { return ring[a] < ring[b] })
 	for _, q := range ring {
 		old := parent.segs[q]
-		newSegs[q] = &seg{
-			nbr: old.nbr, wt: old.wt,
-			sig:  append([]float64(nil), old.sig...),
-			norm: old.norm, sqrtNorm: old.sqrtNorm,
-		}
+		newSegs[q] = &seg{nbr: old.nbr, wt: old.wt, norm: old.norm, sqrtNorm: old.sqrtNorm}
 	}
 
 	// σ patch: re-evaluate exactly the arcs incident to touched vertices,
-	// each undirected arc once, writing both mirror slots. Uses the simeval
-	// slice kernels and crossing, so every patched threshold is bit-identical
-	// to what a full index.Build over the new adjacency would produce.
+	// each undirected arc once, writing the row slot of every touched end.
+	// Uses the simeval slice kernels and crossing, so every patched threshold
+	// is bit-identical to what a full index.Build over the new adjacency
+	// would produce.
 	type arcref struct {
 		u, v   int32
-		ui, vi int32
+		ui, vi int32 // vi is -1 when v is a ring vertex
 		w      float32
 	}
 	var arcs []arcref
 	for _, t := range touched {
 		s := newSegs[t]
 		for i, q := range s.nbr {
-			if inT[q] && q < t {
-				continue // evaluated from q's side
+			j := int32(-1)
+			if tsig[q] != nil {
+				if q < t {
+					continue // evaluated from q's side
+				}
+				k, _ := newSegs[q].find(t)
+				j = int32(k)
 			}
-			j, _ := newSegs[q].find(t)
-			arcs = append(arcs, arcref{u: t, v: q, ui: int32(i), vi: int32(j), w: s.wt[i]})
+			arcs = append(arcs, arcref{u: t, v: q, ui: int32(i), vi: j, w: s.wt[i]})
 		}
 	}
 	st.SigmaRecomputed = int64(len(arcs))
@@ -502,8 +501,10 @@ func (g *Graph) Apply(muts []Mutation) (*Epoch, ApplyStats, error) {
 		num := 2*float64(a.w)*float64(graph.SelfWeight) + simeval.SliceDot(su.nbr, su.wt, sv.nbr, sv.wt)
 		denom := su.sqrtNorm * sv.sqrtNorm
 		sg := simeval.Crossing(num, denom)
-		su.sig[a.ui] = sg
-		sv.sig[a.vi] = sg
+		tsig[a.u][a.ui] = sg
+		if a.vi >= 0 {
+			tsig[a.v][a.vi] = sg
+		}
 	}
 	if g.threads != 1 && len(arcs) >= parallelPatchMin {
 		par.For(len(arcs), g.threads, par.Adaptive, func(i int) { eval(arcs[i]) })
@@ -515,13 +516,22 @@ func (g *Graph) Apply(muts []Mutation) (*Epoch, ApplyStats, error) {
 
 	// Order maintenance: touched vertices re-sort in full (every arc moved);
 	// ring vertices repair incrementally (only arcs towards touched moved).
+	// Touched rows sort copies of their tsig rows, so the ring repairs can
+	// read tsig concurrently.
 	work := append(append(make([]int32, 0, len(touched)+len(ring)), touched...), ring...)
 	fix := func(v int32) {
-		if inT[v] {
-			newSegs[v].sortOrder()
-		} else {
-			newSegs[v].repairOrder(parent.segs[v], inT)
+		if sig := tsig[v]; sig != nil {
+			newSegs[v].sortOrder(sig)
+			return
 		}
+		newSegs[v].repairOrder(parent.segs[v], func(t int32) (float64, bool) {
+			sig := tsig[t]
+			if sig == nil {
+				return 0, false
+			}
+			i, _ := newSegs[t].find(v)
+			return sig[i], true
+		})
 	}
 	if g.threads != 1 && len(work) >= 64 {
 		par.For(len(work), g.threads, par.Adaptive, func(i int) { fix(work[i]) })

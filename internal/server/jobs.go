@@ -401,12 +401,22 @@ func (m *Manager) runJob(j *Job) {
 			return
 		}
 		if j.wantPause || m.draining.Load() {
-			j.wantPause = false
-			j.state = JobPaused
+			// Checkpoint before publishing paused, so a status that reads
+			// paused carries this pause's checkpoint outcome and Drain,
+			// which waits for no job running, returns after the write. A
+			// cancel that lands during the write still wins.
 			j.ctl.Unlock()
 			m.checkpoint(j)
-			m.log.Info("job paused", "job", j.ID)
-			return
+			j.ctl.Lock()
+			if !j.wantCancel {
+				j.wantPause = false
+				j.state = JobPaused
+				j.ctl.Unlock()
+				m.log.Info("job paused", "job", j.ID)
+				return
+			}
+			j.ctl.Unlock()
+			continue
 		}
 		j.ctl.Unlock()
 

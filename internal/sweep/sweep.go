@@ -18,15 +18,17 @@
 //     ε ≤ min(σ(v,q), coreThr(q)) for an adjacent q.
 //
 // So one O(|E|) similarity pass (parallelized like the paper's "ideal"
-// algorithm) plus one sort yields a structure from which the clustering at
-// any ε follows by a union-find replay — the same dendrogram idea as
-// single-linkage clustering, specialized to SCAN semantics.
+// algorithm) plus the per-vertex σ sort — package index's query index —
+// is all an explorer reads: the clustering at any ε is the index's replay
+// kernel, and the merge events of the dendrogram follow from the sorted
+// orders — the same dendrogram idea as single-linkage clustering,
+// specialized to SCAN semantics.
 package sweep
 
 import (
+	"cmp"
 	"fmt"
-	"math"
-	"sort"
+	"slices"
 
 	"anyscan/internal/cluster"
 	"anyscan/internal/graph"
@@ -36,30 +38,19 @@ import (
 
 // Explorer answers clustering queries at arbitrary ε for a fixed (graph, μ).
 //
-// An Explorer is immutable once NewExplorer returns: every query method
-// (ClusteringAt, SweepProfile, InterestingThresholds, Dendrogram,
-// CoreThreshold, Sigma) only reads the precomputed threshold structures and
-// allocates its own scratch state (a fresh union-find per replay), so one
-// Explorer is safe for any number of concurrent readers with no external
+// An Explorer is a μ-fixed view of a query index and holds nothing
+// arc-sized: every query method reads the index's σ-sorted neighbor orders
+// and its memoized core order for μ, and allocates its own scratch state, so
+// one Explorer is safe for any number of concurrent readers with no external
 // locking.
 type Explorer struct {
-	g  graph.Graph
+	x  *index.Index
 	mu int
-
-	coreThr []float64   // max ε at which v is still a core; 0 = never
-	edges   []mergeEdge // core-core merge events, sorted by threshold desc
-	sigma   []float64   // per-arc σ (both directions)
 }
 
-type mergeEdge struct {
-	thr  float64
-	u, v int32
-}
-
-// NewExplorer evaluates all |E| similarities with the given number of
-// workers and prepares the threshold structures. Cost: one exact σ per
-// undirected edge (the query index's σ pass, see index.Build) plus an
-// O(|E| log |E|) sort.
+// NewExplorer builds g's query index with the given number of workers — one
+// exact σ per undirected edge plus the per-vertex neighbor sort — and
+// returns its μ-fixed view.
 func NewExplorer(g graph.Graph, mu int, threads int) (*Explorer, error) {
 	if mu < 1 {
 		return nil, fmt.Errorf("sweep: mu must be >= 1, got %d", mu)
@@ -67,98 +58,25 @@ func NewExplorer(g graph.Graph, mu int, threads int) (*Explorer, error) {
 	return FromIndex(index.Build(g, threads), mu)
 }
 
-// mergeEvents collects each undirected edge's merge threshold
-// min(σ, coreThr(u), coreThr(v)) and sorts the events by threshold
-// descending, the replay order ClusteringAt consumes.
-func mergeEvents(g graph.Graph, sigma, coreThr []float64) []mergeEdge {
-	var edges []mergeEdge
-	for v := int32(0); v < int32(g.NumVertices()); v++ {
-		lo, _ := g.NeighborRange(v)
-		g.EachNeighbor(v, func(j int, q int32, _ float32) bool {
-			if v >= q {
-				return true
-			}
-			thr := math.Min(sigma[lo+int64(j)], math.Min(coreThr[v], coreThr[q]))
-			if thr > 0 {
-				edges = append(edges, mergeEdge{thr, v, q})
-			}
-			return true
-		})
-	}
-	sort.Slice(edges, func(i, j int) bool { return edges[i].thr > edges[j].thr })
-	return edges
-}
-
 // FromIndex derives a μ-fixed Explorer from a per-graph query index without
-// re-evaluating a single similarity: the index already holds every per-arc
-// activation threshold, so only the O(n) core thresholds (an O(1) lookup
-// each) and the O(|E| log |E|) merge-event sort remain. The Explorer shares
-// the index's σ storage (both treat it as read-only), so the μ-fixed
-// dendrogram/profile APIs cost no second Θ(|E|) pass and no extra arc-sized
-// allocation beyond the merge-event list.
+// re-evaluating a single similarity or copying anything: the explorer reads
+// the index's storage (read-only) for every query.
 func FromIndex(x *index.Index, mu int) (*Explorer, error) {
 	if mu < 1 {
 		return nil, fmt.Errorf("sweep: mu must be >= 1, got %d", mu)
 	}
-	g := x.Graph()
-	n := g.NumVertices()
-	sigma := x.ArcSigmas()
-
-	coreThr := make([]float64, n)
-	for v := int32(0); v < int32(n); v++ {
-		coreThr[v] = x.CoreThreshold(v, mu)
-	}
-
-	edges := mergeEvents(g, sigma, coreThr)
-	return &Explorer{g: g, mu: mu, coreThr: coreThr, edges: edges, sigma: sigma}, nil
+	return &Explorer{x: x, mu: mu}, nil
 }
 
-// Mu returns the μ the explorer was built for.
-func (e *Explorer) Mu() int { return e.mu }
-
 // CoreThreshold returns the largest ε at which v is a core (0 = never).
-func (e *Explorer) CoreThreshold(v int32) float64 { return e.coreThr[v] }
+func (e *Explorer) CoreThreshold(v int32) float64 { return e.x.CoreThreshold(v, e.mu) }
 
-// Sigma returns the exact structural similarity of the arc's endpoints.
-func (e *Explorer) Sigma(arc int64) float64 { return e.sigma[arc] }
-
-// ClusteringAt returns the exact SCAN clustering at ε. Borders claimed by
-// several clusters attach to their smallest qualifying core, making the
-// output deterministic (it matches cluster.Reference exactly).
+// ClusteringAt returns the exact SCAN clustering at ε: the index's replay
+// kernel over the cores at ε. Borders claimed by several clusters attach to
+// their smallest qualifying core, making the output deterministic (it
+// matches cluster.Reference exactly).
 func (e *Explorer) ClusteringAt(eps float64) *cluster.Result {
-	n := e.g.NumVertices()
-	ds := unionfind.New(n)
-	for _, me := range e.edges {
-		if me.thr < eps {
-			break // sorted descending: the rest are inactive too
-		}
-		ds.Union(me.u, me.v)
-	}
-	res := cluster.NewResult(n)
-	for v := int32(0); v < int32(n); v++ {
-		if e.coreThr[v] >= eps {
-			res.Roles[v] = cluster.Core
-			res.Labels[v] = ds.Find(v)
-		}
-	}
-	// Borders: the smallest-id adjacent core with σ ≥ ε.
-	for v := int32(0); v < int32(n); v++ {
-		if res.Roles[v] == cluster.Core {
-			continue
-		}
-		lo, _ := e.g.NeighborRange(v)
-		e.g.EachNeighbor(v, func(j int, q int32, _ float32) bool {
-			if e.coreThr[q] >= eps && e.sigma[lo+int64(j)] >= eps {
-				res.Roles[v] = cluster.Border
-				res.Labels[v] = ds.Find(q)
-				return false
-			}
-			return true
-		})
-	}
-	cluster.ClassifyNoise(e.g, res)
-	res.Canonicalize()
-	return res
+	return index.Replay(e.x, e.x.CoreOrder(e.mu).Prefix(eps), eps, e.x.Threads())
 }
 
 // Profile summarizes the clustering at one ε (for sweep tables and UIs).
@@ -185,24 +103,12 @@ func (e *Explorer) SweepProfile(epsValues []float64) []Profile {
 // and core thresholds. Probing only these values observes every distinct
 // clustering of the (graph, μ) pair.
 func (e *Explorer) InterestingThresholds(limit int) []float64 {
-	seen := map[float64]struct{}{}
-	var out []float64
-	add := func(t float64) {
-		if t <= 0 {
-			return
-		}
-		if _, dup := seen[t]; !dup {
-			seen[t] = struct{}{}
-			out = append(out, t)
-		}
+	out := slices.Clone(e.x.CoreOrder(e.mu).Thr)
+	for _, m := range e.merges() {
+		out = append(out, m.Thr)
 	}
-	for _, me := range e.edges {
-		add(me.thr)
-	}
-	for _, t := range e.coreThr {
-		add(t)
-	}
-	sort.Sort(sort.Reverse(sort.Float64Slice(out)))
+	slices.SortFunc(out, func(a, b float64) int { return cmp.Compare(b, a) })
+	out = slices.Compact(out)
 	if limit > 0 && len(out) > limit {
 		out = out[:limit]
 	}
@@ -216,18 +122,46 @@ type Merge struct {
 	A, B int32
 }
 
+// merges derives every core–core merge event from the σ-sorted neighbor
+// orders: each undirected edge (A < B) with a positive merge threshold
+// min(σ(A,B), coreThr(A), coreThr(B)) — the largest ε at which both ends are
+// cores and similar. The events come unsorted.
+func (e *Explorer) merges() []Merge {
+	var out []Merge
+	for _, u := range e.x.CoreOrder(e.mu).Verts {
+		tu := e.CoreThreshold(u)
+		ids, sigs := e.x.NeighborOrder(u)
+		for j, q := range ids {
+			if sigs[j] <= 0 {
+				break // sorted descending: the rest never activate
+			}
+			if u < q {
+				if t := min(sigs[j], tu, e.CoreThreshold(q)); t > 0 {
+					out = append(out, Merge{Thr: t, A: u, B: q})
+				}
+			}
+		}
+	}
+	return out
+}
+
 // Dendrogram returns the full merge hierarchy of (graph, μ) over decreasing
 // ε: replaying the core-core merge events through a union-find and emitting
 // one Merge per successful join. This is the agglomerative view of the
 // SCAN clustering family (cf. AHSCAN in the paper's related work): cutting
 // the dendrogram at any ε reproduces the core partition of ClusteringAt.
-// The result has at most |V|-1 entries, sorted by descending threshold.
+// The result has at most |V|-1 entries, sorted by descending threshold with
+// ties by (A, B), so it does not depend on iteration order.
 func (e *Explorer) Dendrogram() []Merge {
-	ds := unionfind.New(e.g.NumVertices())
+	events := e.merges()
+	slices.SortFunc(events, func(a, b Merge) int {
+		return cmp.Or(cmp.Compare(b.Thr, a.Thr), cmp.Compare(a.A, b.A), cmp.Compare(a.B, b.B))
+	})
+	ds := unionfind.New(e.x.NumVertices())
 	var out []Merge
-	for _, me := range e.edges {
-		if ds.Union(me.u, me.v) {
-			out = append(out, Merge{Thr: me.thr, A: me.u, B: me.v})
+	for _, m := range events {
+		if ds.Union(m.A, m.B) {
+			out = append(out, m)
 		}
 	}
 	return out
