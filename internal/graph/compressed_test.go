@@ -35,8 +35,9 @@ func randomCSR(t *testing.T, rng *rand.Rand, n int, avgDeg float64, unitWeights 
 
 // TestCompressedRoundTrip is the property test of the issue: for any
 // generated CSR, Compress produces an isomorphic graph — per-vertex neighbor
-// and weight equality, identical arc indexing, bit-identical norms — and
-// Decompress inverts it exactly.
+// and weight equality, identical arc indexing, bit-identical norms, the same
+// UnitWeights answer (the compressed one from its flag) — and Decompress
+// inverts it exactly.
 func TestCompressedRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	cases := []struct {
@@ -61,6 +62,15 @@ func TestCompressedRoundTrip(t *testing.T) {
 		assertEquivalentBackends(t, g, back)
 		if FingerprintOf(g) != FingerprintOf(c) {
 			t.Fatalf("n=%d: fingerprint differs between CSR and compressed form", tc.n)
+		}
+		unit := true
+		for _, w := range g.weights {
+			unit = unit && w == 1
+		}
+		for _, b := range []Graph{g, c, back} {
+			if UnitWeights(b) != unit {
+				t.Fatalf("n=%d unit=%v: UnitWeights(%T) = %v", tc.n, tc.unit, b, !unit)
+			}
 		}
 	}
 }

@@ -165,6 +165,36 @@ func (c *Cursor) Neighbors(v int32) ([]int32, []float32) {
 	}
 }
 
+// UnitWeights reports whether every edge weight of g is exactly 1: the
+// unweighted SCAN case, where σ's numerator is the integer 2 + |N(p)∩N(q)|.
+// A *CompressedCSR answers in O(1) from the flag its encoder sets; other
+// backends scan their weights, so callers evaluate it once per build.
+func UnitWeights(g Graph) bool {
+	switch t := g.(type) {
+	case *CompressedCSR:
+		return t.unit
+	case *CSR:
+		for _, w := range t.weights {
+			if w != 1 {
+				return false
+			}
+		}
+		return true
+	}
+	n := g.NumVertices()
+	unit := true
+	for v := int32(0); v < int32(n) && unit; v++ {
+		g.EachNeighbor(v, func(_ int, _ int32, w float32) bool {
+			if w != 1 {
+				unit = false
+				return false
+			}
+			return true
+		})
+	}
+	return unit
+}
+
 // PropagateMirrors copies per-arc values from each arc's canonical slot to
 // its mirror: after a pass that fills vals[e] for every arc e = (p,q) with
 // q > p, PropagateMirrors fills vals[f] for the reverse arc f = (q,p). This

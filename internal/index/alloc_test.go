@@ -6,6 +6,7 @@ import (
 
 	"anyscan/internal/cluster"
 	"anyscan/internal/gen"
+	"anyscan/internal/graph"
 	"anyscan/internal/index"
 	"anyscan/internal/live"
 )
@@ -51,32 +52,40 @@ func TestQueryAllocsPinned(t *testing.T) {
 }
 
 // TestBuildAllocBytesPerArcPinned pins the bytes a single-threaded build
-// allocates per arc, exact and approximate: σ and the error bands are
-// written once, in place, into the sorted neighbor orders, so neither build
-// allocates a second arc-sized σ or band array.
+// allocates per arc: exact on unit weights (the triangle kernel) and on
+// uniform weights (the per-edge kernel), and approximate. σ and the error
+// bands are written once, in place, into the sorted neighbor orders, and the
+// triangle kernel counts into σ's own storage, so no build allocates a
+// second arc-sized σ, band or count array.
 func TestBuildAllocBytesPerArcPinned(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under -race")
 	}
-	g := gen.RMAT(12, 16<<12, 0.57, 0.19, 0.19, gen.WeightConfig{}, 7)
+	unit := gen.RMAT(12, 16<<12, 0.57, 0.19, 0.19, gen.WeightConfig{}, 7)
+	weighted := gen.RMAT(12, 16<<12, 0.57, 0.19, 0.19, gen.WeightConfig{Mode: gen.WeightUniform, Min: 0.5, Max: 1.5}, 7)
 	for _, c := range []struct {
 		name   string
+		g      *graph.CSR
 		delta  float64
 		maxPer float64
-	}{{"exact", 0, 22}, {"approx", 0.01, 60}} {
+	}{
+		{"exact", unit, 0, 22},
+		{"exact-weighted", weighted, 0, 22},
+		{"approx", unit, 0.01, 60},
+	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		x, err := index.BuildApprox(g, 1, c.delta)
+		x, err := index.BuildApprox(c.g, 1, c.delta)
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)
 		}
 		runtime.KeepAlive(x)
-		perArc := float64(after.TotalAlloc-before.TotalAlloc) / float64(g.NumArcs())
+		perArc := float64(after.TotalAlloc-before.TotalAlloc) / float64(c.g.NumArcs())
 		if perArc > c.maxPer {
-			t.Errorf("%s build of %d arcs: %.1f B/arc allocated, want at most %v", c.name, g.NumArcs(), perArc, c.maxPer)
+			t.Errorf("%s build of %d arcs: %.1f B/arc allocated, want at most %v", c.name, c.g.NumArcs(), perArc, c.maxPer)
 		} else {
-			t.Logf("%s build of %d arcs: %.1f B/arc allocated", c.name, g.NumArcs(), perArc)
+			t.Logf("%s build of %d arcs: %.1f B/arc allocated", c.name, c.g.NumArcs(), perArc)
 		}
 	}
 }

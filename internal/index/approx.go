@@ -132,10 +132,10 @@ func buildApproxCtx(ctx context.Context, g graph.Graph, threads int, delta float
 	if !(delta > 0 && delta < 1) {
 		return nil, fmt.Errorf("index: approx delta must be in [0,1), got %v", delta)
 	}
-	if !simeval.UnitWeights(g) {
+	if !graph.UnitWeights(g) {
 		// Tier 1: weighted graphs have no sketchable set-resemblance form of
 		// σ; run the exact build and record the fallback.
-		x, err := BuildCtx(ctx, g, threads)
+		x, err := buildCtx(ctx, g, threads, false)
 		if err != nil {
 			return nil, err
 		}

@@ -57,7 +57,7 @@ type Index struct {
 	nbr    []int32
 	nbrSig []float64
 
-	simEvals int64         // exact σ evaluations spent building (0 for loads)
+	simEvals int64         // exact σ values produced by the build (0 for loads)
 	buildTau time.Duration // wall time of Build (0 for loads)
 	threads  int           // worker count for large parallel queries
 
@@ -71,9 +71,13 @@ type Index struct {
 }
 
 // Build evaluates all |E| similarities with the given number of workers and
-// sorts every vertex's neighbor order. Cost: one exact σ per undirected edge
-// plus an O(|E| log d_max) sort, both parallelized; this is the only σ pass
-// the index will ever perform.
+// sorts every vertex's neighbor order; this is the only σ pass the index
+// will ever perform. The input's weights pick the σ kernel: on a unit-weight
+// graph one degree-ordered triangle listing counts every edge's common
+// neighbors at once (triangleSigma); a weighted graph runs one exact
+// adjacency join per undirected edge. Both give bit-identical thresholds, and
+// the O(|E| log d_max) sort that follows is the same; both phases are
+// parallel.
 func Build(g graph.Graph, threads int) *Index {
 	x, _ := BuildCtx(context.Background(), g, threads)
 	return x
@@ -86,49 +90,66 @@ func Build(g graph.Graph, threads int) *Index {
 // instead of running to completion. On cancellation BuildCtx returns
 // ctx.Err() and no Index — a partially evaluated σ slice is never exposed.
 func BuildCtx(ctx context.Context, g graph.Graph, threads int) (*Index, error) {
+	return buildCtx(ctx, g, threads, graph.UnitWeights(g))
+}
+
+// buildCtx is BuildCtx with the weight check already made (unit reports
+// graph.UnitWeights(g)), so a caller that needs it too scans once.
+func buildCtx(ctx context.Context, g graph.Graph, threads int, unit bool) (*Index, error) {
 	start := time.Now()
-	n := g.NumVertices()
-	eng := simeval.New(g, 0, simeval.Options{}) // exact values: no pruning
-
-	// Each worker evaluates through its own WorkerEngine (degree-adaptive
-	// join kernels, private scratch) and counts its evaluations in the
-	// reduction accumulator, so the hot loop touches no shared cache line.
-	// Only the canonical arc slot (v < q) is written here, in CSR arc order;
-	// the mirror slots are filled by one PropagateMirrors pass afterwards,
-	// which works on any backend without materializing a reverse-edge index,
-	// and the neighbor sort then permutes the array into σ order in place.
-	sig := make([]float64, g.NumArcs())
-	evals, err := par.ReduceCtx(ctx, n, threads, par.Adaptive, func(w, i int, acc int64) int64 {
-		we := eng.ForWorker(w)
-		v := int32(i)
-		lo, _ := g.NeighborRange(v)
-		g.EachNeighbor(v, func(j int, q int32, wt float32) bool {
-			if v < q {
-				acc++
-				num, denom := we.EdgeNumerator(v, q, wt)
-				sig[lo+int64(j)] = simeval.Crossing(num, denom)
-			}
-			return true
-		})
-		return acc
-	}, func(a, b int64) int64 { return a + b })
-	if err != nil {
-		return nil, err
-	}
-	graph.PropagateMirrors(g, sig)
-
 	x := &Index{
 		g:        g,
-		nbrSig:   sig,
-		simEvals: evals,
+		simEvals: g.NumEdges(),
 		threads:  threads,
 		orders:   map[int]*CoreOrder{},
+	}
+	var err error
+	if unit {
+		x.nbr, x.nbrSig, err = triangleSigma(ctx, g, threads)
+	} else {
+		x.nbrSig, err = edgeSigma(ctx, g, threads)
+	}
+	if err != nil {
+		return nil, err
 	}
 	if err := x.sortNeighborsCtx(ctx, threads); err != nil {
 		return nil, err
 	}
 	x.buildTau = time.Since(start)
 	return x, nil
+}
+
+// edgeSigma is the exact σ pass of a weighted graph: one adjacency join per
+// undirected edge, in CSR arc order. Bit-identity across kernels, backends
+// and thread counts rests on its float sum running over common neighbors in
+// ascending id order, which the triangle listing does not keep.
+//
+// Each worker evaluates through its own WorkerEngine (degree-adaptive join
+// kernels, private scratch), so the hot loop touches no shared cache line.
+// Only the canonical arc slot (v < q) is written here; the mirror slots are
+// filled by one PropagateMirrors pass afterwards, which works on any backend
+// without materializing a reverse-edge index, and the neighbor sort then
+// permutes the array into σ order in place.
+func edgeSigma(ctx context.Context, g graph.Graph, threads int) ([]float64, error) {
+	eng := simeval.New(g, 0, simeval.Options{}) // exact values: no pruning
+	sig := make([]float64, g.NumArcs())
+	err := par.ForWorkerCtx(ctx, g.NumVertices(), threads, par.Adaptive, func(w, i int) {
+		we := eng.ForWorker(w)
+		v := int32(i)
+		lo, _ := g.NeighborRange(v)
+		g.EachNeighbor(v, func(j int, q int32, wt float32) bool {
+			if v < q {
+				num, denom := we.EdgeNumerator(v, q, wt)
+				sig[lo+int64(j)] = simeval.Crossing(num, denom)
+			}
+			return true
+		})
+	})
+	if err != nil {
+		return nil, err
+	}
+	graph.PropagateMirrors(g, sig)
+	return sig, nil
 }
 
 // sortNeighbors turns the arc-order nbrSig (and, for an approximate index,
@@ -140,10 +161,16 @@ func (x *Index) sortNeighbors(threads int) {
 }
 
 // sortNeighborsCtx is sortNeighbors with cooperative cancellation (nil ctx
-// disables polling and never errors).
+// disables polling and never errors). An nbr already set holds each
+// vertex's neighbors in some order parallel to nbrSig (triangleSigma's
+// output) and is sorted as it is: the (σ desc, id asc) order is total, so
+// the result does not depend on where a neighbor started.
 func (x *Index) sortNeighborsCtx(ctx context.Context, threads int) error {
 	g := x.g
-	x.nbr = make([]int32, g.NumArcs())
+	fill := x.nbr == nil
+	if fill {
+		x.nbr = make([]int32, g.NumArcs())
+	}
 	var band []float32
 	if x.approx != nil {
 		band = x.approx.nbrBand
@@ -151,11 +178,14 @@ func (x *Index) sortNeighborsCtx(ctx context.Context, threads int) error {
 	return par.ForCtx(ctx, g.NumVertices(), threads, 32, func(i int) {
 		v := int32(i)
 		lo, hi := g.NeighborRange(v)
-		// On a flat CSR this is a storage alias; a compressed backend decodes
-		// once per vertex here (amortized against the O(deg log deg) sort).
-		ids, _ := g.Neighbors(v)
 		o := &byOrder{ids: x.nbr[lo:hi], thr: x.nbrSig[lo:hi]}
-		copy(o.ids, ids)
+		if fill {
+			// On a flat CSR this is a storage alias; a compressed backend
+			// decodes once per vertex here (amortized against the
+			// O(deg log deg) sort).
+			ids, _ := g.Neighbors(v)
+			copy(o.ids, ids)
+		}
 		if band != nil {
 			// Approximate indexes carry the per-arc error band through the
 			// same permutation, so the sorted order and its bands stay
@@ -175,8 +205,10 @@ func (x *Index) Graph() graph.Graph { return x.g }
 // seed-centered community queries can run straight off the index.
 func (x *Index) NumVertices() int { return x.g.NumVertices() }
 
-// SimEvals returns the number of exact σ evaluations Build performed: one
-// per undirected edge, or 0 for an index restored by Load.
+// SimEvals returns the number of exact σ values the build produced, not the
+// adjacency joins it ran: one per undirected edge for an exact build,
+// whichever kernel produced them; the edges an approximate build evaluated
+// exactly; 0 for an index restored by Load.
 func (x *Index) SimEvals() int64 { return x.simEvals }
 
 // BuildTime returns the wall time Build took (0 for an index restored by

@@ -2,12 +2,16 @@ package index_test
 
 import (
 	"bytes"
+	"context"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"anyscan/internal/cluster"
@@ -299,5 +303,62 @@ func TestSaveFileIsAtomic(t *testing.T) {
 	}
 	if _, err := index.LoadFile(g, path, 1); err != nil {
 		t.Fatalf("reload after overwrite: %v", err)
+	}
+}
+
+// pollBudget is a context whose Err turns to context.Canceled once it has
+// answered nil budget times. The par loops poll Err between chunks, so a
+// budget of k cancels a build at its (k+1)-th poll, wherever in the build
+// that falls.
+type pollBudget struct {
+	context.Context
+	left atomic.Int64
+}
+
+func (c *pollBudget) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestBuildCtxCancellation cancels exact builds on both σ kernels, unit
+// weights (triangle listing) and uniform weights (per-edge joins): with a
+// context cancelled before the call, and with one cancelled at each poll in
+// turn until the build outlasts the budget, which reaches every polled
+// phase of both σ passes and of the neighbor sort. Every cancelled build
+// must return ctx.Err() and no index.
+func TestBuildCtxCancellation(t *testing.T) {
+	for _, w := range []struct {
+		name string
+		wc   gen.WeightConfig
+	}{
+		{"unit", gen.WeightConfig{}},
+		{"weighted", gen.WeightConfig{Mode: gen.WeightUniform, Min: 0.5, Max: 1.5}},
+	} {
+		g := gen.RMAT(9, 4096, 0.57, 0.19, 0.19, w.wc, 3)
+		for _, threads := range []int{1, 2} {
+			name := fmt.Sprintf("%s/threads=%d", w.name, threads)
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			if x, err := index.BuildCtx(ctx, g, threads); x != nil || !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s, cancelled before the call: index %v, error %v", name, x != nil, err)
+			}
+			for budget := int64(0); ; budget++ {
+				ctx := &pollBudget{Context: context.Background()}
+				ctx.left.Store(budget)
+				x, err := index.BuildCtx(ctx, g, threads)
+				if err == nil {
+					if x == nil || x.SimEvals() != g.NumEdges() || budget == 0 {
+						t.Fatalf("%s: completed after %d polls with index %v", name, budget, x != nil)
+					}
+					t.Logf("%s: cancelled at each of %d polls", name, budget)
+					break
+				}
+				if x != nil || err != ctx.Err() {
+					t.Fatalf("%s, cancelled at poll %d: index %v, error %v", name, budget+1, x != nil, err)
+				}
+			}
+		}
 	}
 }

@@ -19,13 +19,17 @@ import (
 // checked against independent oracles: an exact index's σ of arc v→q must be
 // the crossing of a fresh exact evaluation, an approximate index's σ̂ and
 // band must be q's entry in v's sorted order, and Save → Load → Save must
-// reproduce the file byte for byte. Graphs: the random families plus an
-// R-MAT with hubs past the sketch size, so the approximate index has
-// sketched arcs; each on the flat and the compressed backend.
+// reproduce the file byte for byte. The exact oracle is the per-edge kernel,
+// so on unit-weight graphs it also ties the triangle kernel to it. Graphs:
+// the random families; an R-MAT with hubs past the sketch size, so the
+// approximate index has sketched arcs; shapes that stress the triangle
+// kernel's (degree, id) ranking and triangle density (oracleShapes); each on
+// the flat and the compressed backend.
 func TestPersistedLayoutOracle(t *testing.T) {
 	cases := testutil.RandomCases(1)
 	rmat := gen.RMAT(10, 8<<10, 0.57, 0.19, 0.19, gen.WeightConfig{}, 7)
 	cases = append(cases, testutil.RandomCase{Name: "rmat-hubs", G: rmat})
+	cases = append(cases, oracleShapes(t)...)
 	for _, tc := range cases {
 		for _, g := range []graph.Graph{tc.G, graph.Compress(tc.G)} {
 			name := fmt.Sprintf("%s/%T", tc.Name, g)
@@ -52,6 +56,50 @@ func TestPersistedLayoutOracle(t *testing.T) {
 			checkResave(t, name+"/approx", ax)
 		}
 	}
+}
+
+// oracleShapes returns unit-weight graphs at the extremes of the triangle
+// kernel: a clique (every triple a triangle, all degrees tied), a star (no
+// triangle, one hub), a ring lattice (all degrees equal, so id breaks every
+// rank tie), a single edge, isolated vertices with no edge, and an R-MAT
+// shaped like perfbench's explore and build graph at 1/8 of its size.
+func oracleShapes(t *testing.T) []testutil.RandomCase {
+	t.Helper()
+	var clique, star, ring [][2]int32
+	for u := int32(0); u < 40; u++ {
+		for v := u + 1; v < 40; v++ {
+			clique = append(clique, [2]int32{u, v})
+		}
+	}
+	for v := int32(1); v <= 50; v++ {
+		star = append(star, [2]int32{0, v})
+	}
+	const ringN, ringK = 60, 3 // every vertex adjacent to its 3 nearest on each side
+	for u := int32(0); u < ringN; u++ {
+		for d := int32(1); d <= ringK; d++ {
+			ring = append(ring, [2]int32{u, (u + d) % ringN})
+		}
+	}
+	var cases []testutil.RandomCase
+	for _, s := range []struct {
+		name  string
+		n     int
+		edges [][2]int32
+	}{
+		{"clique-40", 40, clique},
+		{"star-50", 51, star},
+		{"ring-lattice", ringN, ring},
+		{"single-edge", 2, [][2]int32{{0, 1}}},
+		{"isolated", 5, nil},
+	} {
+		g, err := graph.FromUnweightedEdges(s.n, s.edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, testutil.RandomCase{Name: s.name, G: g})
+	}
+	return append(cases, testutil.RandomCase{Name: "rmat-perfbench-1/8",
+		G: gen.RMAT(10, 1024*43, 0.45, 0.22, 0.22, gen.WeightConfig{}, 1)})
 }
 
 // savedPayload saves x and decodes the payload back out of the container.

@@ -146,22 +146,3 @@ func SigmaFromJaccard(j, a, b float64) float64 {
 	}
 	return sigma
 }
-
-// UnitWeights reports whether every edge weight in g is exactly 1.0 — the
-// unweighted SCAN case MinHash sketches can estimate. Weighted graphs have
-// no set-resemblance interpretation of σ, so approximate builds fall back to
-// the exact pass on them.
-func UnitWeights(g graph.Graph) bool {
-	n := g.NumVertices()
-	unit := true
-	for v := int32(0); v < int32(n) && unit; v++ {
-		g.EachNeighbor(v, func(_ int, _ int32, w float32) bool {
-			if w != 1 {
-				unit = false
-				return false
-			}
-			return true
-		})
-	}
-	return unit
-}
