@@ -8,10 +8,11 @@ import (
 
 // Index is a GS*-Index-style per-graph query structure: one Θ(|E|)
 // similarity pass at construction, then exact SCAN clusterings for *any*
-// (μ, ε) pair in time proportional to the similar-neighborhood prefixes the
-// answer touches — no σ is ever recomputed, for any number of queries at any
-// number of distinct μ values. Safe for concurrent queries; the anyscand
-// service keeps one Index per graph.
+// (μ, ε) pair — no σ is ever recomputed, for any number of queries at any
+// number of distinct μ values. A full clustering costs O(|V|), plus the
+// similar-neighborhood prefixes its cores walk, plus the neighbor lists of
+// its noise vertices; only Local is output-proportional. Safe for
+// concurrent queries; the anyscand service keeps one Index per graph.
 type Index = index.Index
 
 // NewIndex builds the (μ, ε) query index for g with the given number of

@@ -1,6 +1,7 @@
 package index_test
 
 import (
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -48,6 +49,52 @@ func TestQueryAllocsPinned(t *testing.T) {
 				t.Logf("%s query on %d vertices: %v allocations", name, g.NumVertices(), allocs)
 			}
 		}
+	}
+}
+
+// TestApplyAllocBytesIndependentOfQueriedMu pins that a write's allocation
+// does not grow with the μ values readers have queried: epochs memoize no
+// per-μ state, so nothing is carried or patched across an Apply. Two live
+// graphs over one index take the same one-edge batches; only the first had
+// its epoch 0 queried at four μ.
+func TestApplyAllocBytesIndependentOfQueriedMu(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	const batches = 64
+	g := gen.RMAT(12, 16<<12, 0.57, 0.19, 0.19, gen.WeightConfig{}, 7)
+	x := index.Build(g, 1)
+	rng := rand.New(rand.NewSource(11))
+	muts := make([]live.Mutation, 0, batches)
+	for len(muts) < batches {
+		u, v := rng.Int31n(int32(g.NumVertices())), rng.Int31n(int32(g.NumVertices()))
+		if u != v && !g.HasEdge(u, v) {
+			muts = append(muts, live.Mutation{Op: live.OpAdd, U: u, V: v, W: 1})
+		}
+	}
+	bytesPerBatch := func(lg *live.Graph) float64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := range muts {
+			if _, _, err := lg.Apply(muts[i : i+1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / batches
+	}
+	queried, cold := live.FromIndex(x), live.FromIndex(x)
+	for _, mu := range []int{2, 4, 8, 16} {
+		if _, err := queried.Epoch().Query(mu, 0.5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	withMu, without := bytesPerBatch(queried), bytesPerBatch(cold)
+	if withMu > 1.05*without {
+		t.Errorf("one-edge Apply after queries at 4 μ allocates %.0f KiB per batch, %.0f KiB with none queried; want within 5%%",
+			withMu/1024, without/1024)
+	} else {
+		t.Logf("one-edge Apply: %.0f KiB per batch after queries at 4 μ, %.0f KiB with none queried", withMu/1024, without/1024)
 	}
 }
 

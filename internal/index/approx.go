@@ -341,7 +341,7 @@ func (x *Index) upperCoreOrderFor(mu int) *CoreOrder {
 	defer x.mu.Unlock()
 	co, ok := x.approx.ordersU[mu]
 	if !ok {
-		co = NewCoreOrder(x.NumVertices(), func(v int32) float64 {
+		co = newCoreOrder(x.NumVertices(), func(v int32) float64 {
 			if lo, hi := x.g.NeighborRange(v); mu > 1 && int(hi-lo) < mu-1 {
 				return 0 // too few arcs: no band can make v a core
 			}

@@ -1,8 +1,11 @@
 // Package index implements a GS*-Index-style query structure for structural
 // graph clustering: pay the Θ(|E|) similarity cost once per graph, then
-// answer exact SCAN clusterings for *any* (μ, ε) parameter pair in time
-// proportional to the similar-neighborhood prefixes the answer actually
-// touches — no σ is ever recomputed.
+// answer exact SCAN clusterings for *any* (μ, ε) parameter pair without
+// recomputing a single σ. A full clustering costs O(|V|) for its per-query
+// arrays and labels, plus the similar-neighborhood prefixes its cores walk,
+// plus the neighbor lists of the noise vertices it splits into hubs and
+// outliers. Only a seed-centered query (package local) costs in proportion
+// to its answer.
 //
 // This generalizes package sweep, which fixes μ at build time, to the full
 // two-parameter query problem of GS*-Index (Tseng, Dhulipala & Shun;
@@ -18,10 +21,11 @@
 //     (vertices sorted by descending coreThr), which the index derives
 //     lazily and memoizes the first time a μ value is queried.
 //
-// A Query(μ, ε) therefore walks only core-order and neighbor-order prefixes,
-// unions cores along similar core-core edges, and attaches borders — the
-// same replay semantics as sweep.Explorer.ClusteringAt, so results are
-// byte-identical to cluster.Reference after canonicalization.
+// A Query(μ, ε) therefore reads σ only from core-order and neighbor-order
+// prefixes: it unions cores along similar core-core edges, attaches borders
+// and splits the rest into hubs and outliers — the same replay semantics as
+// sweep.Explorer.ClusteringAt, so results are byte-identical to
+// cluster.Reference after canonicalization.
 package index
 
 import (
@@ -282,15 +286,16 @@ func (x *Index) CoreOrder(mu int) *CoreOrder {
 	defer x.mu.Unlock()
 	co, ok := x.orders[mu]
 	if !ok {
-		co = NewCoreOrder(x.NumVertices(), func(v int32) float64 { return x.CoreThreshold(v, mu) })
+		co = newCoreOrder(x.NumVertices(), func(v int32) float64 { return x.CoreThreshold(v, mu) })
 		x.orders[mu] = co
 	}
 	return co
 }
 
 // Query returns the exact SCAN clustering at (μ, ε) without recomputing any
-// similarity. Work beyond the O(|V|) result allocation is proportional to
-// the similar-neighborhood prefixes of the cores at (μ, ε).
+// similarity. Beyond the O(|V|) per-query arrays and result, it walks the
+// similar-neighborhood prefixes of the cores at (μ, ε) and the neighbor
+// lists of the noise vertices.
 //
 // Borders claimed by several clusters attach to their smallest qualifying
 // core, making the output deterministic: after canonicalization it is

@@ -54,11 +54,11 @@ type CoreOrder struct {
 	Thr   []float64
 }
 
-// NewCoreOrder derives the core order of the vertices [0, n) under the
+// newCoreOrder derives the core order of the vertices [0, n) under the
 // threshold function thr: two O(1) calls per vertex plus an O(k log k) sort
 // over the k vertices with a positive threshold. The arrays are sized
 // exactly, since memoized orders stay resident.
-func NewCoreOrder(n int, thr func(v int32) float64) *CoreOrder {
+func newCoreOrder(n int, thr func(v int32) float64) *CoreOrder {
 	k := 0
 	for v := int32(0); v < int32(n); v++ {
 		if thr(v) > 0 {
@@ -82,12 +82,15 @@ func (co *CoreOrder) Prefix(eps float64) []int32 {
 }
 
 // Replay is the exact (μ, ε) replay behind both index.Query and
-// live.Epoch.Query. cores must be the ε-prefix of v's core order at μ
-// (CoreOrder.Prefix). Each core walks its σ-sorted neighbor order down to
-// ε, unioning similar core–core edges and claiming every similar non-core
-// for its smallest similar core; the remaining vertices split into hubs and
-// outliers, and the labels are canonicalized. The result is byte-identical
-// to cluster.Reference on the same graph, at any thread count.
+// live.Epoch.Query. cores must be the set of v's cores at (μ, ε), in any
+// order: the union-find, the CAS-min claims and the canonicalization make
+// the result independent of it, so an index passes its memoized core
+// order's prefix (CoreOrder.Prefix) and a live epoch its threshold scan.
+// Each core walks its σ-sorted neighbor order down to ε, unioning similar
+// core–core edges and claiming every similar non-core for its smallest
+// similar core; the remaining vertices split into hubs and outliers, and the
+// labels are canonicalized. The result is byte-identical to
+// cluster.Reference on the same graph, at any thread count.
 func Replay(v local.View, cores []int32, eps float64, threads int) *cluster.Result {
 	r := newReplay(v.NumVertices())
 	for _, u := range cores {

@@ -3,9 +3,8 @@
 // insert/delete/reweight operations, and incrementally patches the
 // query-index structures of package index — recomputing σ only for arcs
 // incident to touched vertices (mutating edge (u,v) perturbs norms, and
-// hence σ, only for arcs touching u or v), repairing the σ-sorted neighbor
-// orders, and carrying forward every per-μ core order the batch did not
-// disturb.
+// hence σ, only for arcs touching u or v) and repairing the σ-sorted
+// neighbor orders.
 //
 // Each applied batch publishes a new immutable Epoch through copy-on-write
 // per-vertex segments: untouched vertices share their segment with the
@@ -196,7 +195,7 @@ func FromIndexLogger(x *index.Index, lg *slog.Logger) *Graph {
 		}
 		segs[v] = &arr[v]
 	}
-	e := &Epoch{segs: segs, edges: g.NumEdges(), threads: x.Threads(), orders: map[int]*index.CoreOrder{}}
+	e := &Epoch{segs: segs, edges: g.NumEdges(), threads: x.Threads()}
 	out := &Graph{pub: make(chan struct{}), threads: x.Threads()}
 	out.cur.Store(e)
 	return out
@@ -297,10 +296,7 @@ type change struct {
 //   - σ is recomputed only for arcs incident to touched vertices (the
 //     mutation endpoints); ring vertices — their unmutated neighbors — get
 //     copy-on-write segments with the affected order entries repaired in
-//     place; everything else is shared with the parent epoch;
-//   - per-μ core orders memoized on the parent are carried into the child
-//     unchanged when no touched/ring vertex moved its core threshold for
-//     that μ, and patched (remove + merge-insert) otherwise.
+//     place; everything else is shared with the parent epoch.
 //
 // A batch whose net effect is empty publishes nothing and returns the
 // current epoch (its token already satisfies read-your-writes).
@@ -541,72 +537,13 @@ func (g *Graph) Apply(muts []Mutation) (*Epoch, ApplyStats, error) {
 		}
 	}
 
-	// Core orders: for each μ memoized on the parent, carry the order over
-	// untouched when no touched/ring vertex moved its threshold, else patch
-	// it (drop moved vertices, merge-insert their new positions). The
-	// (thr desc, id asc) comparator is a total order, so the patched array
-	// is identical to a fresh derivation.
-	childOrders := make(map[int]*index.CoreOrder)
-	for mu, co := range parent.ordersSnapshot() {
-		var rm map[int32]bool
-		var addV []int32
-		var addT []float64
-		for _, v := range work {
-			oldT := parent.segs[v].coreThreshold(mu)
-			newT := newSegs[v].coreThreshold(mu)
-			if oldT == newT {
-				continue
-			}
-			if rm == nil {
-				rm = make(map[int32]bool)
-			}
-			if oldT > 0 {
-				rm[v] = true
-			}
-			if newT > 0 {
-				addV = append(addV, v)
-				addT = append(addT, newT)
-			}
-		}
-		if rm == nil {
-			childOrders[mu] = co
-			continue
-		}
-		childOrders[mu] = patchCoreOrder(co, rm, addV, addT)
-	}
-
 	child := &Epoch{
 		seq:     parent.seq + 1,
 		segs:    newSegs,
 		edges:   parent.edges + inserts - deletes,
 		threads: g.threads,
-		orders:  childOrders,
 	}
 	g.publish(child)
 	st.Publish = time.Since(start)
 	return child, st, nil
-}
-
-// patchCoreOrder returns co minus the vertices in rm, with the (addV, addT)
-// entries merge-inserted at their index.OrderLess positions. It sorts addV
-// and addT in place.
-func patchCoreOrder(co *index.CoreOrder, rm map[int32]bool, addV []int32, addT []float64) *index.CoreOrder {
-	index.SortOrder(addV, addT)
-	n := len(co.Verts) - len(rm) + len(addV)
-	out := &index.CoreOrder{Verts: make([]int32, 0, n), Thr: make([]float64, 0, n)}
-	j := 0
-	for i, v := range co.Verts {
-		if rm[v] {
-			continue
-		}
-		for ; j < len(addV) && !index.OrderLess(co.Thr[i], v, addT[j], addV[j]); j++ {
-			out.Verts = append(out.Verts, addV[j])
-			out.Thr = append(out.Thr, addT[j])
-		}
-		out.Verts = append(out.Verts, v)
-		out.Thr = append(out.Thr, co.Thr[i])
-	}
-	out.Verts = append(out.Verts, addV[j:]...)
-	out.Thr = append(out.Thr, addT[j:]...)
-	return out
 }

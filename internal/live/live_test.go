@@ -202,9 +202,8 @@ func TestEquivalenceRandomized(t *testing.T) {
 			}
 			rng := rand.New(rand.NewSource(seed * 1000003))
 			for round := 0; round < 8; round++ {
-				// Query before applying so the parent epoch memoizes core
-				// orders — the patch/inherit path is then exercised on every
-				// subsequent Apply.
+				// Query before applying as well, so every epoch of the chain
+				// is read while it is current, not only after its write.
 				if _, err := lg.Epoch().Query(2+round%3, 0.4); err != nil {
 					t.Fatal(err)
 				}

@@ -10,6 +10,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -134,6 +135,53 @@ func TestE2ETimeoutParamCannotLiftDeadline(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("answered %d, want 503 once the 300ms route deadline expires", resp.StatusCode)
+	}
+}
+
+// TestE2ETimeoutParamStopsProfile pins that a profile read honours its
+// deadline between points: neither the ε list nor the probe's limit is
+// bounded, so on a resident index a long profile must stop at ?timeout_ms=
+// with a 503 + Retry-After, counted as deadline-exceeded, instead of
+// computing every point and answering 200 long after the caller gave up.
+func TestE2ETimeoutParamStopsProfile(t *testing.T) {
+	path, _ := genGraphFile(t, 3000, 29)
+	_, ts, c := newOverloadServer(t, server.OverloadConfig{QueryTimeout: 60 * time.Second})
+	if _, err := c.LoadGraph(tctx, server.LoadGraphRequest{Name: "g", GraphSource: server.GraphSource{Path: path}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Query(tctx, "g", 2, 0.5, false); err != nil { // make the index resident
+		t.Fatal(err)
+	}
+
+	eps := make([]string, 4000)
+	for i := range eps {
+		eps[i] = strconv.FormatFloat(float64(i+1)/float64(len(eps)+1), 'g', 6, 64)
+	}
+	raw := &http.Client{Timeout: 60 * time.Second}
+	defer raw.CloseIdleConnections()
+	for _, form := range []string{
+		"eps=" + strings.Join(eps, ","),
+		"limit=1000000",
+	} {
+		start := time.Now()
+		resp, err := raw.Get(ts.URL + "/v1/query?graph=g&mu=2&timeout_ms=20&" + form)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+			t.Fatalf("%.20s… profile with a 20ms budget answered %d (Retry-After %q) after %v, want 503 with Retry-After",
+				form, resp.StatusCode, resp.Header.Get("Retry-After"), time.Since(start))
+		}
+		t.Logf("%.20s… profile stopped at its deadline after %v", form, time.Since(start))
+	}
+	text, err := c.MetricsText(tctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := metricValue(t, text, "anyscand_deadline_exceeded_total "); got != 2 {
+		t.Fatalf("anyscand_deadline_exceeded_total = %v, want 2", got)
 	}
 }
 
