@@ -10,8 +10,9 @@ import (
 // similarity pass at construction, then exact SCAN clusterings for *any*
 // (μ, ε) pair — no σ is ever recomputed, for any number of queries at any
 // number of distinct μ values. A full clustering costs O(|V|), plus the
-// similar-neighborhood prefixes its cores walk, plus the neighbor lists of
-// its noise vertices; only Local is output-proportional. Safe for
+// similar-neighborhood prefixes its cores walk, plus the arcs on the smaller
+// side of the labelled/noise cut, which its hub/outlier split reads (none
+// below two clusters); only Local is output-proportional. Safe for
 // concurrent queries; the anyscand service keeps one Index per graph.
 type Index = index.Index
 

@@ -3,9 +3,11 @@
 // answer exact SCAN clusterings for *any* (μ, ε) parameter pair without
 // recomputing a single σ. A full clustering costs O(|V|) for its per-query
 // arrays and labels, plus the similar-neighborhood prefixes its cores walk,
-// plus the neighbor lists of the noise vertices it splits into hubs and
-// outliers. Only a seed-centered query (package local) costs in proportion
-// to its answer.
+// plus the arcs on the smaller side of the cut between labelled vertices
+// (cores and borders) and noise, which the split of the noise into hubs and
+// outliers reads. Below two clusters no vertex can be a hub and the split
+// reads no arcs. Only a seed-centered query (package local) costs in
+// proportion to its answer.
 //
 // This generalizes package sweep, which fixes μ at build time, to the full
 // two-parameter query problem of GS*-Index (Tseng, Dhulipala & Shun;
@@ -294,8 +296,9 @@ func (x *Index) CoreOrder(mu int) *CoreOrder {
 
 // Query returns the exact SCAN clustering at (μ, ε) without recomputing any
 // similarity. Beyond the O(|V|) per-query arrays and result, it walks the
-// similar-neighborhood prefixes of the cores at (μ, ε) and the neighbor
-// lists of the noise vertices.
+// similar-neighborhood prefixes of the cores at (μ, ε), and its hub/outlier
+// split reads the arcs on the smaller side of the labelled/noise cut, or
+// none when there are fewer than two clusters (Replay).
 //
 // Borders claimed by several clusters attach to their smallest qualifying
 // core, making the output deterministic: after canonicalization it is

@@ -89,7 +89,10 @@ func (co *CoreOrder) Prefix(eps float64) []int32 {
 // Each core walks its σ-sorted neighbor order down to ε, unioning similar
 // core–core edges and claiming every similar non-core for its smallest
 // similar core; the remaining vertices split into hubs and outliers, and the
-// labels are canonicalized. The result is byte-identical to
+// labels are canonicalized. The split reads only arcs that can make a hub:
+// none below two clusters, otherwise the side of the labelled/noise cut
+// with the smaller degree sum. So a replay costs O(|V|), plus the prefixes
+// its cores walk, plus that side's arcs. The result is byte-identical to
 // cluster.Reference on the same graph, at any thread count.
 func Replay(v local.View, cores []int32, eps float64, threads int) *cluster.Result {
 	r := newReplay(v.NumVertices())
@@ -169,11 +172,21 @@ func (r *replay) link(u, q int32) {
 // neighbors (v's NeighborOrder ids, σ order being irrelevant here) carry two
 // or more distinct labels, an outlier otherwise — cluster.ClassifyNoise's
 // rule, read from the resident order instead of the graph backend.
+//
+// Only an arc across the labelled/noise cut can make a hub, so the split
+// reads no list at all below two clusters, and otherwise walks the side of
+// the cut with the smaller degree sum: the noise vertices' own lists
+// (scanNoise) or the cores' and borders' (pushNoise).
 func (r *replay) result(v local.View, cores []int32) *cluster.Result {
 	res := cluster.NewResult(len(r.claim))
+	clusters := 0
 	for _, u := range cores {
+		l := r.ds.Find(u)
 		res.Roles[u] = cluster.Core
-		res.Labels[u] = r.ds.Find(u)
+		res.Labels[u] = l
+		if l == u {
+			clusters++ // every component's root is one of its cores
+		}
 	}
 	for q, c := range r.claim {
 		if c >= 0 {
@@ -181,11 +194,38 @@ func (r *replay) result(v local.View, cores []int32) *cluster.Result {
 			res.Labels[q] = r.ds.Find(c)
 		}
 	}
+	if clusters >= 2 {
+		var labelled, noise int
+		for q, role := range res.Roles {
+			ids, _ := v.NeighborOrder(int32(q))
+			if role == cluster.Unclassified {
+				noise += len(ids)
+			} else {
+				labelled += len(ids)
+			}
+		}
+		if labelled < noise {
+			r.pushNoise(v, res)
+		} else {
+			scanNoise(v, res)
+		}
+	}
+	for q, role := range res.Roles {
+		if role == cluster.Unclassified {
+			res.Roles[q] = cluster.Outlier
+		}
+	}
+	res.Canonicalize()
+	return res
+}
+
+// scanNoise marks as a hub every unclassified vertex whose own neighbor list
+// carries two or more distinct labels.
+func scanNoise(v local.View, res *cluster.Result) {
 	for q, role := range res.Roles {
 		if role != cluster.Unclassified {
 			continue
 		}
-		res.Roles[q] = cluster.Outlier
 		ids, _ := v.NeighborOrder(int32(q))
 		first := cluster.NoLabel
 		for _, p := range ids {
@@ -200,6 +240,30 @@ func (r *replay) result(v local.View, cores []int32) *cluster.Result {
 			first = l
 		}
 	}
-	res.Canonicalize()
-	return res
+}
+
+// pushNoise is scanNoise from the other side of the cut: every core and
+// border passes its label to its unclassified neighbors, and a neighbor that
+// hears a second, different label becomes a hub. Adjacency is symmetric, so
+// each noise vertex hears exactly the labels its own list carries. The
+// first label heard is kept in claim, which the border pass has consumed
+// and whose noise entries still read -1 (no label yet).
+func (r *replay) pushNoise(v local.View, res *cluster.Result) {
+	first := r.claim
+	for p, l := range res.Labels {
+		if l == cluster.NoLabel {
+			continue
+		}
+		ids, _ := v.NeighborOrder(int32(p))
+		for _, q := range ids {
+			if res.Roles[q] != cluster.Unclassified {
+				continue
+			}
+			if first[q] == -1 {
+				first[q] = l
+			} else if first[q] != l {
+				res.Roles[q] = cluster.Hub
+			}
+		}
+	}
 }
