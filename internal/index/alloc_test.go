@@ -98,6 +98,64 @@ func TestApplyAllocBytesIndependentOfQueriedMu(t *testing.T) {
 	}
 }
 
+// TestApplyAllocBytesPerRingArcPinned pins what a one-edge write allocates
+// for its ring, the unmutated neighbors of the two endpoints: each ring
+// vertex gets one new order, two arrays of its degree (12 B per arc), so
+// the bytes per batch beyond the 8 B/vertex segment table, per arc of the
+// ring vertices, stay at most 16.
+func TestApplyAllocBytesPerRingArcPinned(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	const batches, maxPerArc = 64, 16
+	g := gen.RMAT(12, 16<<12, 0.57, 0.19, 0.19, gen.WeightConfig{}, 7)
+	x := index.Build(g, 1)
+	rng := rand.New(rand.NewSource(11))
+	muts := make([]live.Mutation, 0, batches)
+	for len(muts) < batches {
+		u, v := rng.Int31n(int32(g.NumVertices())), rng.Int31n(int32(g.NumVertices()))
+		if u != v && !g.HasEdge(u, v) {
+			muts = append(muts, live.Mutation{Op: live.OpAdd, U: u, V: v, W: 1})
+		}
+	}
+	lg := live.FromIndex(x)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range muts {
+		if _, _, err := lg.Apply(muts[i : i+1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	// Replay the batches on a second live graph to sum the ring degrees.
+	var ringArcs int64
+	replay := live.FromIndex(x)
+	for _, m := range muts {
+		e, _, err := replay.Apply([]live.Mutation{m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ring := map[int32]bool{}
+		for _, end := range []int32{m.U, m.V} {
+			ids, _ := e.NeighborOrder(end)
+			for _, q := range ids {
+				if q != m.U && q != m.V && !ring[q] {
+					ring[q] = true
+					ringArcs += int64(e.Degree(q))
+				}
+			}
+		}
+	}
+	table := int64(8 * g.NumVertices() * batches)
+	perArc := float64(int64(after.TotalAlloc-before.TotalAlloc)-table) / float64(ringArcs)
+	if perArc > maxPerArc {
+		t.Errorf("one-edge Apply: %.1f B per ring arc beyond the segment table (%d ring arcs per batch), want at most %d",
+			perArc, ringArcs/batches, maxPerArc)
+	} else {
+		t.Logf("one-edge Apply: %.1f B per ring arc beyond the segment table (%d ring arcs per batch)", perArc, ringArcs/batches)
+	}
+}
+
 // TestBuildAllocBytesPerArcPinned pins the bytes a single-threaded build
 // allocates per arc: exact on unit weights (the triangle kernel) and on
 // uniform weights (the per-edge kernel), and approximate. σ and the error

@@ -2,6 +2,7 @@ package index_test
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -51,7 +52,7 @@ func BenchmarkBuild(b *testing.B) {
 //   - social: perfbench mixed_rw's GR01L-shaped social circles on its 2×3
 //     grid, where every cell has several clusters.
 func BenchmarkQuery(b *testing.B) {
-	rmat := gen.RMAT(13, 8192*43, 0.45, 0.22, 0.22, gen.WeightConfig{}, 1)
+	rmat := benchRMAT()
 	x := index.Build(rmat, runtime.GOMAXPROCS(0))
 	lg := live.FromIndex(x)
 	v := int32(1)
@@ -62,10 +63,7 @@ func BenchmarkQuery(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	social := gen.SocialCircles(gen.SocialCirclesConfig{
-		N: 4096, Regions: 4096 / 400, CrossP: 0.06, CirclesPerV: 4.2,
-		CircleSize: 48, CircleSizeJit: 24, IntraP: 0.76, Seed: 1,
-	})
+	social := benchSocial()
 	exploreMus, exploreEps := []int{2, 4, 8, 16}, []float64{0.2, 0.35, 0.5, 0.65, 0.8}
 	for _, c := range []struct {
 		name  string
@@ -92,4 +90,134 @@ func BenchmarkQuery(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(queries), "us/query")
 		})
 	}
+}
+
+// BenchmarkApply times live.Apply, one op being one published batch, and
+// reports the time and the bytes allocated per batch:
+//   - social: perfbench mixed_rw's writer on its GR01L-shaped graph, the
+//     delete of an existing edge and the add of an absent one in turn;
+//   - rmat: one-edge adds of absent edges on BenchmarkBuild's R-MAT;
+//   - rmat-batch: one batch of absent-edge adds, 1% of that R-MAT's |E|,
+//     applied to a fresh live graph at 1 and 2 threads.
+func BenchmarkApply(b *testing.B) {
+	social, rmat := benchSocial(), benchRMAT()
+	xs := index.Build(social, runtime.GOMAXPROCS(0))
+	xr := index.Build(rmat, runtime.GOMAXPROCS(0))
+	b.Run("social", func(b *testing.B) {
+		benchApplySequence(b, live.FromIndex(xs), writerScript(social, b.N, rand.New(rand.NewSource(1))))
+	})
+	b.Run("rmat", func(b *testing.B) {
+		benchApplySequence(b, live.FromIndex(xr), absentAdds(rmat, b.N, rand.New(rand.NewSource(1))))
+	})
+	batch := absentAdds(rmat, int(rmat.NumEdges()/100), rand.New(rand.NewSource(1)))
+	for _, threads := range []int{1, 2} {
+		x := xr
+		if threads != x.Threads() {
+			x = index.Build(rmat, threads)
+		}
+		b.Run(fmt.Sprintf("rmat-batch/threads=%d", threads), func(b *testing.B) {
+			var before, after runtime.MemStats
+			var bytes uint64
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				lg := live.FromIndex(x)
+				runtime.ReadMemStats(&before)
+				b.StartTimer()
+				if _, _, err := lg.Apply(batch); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				runtime.ReadMemStats(&after)
+				bytes += after.TotalAlloc - before.TotalAlloc
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "us/batch")
+			b.ReportMetric(float64(bytes)/float64(b.N), "B/batch")
+		})
+	}
+}
+
+// benchApplySequence applies muts to lg one mutation per batch, a batch
+// being one op, and reports the time and bytes allocated per batch.
+func benchApplySequence(b *testing.B, lg *live.Graph, muts []live.Mutation) {
+	var before, after runtime.MemStats
+	b.ResetTimer()
+	runtime.ReadMemStats(&before)
+	for i := range muts {
+		if _, st, err := lg.Apply(muts[i : i+1]); err != nil || st.Applied != 1 {
+			b.Fatalf("batch %d: applied %d, err %v", i, st.Applied, err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(len(muts)), "us/batch")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(len(muts)), "B/batch")
+}
+
+// benchRMAT is BenchmarkBuild's unit-weight R-MAT: 8,192 vertices, about
+// 352k edges, skewed degrees.
+func benchRMAT() *graph.CSR {
+	return gen.RMAT(13, 8192*43, 0.45, 0.22, 0.22, gen.WeightConfig{}, 1)
+}
+
+// benchSocial is perfbench mixed_rw's GR01L-shaped social circles at
+// scale 1, seed 1: 4,096 vertices.
+func benchSocial() *graph.CSR {
+	return gen.SocialCircles(gen.SocialCirclesConfig{
+		N: 4096, Regions: 4096 / 400, CrossP: 0.06, CirclesPerV: 4.2,
+		CircleSize: 48, CircleSizeJit: 24, IntraP: 0.76, Seed: 1,
+	})
+}
+
+// writerScript returns n one-edge mutations in perfbench mixed_rw's writer
+// shape: the delete of a uniformly drawn existing edge and the add of an
+// absent one in turn, each effective on g as the earlier ones left it.
+func writerScript(g *graph.CSR, n int, rng *rand.Rand) []live.Mutation {
+	var list [][2]int32
+	pos := make(map[[2]int32]int, g.NumEdges())
+	for v := int32(0); v < int32(g.NumVertices()); v++ {
+		adj, _ := g.Neighbors(v)
+		for _, q := range adj {
+			if v < q {
+				pos[[2]int32{v, q}] = len(list)
+				list = append(list, [2]int32{v, q})
+			}
+		}
+	}
+	muts := make([]live.Mutation, 0, n)
+	for len(muts) < n {
+		if len(muts)%2 == 0 {
+			i := rng.Intn(len(list))
+			e, last := list[i], list[len(list)-1]
+			list[i], pos[last] = last, i
+			list = list[:len(list)-1]
+			delete(pos, e)
+			muts = append(muts, live.Mutation{Op: live.OpDelete, U: e[0], V: e[1]})
+			continue
+		}
+		u, v := rng.Int31n(int32(g.NumVertices())), rng.Int31n(int32(g.NumVertices()))
+		e := [2]int32{min(u, v), max(u, v)}
+		if _, ok := pos[e]; ok || u == v {
+			continue
+		}
+		pos[e] = len(list)
+		list = append(list, e)
+		muts = append(muts, live.Mutation{Op: live.OpAdd, U: u, V: v, W: 1})
+	}
+	return muts
+}
+
+// absentAdds returns n adds of distinct edges absent from g.
+func absentAdds(g *graph.CSR, n int, rng *rand.Rand) []live.Mutation {
+	seen := make(map[[2]int32]bool, n)
+	muts := make([]live.Mutation, 0, n)
+	for len(muts) < n {
+		u, v := rng.Int31n(int32(g.NumVertices())), rng.Int31n(int32(g.NumVertices()))
+		e := [2]int32{min(u, v), max(u, v)}
+		if u == v || seen[e] || g.HasEdge(u, v) {
+			continue
+		}
+		seen[e] = true
+		muts = append(muts, live.Mutation{Op: live.OpAdd, U: u, V: v, W: 1})
+	}
+	return muts
 }

@@ -39,53 +39,89 @@ func (s *seg) find(q int32) (int, bool) {
 func (s *seg) coreThreshold(mu int) float64 { return index.CoreThresholdOf(s.osig, mu) }
 
 // sortOrder derives onbr/osig from nbr and sig, the σ row parallel to nbr,
-// in the neighbor order of the static index (index.SortOrder). sig itself is
-// left untouched.
+// in the neighbor order of the static index (index.SortOrder). sig is
+// sorted in place and becomes osig.
 func (s *seg) sortOrder(sig []float64) {
 	s.onbr = slices.Clone(s.nbr)
-	s.osig = slices.Clone(sig)
+	s.osig = sig
 	index.SortOrder(s.onbr, s.osig)
 }
 
-// repairOrder rebuilds s.onbr/s.osig from the parent segment's order when
-// only the arcs towards some neighbors moved: moved(q) reports the new σ of
-// the arc towards q and whether it moved. Entries that did not move keep
-// their relative order, the moved entries are re-sorted and merged back in.
-// O(deg + k log k) for k moved arcs, against O(deg log deg) for a full sort.
-// The (σ desc, id asc) comparator is a total order, so the merged array is
-// the unique sorted order — identical to what sortOrder would produce.
-func (s *seg) repairOrder(old *seg, moved func(q int32) (float64, bool)) {
-	deg := len(s.nbr)
-	keepN := make([]int32, 0, deg)
-	keepS := make([]float64, 0, deg)
-	var chN []int32
-	var chS []float64
-	for i, q := range old.onbr {
-		if sg, ok := moved(q); ok {
-			chN = append(chN, q)
-			chS = append(chS, sg)
-			continue
+// move is one ring arc whose σ a batch moved: the entry for touched
+// neighbor t in ring vertex q's order, with its σ before and after.
+type move struct {
+	q, t     int32
+	old, new float64
+}
+
+// repairOrder derives s.onbr/s.osig from old, the parent segment's order,
+// when only the entries in mv moved. Unmoved entries keep their relative
+// order, so the new order is the old one with each moved entry cut out at
+// its old (σ, id) position and put back at its new one. Binary searches on
+// (σ, id) find both positions and the unmoved runs between them are block
+// copies: O(deg + k log deg) for k moved entries, allocating only the two
+// new slices. mv is re-sorted in place and from is scratch of len(mv). The
+// (σ desc, id asc) comparator is a total order, so the result is the unique
+// sorted order, identical to what sortOrder would produce.
+func (s *seg) repairOrder(old *seg, mv []move, from []int32) {
+	for i, m := range mv {
+		at := orderSearch(old.onbr, old.osig, m.old, m.t)
+		if at == len(old.onbr) || old.onbr[at] != m.t {
+			// σ is symmetric in every index this package builds or patches;
+			// a loaded index file is only range-checked, so find the entry
+			// by id should its two directions disagree.
+			at = slices.Index(old.onbr, m.t)
 		}
-		keepN = append(keepN, q)
-		keepS = append(keepS, old.osig[i])
+		from[i] = int32(at)
 	}
-	index.SortOrder(chN, chS)
-	s.onbr = make([]int32, 0, deg)
-	s.osig = make([]float64, 0, deg)
-	i, j := 0, 0
-	for i < len(keepN) && j < len(chN) {
-		if index.OrderLess(keepS[i], keepN[i], chS[j], chN[j]) {
-			s.onbr = append(s.onbr, keepN[i])
-			s.osig = append(s.osig, keepS[i])
-			i++
+	if len(mv) > 1 {
+		slices.Sort(from)
+		slices.SortFunc(mv, func(a, b move) int {
+			switch {
+			case a.t == b.t:
+				return 0
+			case index.OrderLess(a.new, a.t, b.new, b.t):
+				return -1
+			}
+			return 1
+		})
+	}
+	s.onbr = make([]int32, len(old.onbr))
+	s.osig = make([]float64, len(old.osig))
+	src, dst, r := 0, 0, 0
+	run := func(end int) { // copy old[src:end]
+		copy(s.onbr[dst:], old.onbr[src:end])
+		dst += copy(s.osig[dst:], old.osig[src:end])
+		src = end
+	}
+	keepTo := func(end int) { // copy old[src:end] but its moved entries
+		for ; r < len(from) && int(from[r]) < end; r++ {
+			run(int(from[r]))
+			src++
+		}
+		run(end)
+	}
+	for _, m := range mv {
+		keepTo(orderSearch(old.onbr, old.osig, m.new, m.t))
+		s.onbr[dst], s.osig[dst] = m.t, m.new
+		dst++
+	}
+	keepTo(len(old.onbr))
+}
+
+// orderSearch returns how many entries of the (σ desc, id asc) order
+// ids/sigs sort before (sg, id).
+func orderSearch(ids []int32, sigs []float64, sg float64, id int32) int {
+	lo, hi := 0, len(ids)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if index.OrderLess(sigs[m], ids[m], sg, id) {
+			lo = m + 1
 		} else {
-			s.onbr = append(s.onbr, chN[j])
-			s.osig = append(s.osig, chS[j])
-			j++
+			hi = m
 		}
 	}
-	s.onbr = append(append(s.onbr, keepN[i:]...), chN[j:]...)
-	s.osig = append(append(s.osig, keepS[i:]...), chS[j:]...)
+	return lo
 }
 
 // Epoch is one immutable published version of a live graph. Readers resolve

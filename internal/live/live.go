@@ -14,20 +14,35 @@
 //
 // The ground truth is equivalence: after any mutation sequence,
 // Epoch.Query(μ, ε) is byte-identical to index.Build on the equivalent
-// static CSR (Epoch.ToCSR) followed by Query. The incremental σ patch uses
-// the exact float expressions of the static build — simeval.SliceDot for
-// the ascending-id merge join, simeval.Crossing for the activation
-// threshold, and ascending-id norm accumulation matching graph.CSR — so the
-// property holds bit-for-bit, which live_test.go asserts under randomized
-// interleaved mutate/query workloads.
+// static CSR (Epoch.ToCSR) followed by Query, which live_test.go asserts
+// under randomized interleaved mutate/query workloads. Beyond the
+// 8 B/vertex segment table it copies, a batch costs what it touches:
+//
+//   - The σ patch scatters each touched vertex's weights once into a dense
+//     scratch row, and each of its arcs' numerators is then a branchless
+//     gather over the other endpoint's adjacency (simeval.GatherDot). The
+//     gather adds the merge join's products in the same ascending id order,
+//     a non-neighbor contributes an exact +0 (a float32×float32 product is
+//     exact in float64), and thresholds come from simeval.Crossing with
+//     norms accumulated in ascending id order as graph.CSR does, so every
+//     patched threshold is bit-identical to the static build's. The Graph
+//     keeps the rows for its lifetime: 4 B per vertex per patch worker.
+//   - Ring vertices, the unmutated neighbors of touched ones, repair their
+//     parent's order: each moved entry is found by binary search on its old
+//     (σ, id), its new position by a second search, and the unmoved runs
+//     between are block copies, so a ring vertex allocates its two new
+//     order arrays and nothing else.
 package live
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"log/slog"
 	"math"
+	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -137,6 +152,10 @@ type Graph struct {
 	maxWant atomic.Int64
 
 	threads int
+
+	// scratch holds the σ patch's dense rows, one per worker, each 4 B per
+	// vertex; guarded by writeMu.
+	scratch []patchRow
 }
 
 // FromIndex wraps an already-built query index as epoch 0 of a live graph.
@@ -268,9 +287,64 @@ func (g *Graph) publish(e *Epoch) {
 	g.mu.Unlock()
 }
 
-// parallelPatchMin is the affected-arc count above which the σ patch fans
-// out across workers; below it a sequential loop wins.
-const parallelPatchMin = 2048
+// Fan-out thresholds of Apply's two phases: the σ patch goes parallel at
+// parallelPatchMin recomputed arcs, the order maintenance at
+// parallelRepairMin touched and ring vertices; below them a sequential loop
+// wins.
+const (
+	parallelPatchMin  = 2048
+	parallelRepairMin = 64
+)
+
+// workers returns the worker count for a phase of items work items: the
+// graph's threads once items reach least, else one.
+func (g *Graph) workers(items, least int) int {
+	switch {
+	case g.threads == 1 || items < least:
+		return 1
+	case g.threads <= 0:
+		return runtime.GOMAXPROCS(0)
+	}
+	return g.threads
+}
+
+// patchRow is one σ patch worker's dense scratch row: the weights of the
+// touched vertex v scattered by neighbor id, zero everywhere else, so that
+// simeval.GatherDot evaluates any arc of v against it.
+type patchRow struct {
+	w   []float32 // |V| entries
+	v   int32     // vertex scattered into w, -1 when w is all zero
+	adj []int32   // v's adjacency: the entries to zero again
+}
+
+// scatter makes r hold s, the segment of v, and returns the row.
+func (r *patchRow) scatter(v int32, s *seg) []float32 {
+	if r.v != v {
+		r.reset()
+		r.v, r.adj = v, s.nbr
+		for i, q := range s.nbr {
+			r.w[q] = s.wt[i]
+		}
+	}
+	return r.w
+}
+
+// reset zeroes the scattered entries, leaving r all zero.
+func (r *patchRow) reset() {
+	for _, q := range r.adj {
+		r.w[q] = 0
+	}
+	r.v, r.adj = -1, nil
+}
+
+// patchRows returns k all-zero scratch rows of n entries each, allocating
+// the ones no earlier Apply needed. The caller holds writeMu.
+func (g *Graph) patchRows(k, n int) []patchRow {
+	for len(g.scratch) < k {
+		g.scratch = append(g.scratch, patchRow{w: make([]float32, n), v: -1})
+	}
+	return g.scratch[:k]
+}
 
 // pendState is the resolved in-batch state of one edge.
 type pendState struct {
@@ -294,9 +368,12 @@ type change struct {
 //   - operations resolve sequentially within the batch (add then delete of
 //     the same edge cancels out), and only the net changes are applied;
 //   - σ is recomputed only for arcs incident to touched vertices (the
-//     mutation endpoints); ring vertices — their unmutated neighbors — get
-//     copy-on-write segments with the affected order entries repaired in
-//     place; everything else is shared with the parent epoch.
+//     mutation endpoints), each numerator a gather against the touched
+//     end's weights scattered once into a dense scratch row; ring vertices
+//     (their unmutated neighbors) get copy-on-write segments whose orders
+//     repair the parent's by binary search and block copy; everything else
+//     is shared with the parent epoch, so beyond the 8 B/vertex segment
+//     table the batch costs what it touches.
 //
 // A batch whose net effect is empty publishes nothing and returns the
 // current epoch (its token already satisfies read-your-writes).
@@ -394,16 +471,16 @@ func (g *Graph) Apply(muts []Mutation) (*Epoch, ApplyStats, error) {
 	// Touched vertices (mutation endpoints): rebuild adjacency with the net
 	// changes merged in, recompute the norm from scratch in ascending id
 	// order (the exact accumulation of graph.CSR), every incident σ pending.
-	// tsig holds each touched vertex's σ row in adjacency order for the
-	// length of this Apply only; segments keep σ in their sorted order alone.
+	// tsig[k] is touched[k]'s σ row in adjacency order until its order is
+	// sorted, when it becomes the segment's osig.
 	touched := make([]int32, 0, len(delta))
 	for v := range delta {
 		touched = append(touched, v)
 	}
-	sort.Slice(touched, func(a, b int) bool { return touched[a] < touched[b] })
-	tsig := make(map[int32][]float64, len(touched))
+	slices.Sort(touched)
+	tsig := make([][]float64, len(touched))
 	st.Touched = len(touched)
-	for _, t := range touched {
+	for k, t := range touched {
 		old := parent.segs[t]
 		ch := delta[t]
 		sort.Slice(ch, func(a, b int) bool { return ch[a].to < ch[b].to })
@@ -439,103 +516,111 @@ func (g *Graph) Apply(muts []Mutation) (*Epoch, ApplyStats, error) {
 		}
 		s.norm = l
 		s.sqrtNorm = math.Sqrt(l)
-		tsig[t] = make([]float64, len(s.nbr))
+		tsig[k] = make([]float64, len(s.nbr))
 		newSegs[t] = s
-	}
-
-	// Ring vertices: unmutated neighbors of touched vertices. Their
-	// adjacency and norm are unchanged (shared with the parent segment), but
-	// the σ of their arcs towards touched vertices moved, so they get a
-	// repaired order, reading each moved σ from the touched side's row (σ is
-	// symmetric). A deleted edge has both endpoints touched, so ring
-	// membership is complete from the *new* adjacency.
-	var ring []int32
-	inR := make(map[int32]bool)
-	for _, t := range touched {
-		for _, q := range newSegs[t].nbr {
-			if tsig[q] != nil || inR[q] {
-				continue
-			}
-			inR[q] = true
-			ring = append(ring, q)
-		}
-	}
-	sort.Slice(ring, func(a, b int) bool { return ring[a] < ring[b] })
-	for _, q := range ring {
-		old := parent.segs[q]
-		newSegs[q] = &seg{nbr: old.nbr, wt: old.wt, norm: old.norm, sqrtNorm: old.sqrtNorm}
 	}
 
 	// σ patch: re-evaluate exactly the arcs incident to touched vertices,
 	// each undirected arc once, writing the row slot of every touched end.
-	// Uses the simeval slice kernels and crossing, so every patched threshold
-	// is bit-identical to what a full index.Build over the new adjacency
-	// would produce.
-	type arcref struct {
-		u, v   int32
-		ui, vi int32 // vi is -1 when v is a ring vertex
-		w      float32
-	}
-	var arcs []arcref
+	// An arc's numerator is a gather of its far end's adjacency against the
+	// near end's weights scattered into a worker's dense row (GatherDot),
+	// and its threshold is simeval.Crossing, so every patched threshold is
+	// bit-identical to what a full index.Build over the new adjacency would
+	// produce. Arcs are listed by near end, so a worker scatters each
+	// touched vertex once per run of its arcs.
+	// An arc is listed from u = touched[uk]: v is u's ui-th neighbor and
+	// tsig[uk][ui] the arc's slot at u; tsig[vk][vi] is its slot at v when
+	// v is touched too, vk = -1 when it is not.
+	type arcref struct{ uk, ui, v, vk, vi int32 }
+	deg := 0 // bounds the arcs listed
 	for _, t := range touched {
+		deg += len(newSegs[t].nbr)
+	}
+	arcs := make([]arcref, 0, deg)
+	for k, t := range touched {
 		s := newSegs[t]
 		for i, q := range s.nbr {
-			j := int32(-1)
-			if tsig[q] != nil {
+			a := arcref{uk: int32(k), ui: int32(i), v: q, vk: -1}
+			if vk, ok := slices.BinarySearch(touched, q); ok {
 				if q < t {
 					continue // evaluated from q's side
 				}
-				k, _ := newSegs[q].find(t)
-				j = int32(k)
+				vi, _ := newSegs[q].find(t)
+				a.vk, a.vi = int32(vk), int32(vi)
 			}
-			arcs = append(arcs, arcref{u: t, v: q, ui: int32(i), vi: j, w: s.wt[i]})
+			arcs = append(arcs, a)
 		}
 	}
 	st.SigmaRecomputed = int64(len(arcs))
-	eval := func(a arcref) {
-		su, sv := newSegs[a.u], newSegs[a.v]
-		num := 2*float64(a.w)*float64(graph.SelfWeight) + simeval.SliceDot(su.nbr, su.wt, sv.nbr, sv.wt)
-		denom := su.sqrtNorm * sv.sqrtNorm
-		sg := simeval.Crossing(num, denom)
-		tsig[a.u][a.ui] = sg
-		if a.vi >= 0 {
-			tsig[a.v][a.vi] = sg
+	scratch := g.patchRows(g.workers(len(arcs), parallelPatchMin), int(n))
+	defer func() {
+		for i := range scratch {
+			scratch[i].reset()
 		}
-	}
-	if g.threads != 1 && len(arcs) >= parallelPatchMin {
-		par.For(len(arcs), g.threads, par.Adaptive, func(i int) { eval(arcs[i]) })
-	} else {
-		for _, a := range arcs {
-			eval(a)
+	}()
+	par.ForWorker(len(arcs), len(scratch), par.Adaptive, func(w, i int) {
+		a := &arcs[i]
+		u := touched[a.uk]
+		su, sv := newSegs[u], newSegs[a.v]
+		row := scratch[w].scatter(u, su)
+		num := 2*float64(su.wt[a.ui])*float64(graph.SelfWeight) + simeval.GatherDot(row, sv.nbr, sv.wt)
+		sg := simeval.Crossing(num, su.sqrtNorm*sv.sqrtNorm)
+		tsig[a.uk][a.ui] = sg
+		if a.vk >= 0 {
+			tsig[a.vk][a.vi] = sg
 		}
-	}
+	})
 
-	// Order maintenance: touched vertices re-sort in full (every arc moved);
-	// ring vertices repair incrementally (only arcs towards touched moved).
-	// Touched rows sort copies of their tsig rows, so the ring repairs can
-	// read tsig concurrently.
-	work := append(append(make([]int32, 0, len(touched)+len(ring)), touched...), ring...)
-	fix := func(v int32) {
-		if sig := tsig[v]; sig != nil {
-			newSegs[v].sortOrder(sig)
+	// Ring vertices: unmutated neighbors of touched vertices. Their
+	// adjacency and norm are unchanged (shared with the parent segment), but
+	// the σ of their arcs towards touched vertices moved. Each such arc is
+	// listed once from its touched end, which holds both σ values: the old
+	// one in its parent order, the new one in its patched row (σ is
+	// symmetric). A deleted edge has both endpoints touched, so every ring
+	// arc is in the touched end's parent and new adjacency alike.
+	deg = 0 // bounds the moves listed
+	for _, t := range touched {
+		deg += len(parent.segs[t].nbr)
+	}
+	moves := make([]move, 0, deg)
+	for k, t := range touched {
+		po, s := parent.segs[t], newSegs[t]
+		for i, q := range po.onbr {
+			if _, ok := slices.BinarySearch(touched, q); ok {
+				continue
+			}
+			j, _ := slices.BinarySearch(s.nbr, q)
+			moves = append(moves, move{q: q, t: t, old: po.osig[i], new: tsig[k][j]})
+		}
+	}
+	slices.SortFunc(moves, func(a, b move) int { return cmp.Compare(a.q, b.q) })
+	// Ring vertex r's moves are moves[bounds[r]:bounds[r+1]].
+	var ring []int32
+	var bounds []int
+	for i, m := range moves {
+		if i == 0 || m.q != moves[i-1].q {
+			old := parent.segs[m.q]
+			newSegs[m.q] = &seg{nbr: old.nbr, wt: old.wt, norm: old.norm, sqrtNorm: old.sqrtNorm}
+			ring = append(ring, m.q)
+			bounds = append(bounds, i)
+		}
+	}
+	bounds = append(bounds, len(moves))
+
+	// Order maintenance: touched vertices sort their σ rows in full (every arc
+	// moved); ring vertices repair their parent order from their moves.
+	from := make([]int32, len(moves))
+	fix := func(i int) {
+		if i < len(touched) {
+			newSegs[touched[i]].sortOrder(tsig[i])
 			return
 		}
-		newSegs[v].repairOrder(parent.segs[v], func(t int32) (float64, bool) {
-			sig := tsig[t]
-			if sig == nil {
-				return 0, false
-			}
-			i, _ := newSegs[t].find(v)
-			return sig[i], true
-		})
+		r := i - len(touched)
+		q, lo, hi := ring[r], bounds[r], bounds[r+1]
+		newSegs[q].repairOrder(parent.segs[q], moves[lo:hi], from[lo:hi])
 	}
-	if g.threads != 1 && len(work) >= 64 {
-		par.For(len(work), g.threads, par.Adaptive, func(i int) { fix(work[i]) })
-	} else {
-		for _, v := range work {
-			fix(v)
-		}
-	}
+	work := len(touched) + len(ring)
+	par.For(work, g.workers(work, parallelRepairMin), par.Adaptive, fix)
 
 	child := &Epoch{
 		seq:     parent.seq + 1,

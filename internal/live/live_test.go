@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -219,6 +220,72 @@ func TestEquivalenceRandomized(t *testing.T) {
 				checkAgainstFreshIndex(t, fmt.Sprintf("round %d (epoch %d)", round, ep.Seq()), ep, ref.toCSR(t), 4)
 			}
 		})
+	}
+}
+
+// TestEquivalenceParallelPatch runs batches large enough for the parallel
+// σ patch, where two workers share the graph's scratch rows, on a skewed
+// weighted graph, and checks each epoch against a fresh index.
+func TestEquivalenceParallelPatch(t *testing.T) {
+	g0 := gen.RMAT(9, 4000, 0.45, 0.22, 0.22, gen.WeightConfig{Mode: gen.WeightUniform, Min: 0.25, Max: 1.5}, 3)
+	ref := newRefGraph(g0)
+	lg, err := FromCSR(context.Background(), g0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for round := 0; round < 4; round++ {
+		muts := ref.randomBatch(rng, 120)
+		ep, st, err := lg.Apply(muts)
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		ref.apply(muts)
+		if st.SigmaRecomputed < parallelPatchMin {
+			t.Fatalf("round %d: %d arcs recomputed, below the parallel patch's %d", round, st.SigmaRecomputed, parallelPatchMin)
+		}
+		checkAgainstFreshIndex(t, fmt.Sprintf("round %d (epoch %d)", round, ep.Seq()), ep, ref.toCSR(t), 2)
+	}
+}
+
+// TestRepairOrderMatchesSort checks repairOrder against a full sort of the
+// changed σ row: one to many moved entries, moves up, down and in place,
+// thresholds with ties (broken by id), and an old σ that disagrees with the
+// order, which must fall back to finding the entry by id.
+func TestRepairOrderMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 500; trial++ {
+		deg := 1 + rng.Intn(60)
+		nbr := make([]int32, 0, deg)
+		for _, q := range rng.Perm(4 * deg)[:deg] {
+			nbr = append(nbr, int32(q))
+		}
+		slices.Sort(nbr)
+		sig := make([]float64, deg)
+		for i := range sig {
+			sig[i] = float64(rng.Intn(8)) / 8 // few values, so ties are common
+		}
+		old := &seg{nbr: nbr}
+		old.sortOrder(slices.Clone(sig))
+
+		k := 1 + rng.Intn(deg)
+		mv := make([]move, 0, k)
+		for _, i := range rng.Perm(deg)[:k] {
+			m := move{t: nbr[i], old: sig[i], new: float64(rng.Intn(8)) / 8}
+			if rng.Intn(10) == 0 {
+				m.old += 1.0 / 16 // not where the order holds it
+			}
+			sig[i] = m.new
+			mv = append(mv, m)
+		}
+		want := &seg{nbr: nbr}
+		want.sortOrder(sig)
+		got := &seg{nbr: nbr}
+		got.repairOrder(old, mv, make([]int32, k))
+		if !slices.Equal(got.onbr, want.onbr) || !slices.Equal(got.osig, want.osig) {
+			t.Fatalf("trial %d (deg %d, %d moved): repaired %v %v, sorted %v %v",
+				trial, deg, k, got.onbr, got.osig, want.onbr, want.osig)
+		}
 	}
 }
 

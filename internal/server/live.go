@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -160,8 +159,7 @@ func parseOp(op string) (live.Op, error) {
 // admission semaphore at build weight.
 func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	var req MutateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Mutations) == 0 {

@@ -1,9 +1,12 @@
 package server_test
 
 import (
+	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -246,6 +249,46 @@ func TestMutateValidation(t *testing.T) {
 	}
 	if qr.Epoch != 0 {
 		t.Fatalf("rejected batches advanced the epoch to %d", qr.Epoch)
+	}
+}
+
+// TestRequestBodyTooLarge pins the bound on JSON request bodies: a body
+// over 32 MiB is a structured 413 on every route that decodes one, and a
+// mutation batch that arrives that way applies nothing.
+func TestRequestBodyTooLarge(t *testing.T) {
+	const limit = 32 << 20
+	g := gen.ErdosRenyi(50, 200, gen.WeightConfig{}, 9)
+	path := writeGraphFile(t, g, t.TempDir())
+	srv, c := newTestServer(t, server.ManagerConfig{Workers: 1})
+	if _, err := c.LoadGraph(tctx, server.LoadGraphRequest{Name: "g", GraphSource: server.GraphSource{Path: path}}); err != nil {
+		t.Fatal(err)
+	}
+	u, v := int32(0), int32(1)
+	for g.HasEdge(u, v) {
+		v++
+	}
+	add := fmt.Sprintf(`{"mutations":[{"op":"add","u":%d,"v":%d,"w":1}]`, u, v)
+	// Valid JSON but for its whitespace padding past the bound.
+	padded := func(head string) string { return head + strings.Repeat(" ", limit) + "}" }
+	for _, r := range []struct{ path, body string }{
+		{"/v1/graphs/g/edges", padded(add)},
+		{"/v1/graphs", padded(`{"name":"h","dataset":"GR01L","scale":0.05`)},
+		{"/v1/jobs", padded(`{"graph":"g","mu":2,"eps":0.5`)},
+	} {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, r.path, strings.NewReader(r.body)))
+		var e server.ErrorResponse
+		if err := json.NewDecoder(rec.Body).Decode(&e); err != nil || rec.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("POST %s with a %d-byte body: status %d, body error %q (%v), want a structured 413",
+				r.path, len(r.body), rec.Code, e.Error, err)
+		}
+	}
+	if qr, err := c.Query(tctx, "g", 2, 0.5, false); err != nil || qr.Epoch != 0 {
+		t.Fatalf("after the oversized batch: epoch %d, err %v; want epoch 0", qr.Epoch, err)
+	}
+	// The same batch within the bound applies.
+	if mr, err := c.Mutate(tctx, "g", []server.MutationSpec{{Op: "add", U: u, V: v, W: 1}}); err != nil || mr.Epoch != 1 {
+		t.Fatalf("the batch within the bound: epoch %d, err %v; want epoch 1", mr.Epoch, err)
 	}
 }
 

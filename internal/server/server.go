@@ -309,6 +309,27 @@ func retryAfterSeconds(d time.Duration) string {
 	return strconv.Itoa(secs)
 }
 
+// maxBodyBytes bounds every JSON request body. The largest legitimate one
+// is a mutation batch: 1% of the edges of a 5.6M-edge graph is about 3 MiB.
+const maxBodyBytes = 32 << 20
+
+// decodeBody decodes r's JSON body into v, reading at most maxBodyBytes.
+// On failure it answers the request itself, 413 for a body over the bound
+// and 400 for anything else, and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, code, fmt.Errorf("decoding request: %w", err))
+	return false
+}
+
 // errorCode maps a domain error to an HTTP status.
 func errorCode(err error) int {
 	msg := err.Error()
@@ -328,8 +349,7 @@ func errorCode(err error) int {
 
 func (s *Server) handleLoadGraph(w http.ResponseWriter, r *http.Request) {
 	var req LoadGraphRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	e, err := s.reg.Load(req.Name, req.GraphSource)
@@ -359,8 +379,7 @@ func (s *Server) handleEvictGraph(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if !decodeBody(w, r, &spec) {
 		return
 	}
 	j, err := s.jobs.Submit(spec)

@@ -1,23 +1,35 @@
 package simeval
 
-// Slice-based join kernels. These operate on raw sorted adjacency slices
-// (ids ascending, weights parallel) rather than a *graph.CSR, so callers that
-// maintain their own adjacency storage — package live's copy-on-write epoch
-// segments in particular — evaluate σ numerators with the exact kernels the
-// static engines use. Every kernel accumulates common-neighbor products in
-// ascending neighbor-id order with the float expression of the sort-merge
-// join, so the results are bit-identical to Engine.openDot and the
-// WorkerEngine adaptive kernels.
+// Slice-based dot kernels. These operate on raw sorted adjacency slices (ids
+// ascending, weights parallel) rather than a *graph.CSR. Every kernel adds
+// the common-neighbor products w_pr·w_qr in ascending neighbor-id order with
+// the float expression of the sort-merge join, so the results are
+// bit-identical to Engine.openDot and the WorkerEngine adaptive kernels.
+//
+// GatherDot is the σ patch kernel of package live, whose copy-on-write epoch
+// segments keep their own adjacency. It trades the merge join's branches
+// for a dense row: the caller scatters one endpoint's weights by neighbor id
+// into a zeroed row once, then every arc of that endpoint is one gather over
+// the other endpoint's adjacency. It stays bit-identical to the merge join:
+//   - a float32×float32 product is exact in float64, so every term is the
+//     merge join's term, and fused or unfused it adds the same value;
+//   - a non-neighbor reads a zero slot, and adding the exact +0 it yields
+//     leaves a non-negative sum unchanged (weights are positive);
+//   - the nonzero terms are added in the same ascending id order.
 
-// SliceDot returns Σ w_pr·w_qr over the common ids of the two sorted
-// adjacency slices (the open-neighborhood dot product), choosing the
-// merge-join or gallop kernel from the length ratio exactly as the
-// WorkerEngine does. Bit-identical to Engine.openDot on equivalent input.
-func SliceDot(pAdj []int32, pW []float32, qAdj []int32, qW []float32) float64 {
-	if len(pAdj) >= gallopRatio*len(qAdj) || len(qAdj) >= gallopRatio*len(pAdj) {
-		return gallopDotSlices(pAdj, pW, qAdj, qW)
+// GatherDot returns Σ row[r]·w_r over the ids r of the sorted adjacency adj
+// (weights w, parallel): the open-neighborhood dot product of adj's vertex
+// with the vertex whose weights row holds, scattered by neighbor id and zero
+// elsewhere. Bit-identical to mergeDotSlices on the two adjacencies. The
+// loop has no data-dependent branch: it costs len(adj) multiply-adds
+// whatever the overlap.
+func GatherDot(row []float32, adj []int32, w []float32) float64 {
+	var acc float64
+	w = w[:len(adj)]
+	for i, r := range adj {
+		acc += float64(row[r]) * float64(w[i])
 	}
-	return mergeDotSlices(pAdj, pW, qAdj, qW)
+	return acc
 }
 
 // mergeDotSlices is the classic ascending-id sort-merge join.
