@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -133,9 +134,14 @@ func empty() *CSR {
 	return g
 }
 
-// sortAdjacency sorts the neighbor slice and keeps weights parallel.
+// sortAdjacency sorts the neighbor slice and keeps weights parallel; w is
+// nil for a unit-weight graph.
 func sortAdjacency(adj []int32, w []float32) {
 	if sort.SliceIsSorted(adj, func(i, j int) bool { return adj[i] < adj[j] }) {
+		return
+	}
+	if w == nil {
+		slices.Sort(adj)
 		return
 	}
 	idx := make([]int32, len(adj))

@@ -69,16 +69,8 @@ func Compress(g *CSR) *CompressedCSR {
 		sqrtNorm: g.sqrtNorm,
 		maxW:     g.maxW,
 	}
-	c.unit = true
-	for _, w := range g.weights {
-		if w != 1 {
-			c.unit = false
-			break
-		}
-	}
-	if !c.unit {
-		c.weights = g.weights
-	}
+	c.unit = g.weights == nil
+	c.weights = g.weights
 	var buf [binary.MaxVarintLen64]byte
 	data := make([]byte, 0, len(g.neighbors)) // ~1 byte/arc guess
 	for v := int32(0); v < int32(n); v++ {
@@ -123,9 +115,7 @@ func onesSlice(n int) []float32 {
 func (c *CompressedCSR) Decompress() *CSR {
 	nbr := make([]int32, c.arcOff[c.n])
 	wts := c.weights
-	if c.unit {
-		wts = onesSlice(len(nbr))
-	} else if c.closer != nil {
+	if !c.unit && c.closer != nil {
 		// Copy out of the mapping so the CSR survives a later Close.
 		wts = append([]float32(nil), c.weights...)
 	}
@@ -133,6 +123,7 @@ func (c *CompressedCSR) Decompress() *CSR {
 		offsets:   append([]int64(nil), c.arcOff...),
 		neighbors: nbr,
 		weights:   wts,
+		ones:      c.ones,
 		norm:      append([]float64(nil), c.norm...),
 		sqrtNorm:  append([]float64(nil), c.sqrtNorm...),
 		maxW:      append([]float32(nil), c.maxW...),

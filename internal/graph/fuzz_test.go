@@ -101,18 +101,23 @@ func FuzzReadCompressed(f *testing.F) {
 	})
 }
 
+// FuzzReadBinary hammers the flat binary loader: whatever the bytes,
+// ReadBinary must either return an error or a graph that validates, keeps
+// no weight array exactly when every weight is 1, and writes back with
+// WriteBinary to the bytes it accepted (a prefix of the input: the reader
+// stops after the weight section).
 func FuzzReadBinary(f *testing.F) {
-	var buf bytes.Buffer
-	g := randomGraphWeighted(20, 50, 1)
-	if err := g.WriteBinary(&buf); err != nil {
-		f.Fatal(err)
+	for _, g := range []*CSR{randomGraphWeighted(20, 50, 1), randomGraph(20, 50, 1)} {
+		var buf bytes.Buffer
+		if err := g.WriteBinary(&buf); err != nil {
+			f.Fatal(err)
+		}
+		valid := buf.Bytes()
+		f.Add(valid)
+		f.Add(valid[:len(valid)/2])
+		f.Add(valid[:10]) // truncated header
 	}
-	valid := buf.Bytes()
-	f.Add(valid)
-	f.Add(valid[:len(valid)/2])
 	f.Add([]byte("garbage"))
-	truncHeader := append([]byte(nil), valid[:10]...)
-	f.Add(truncHeader)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := ReadBinary(bytes.NewReader(data))
 		if err != nil {
@@ -120,6 +125,21 @@ func FuzzReadBinary(f *testing.F) {
 		}
 		if err := g.Validate(); err != nil {
 			t.Fatalf("accepted invalid binary graph: %v", err)
+		}
+		unit := true
+		for e := int64(0); e < g.NumArcs(); e++ {
+			_, w := g.Arc(e)
+			unit = unit && w == 1
+		}
+		if UnitWeights(g) != unit || (g.weights == nil) != unit {
+			t.Fatalf("every weight 1: %v, but UnitWeights %v and weight array kept: %v", unit, UnitWeights(g), g.weights != nil)
+		}
+		var out bytes.Buffer
+		if err := g.WriteBinary(&out); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(data, out.Bytes()) {
+			t.Fatalf("accepted bytes do not round-trip: read %d-byte input, wrote %d bytes", len(data), out.Len())
 		}
 	})
 }

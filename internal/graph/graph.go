@@ -31,9 +31,13 @@ const SelfWeight = 1.0
 // form. Use a Builder to construct one. All exported methods are safe for
 // concurrent use because the structure is never mutated after Build.
 type CSR struct {
-	offsets   []int64   // len n+1; adjacency of v is [offsets[v], offsets[v+1])
-	neighbors []int32   // sorted within each vertex's range
-	weights   []float32 // parallel to neighbors
+	offsets   []int64 // len n+1; adjacency of v is [offsets[v], offsets[v+1])
+	neighbors []int32 // sorted within each vertex's range
+	// weights is parallel to neighbors, or nil when every weight is 1: then
+	// ones, a run of 1s as long as the largest degree, stands in for any
+	// vertex's weights (finalize decides, as CompressedCSR does).
+	weights []float32
+	ones    []float32
 
 	// Precomputed per-vertex quantities (Section II-A and Lemma 5):
 	norm     []float64 // l_p = SelfWeight^2 + Σ_{r∈N(p)} w_pr²
@@ -62,7 +66,26 @@ func (g *CSR) Degree(v int32) int {
 // slice. The returned slices alias internal storage and must not be modified.
 func (g *CSR) Neighbors(v int32) ([]int32, []float32) {
 	lo, hi := g.offsets[v], g.offsets[v+1]
-	return g.neighbors[lo:hi], g.weights[lo:hi]
+	return g.neighbors[lo:hi], g.weightsOf(lo, hi)
+}
+
+// weightsOf returns the weights of arcs [lo, hi). A unit-weight graph hands
+// out its shared run of 1s capped at its length, so an append cannot write
+// into it.
+func (g *CSR) weightsOf(lo, hi int64) []float32 {
+	if g.weights == nil {
+		d := hi - lo
+		return g.ones[:d:d]
+	}
+	return g.weights[lo:hi]
+}
+
+// weight returns the weight of arc e.
+func (g *CSR) weight(e int64) float32 {
+	if g.weights == nil {
+		return 1
+	}
+	return g.weights[e]
 }
 
 // NeighborRange returns the half-open arc-index range of v's adjacency.
@@ -72,7 +95,7 @@ func (g *CSR) NeighborRange(v int32) (lo, hi int64) {
 
 // Arc returns the head vertex and weight of arc e.
 func (g *CSR) Arc(e int64) (head int32, w float32) {
-	return g.neighbors[e], g.weights[e]
+	return g.neighbors[e], g.weight(e)
 }
 
 // Norm returns l_v = SelfWeight² + Σ w², the closed-neighborhood weighted
@@ -106,7 +129,7 @@ func (g *CSR) FindArc(u, v int32) (int64, bool) {
 // EdgeWeight returns the weight of edge (u,v), or 0 if absent.
 func (g *CSR) EdgeWeight(u, v int32) float32 {
 	if e, ok := g.FindArc(u, v); ok {
-		return g.weights[e]
+		return g.weight(e)
 	}
 	return 0
 }
@@ -153,17 +176,21 @@ func (g *CSR) ReverseEdgeIndex() []int64 {
 // violation. Intended for tests and loaders, not hot paths.
 func (g *CSR) Validate() error {
 	n := int32(g.NumVertices())
-	if len(g.neighbors) != len(g.weights) {
+	if g.weights != nil && len(g.neighbors) != len(g.weights) {
 		return fmt.Errorf("graph: neighbors/weights length mismatch %d != %d", len(g.neighbors), len(g.weights))
 	}
 	if g.offsets[0] != 0 || g.offsets[n] != int64(len(g.neighbors)) {
 		return fmt.Errorf("graph: offset bounds corrupt")
 	}
+	// Every range first: the symmetry check below looks up the reverse arc
+	// in a neighbor's range, which may lie ahead of v.
 	for v := int32(0); v < n; v++ {
-		lo, hi := g.offsets[v], g.offsets[v+1]
-		if lo > hi {
+		if g.offsets[v] > g.offsets[v+1] {
 			return fmt.Errorf("graph: negative degree at vertex %d", v)
 		}
+	}
+	for v := int32(0); v < n; v++ {
+		lo, hi := g.offsets[v], g.offsets[v+1]
 		for e := lo; e < hi; e++ {
 			u := g.neighbors[e]
 			if u < 0 || u >= n {
@@ -176,14 +203,14 @@ func (g *CSR) Validate() error {
 				return fmt.Errorf("graph: adjacency of %d not strictly sorted at arc %d", v, e)
 			}
 			// !(w > 0) also catches NaN, which compares false to everything.
-			if w := g.weights[e]; !(w > 0) || math.IsInf(float64(w), 0) {
+			if w := g.weight(e); !(w > 0) || math.IsInf(float64(w), 0) {
 				return fmt.Errorf("graph: non-positive or non-finite weight %v on edge (%d,%d)", w, v, u)
 			}
 			r, ok := g.FindArc(u, v)
 			if !ok {
 				return fmt.Errorf("graph: edge (%d,%d) missing reverse arc", v, u)
 			}
-			if g.weights[r] != g.weights[e] {
+			if g.weight(r) != g.weight(e) {
 				return fmt.Errorf("graph: asymmetric weight on edge (%d,%d)", v, u)
 			}
 		}
@@ -191,24 +218,33 @@ func (g *CSR) Validate() error {
 	return nil
 }
 
-// finalize computes the derived per-vertex arrays. Called by Builder.
+// finalize computes the derived per-vertex arrays and, when every weight is
+// 1, drops the weight array for a shared run of 1s. Every constructor ends
+// here, so a CSR keeps its weights exactly when some weight is not 1.
 func (g *CSR) finalize() {
 	n := g.NumVertices()
 	g.norm = make([]float64, n)
 	g.sqrtNorm = make([]float64, n)
 	g.maxW = make([]float32, n)
+	unit, maxDeg := true, 0
 	for v := 0; v < n; v++ {
 		l := float64(SelfWeight) * float64(SelfWeight)
 		var mw float32
-		for e := g.offsets[v]; e < g.offsets[v+1]; e++ {
-			w := g.weights[e]
+		lo, hi := g.offsets[v], g.offsets[v+1]
+		for e := lo; e < hi; e++ {
+			w := g.weight(e)
 			l += float64(w) * float64(w)
 			if w > mw {
 				mw = w
 			}
+			unit = unit && w == 1
 		}
 		g.norm[v] = l
 		g.sqrtNorm[v] = sqrt(l)
 		g.maxW[v] = mw
+		maxDeg = max(maxDeg, int(hi-lo))
+	}
+	if unit {
+		g.weights, g.ones = nil, onesSlice(maxDeg)
 	}
 }

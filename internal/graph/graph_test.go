@@ -139,6 +139,80 @@ func TestBinaryRoundTrip(t *testing.T) {
 	assertSameGraph(t, g, g2)
 }
 
+// TestUnitWeightGraphKeepsNoWeightArray: every way to make a flat CSR
+// drops the weight array when all weights are 1 and keeps it otherwise;
+// the run of 1s handed out in its place cannot be written through by an
+// append; and the files written are the ones an explicit array of 1s gives.
+func TestUnitWeightGraphKeepsNoWeightArray(t *testing.T) {
+	g := randomGraph(200, 800, 3)
+	relabeled, _ := RelabelByDegree(g)
+	var bin, text bytes.Buffer
+	if err := g.WriteBinary(&bin); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.WriteEdgeList(&text); err != nil {
+		t.Fatal(err)
+	}
+	fromBin, err := ReadBinary(bytes.NewReader(bin.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromText, _, err := LoadEdgeList(bytes.NewReader(text.Bytes()), LoadOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, u := range map[string]*CSR{
+		"built": g, "relabeled": relabeled, "decompressed": Compress(g).Decompress(),
+		"binary": fromBin, "edge list": fromText, "empty": empty(),
+	} {
+		if u.weights != nil || !UnitWeights(u) {
+			t.Fatalf("%s: weight array kept (%d) or UnitWeights false", name, len(u.weights))
+		}
+		if err := u.Validate(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for v := int32(0); v < int32(u.NumVertices()); v++ {
+			adj, w := u.Neighbors(v)
+			if len(w) != len(adj) || cap(w) != len(w) {
+				t.Fatalf("%s: vertex %d: %d weights with capacity %d for %d neighbors", name, v, len(w), cap(w), len(adj))
+			}
+			_ = append(w, 2) // must reallocate, not write the shared run
+			for i, x := range w {
+				if x != 1 {
+					t.Fatalf("%s: vertex %d: weight %d is %v", name, v, i, x)
+				}
+			}
+			if len(adj) > 0 {
+				if _, aw := u.Arc(int64(u.offsets[v])); aw != 1 || u.EdgeWeight(v, adj[0]) != 1 {
+					t.Fatalf("%s: vertex %d: Arc or EdgeWeight is not 1", name, v)
+				}
+			}
+		}
+		for i, x := range u.ones {
+			if x != 1 {
+				t.Fatalf("%s: an append wrote %v into the shared run at %d", name, x, i)
+			}
+		}
+	}
+	if wg := randomGraphWeighted(50, 200, 3); wg.weights == nil || UnitWeights(wg) {
+		t.Fatal("a weighted graph dropped its weights")
+	}
+	explicit := &CSR{offsets: g.offsets, neighbors: g.neighbors, weights: make([]float32, len(g.neighbors))}
+	for i := range explicit.weights {
+		explicit.weights[i] = 1
+	}
+	var ebin, etext bytes.Buffer
+	if err := explicit.WriteBinary(&ebin); err != nil {
+		t.Fatal(err)
+	}
+	if err := explicit.WriteEdgeList(&etext); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(bin.Bytes(), ebin.Bytes()) || !bytes.Equal(text.Bytes(), etext.Bytes()) {
+		t.Fatal("a unit-weight graph writes different files than one with an explicit array of 1s")
+	}
+}
+
 func TestBinaryRejectsGarbage(t *testing.T) {
 	if _, err := ReadBinary(strings.NewReader("not a graph at all")); err == nil {
 		t.Fatal("want error for bad magic")

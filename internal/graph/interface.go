@@ -72,7 +72,7 @@ type Sizer interface {
 // EachNeighbor implements Graph for *CSR by walking the flat arrays.
 func (g *CSR) EachNeighbor(v int32, yield func(i int, u int32, w float32) bool) bool {
 	lo, hi := g.offsets[v], g.offsets[v+1]
-	adj, wt := g.neighbors[lo:hi], g.weights[lo:hi]
+	adj, wt := g.neighbors[lo:hi], g.weightsOf(lo, hi)
 	for i, u := range adj {
 		if !yield(i, u, wt[i]) {
 			return false
@@ -83,7 +83,7 @@ func (g *CSR) EachNeighbor(v int32, yield func(i int, u int32, w float32) bool) 
 
 // Bytes returns the total size of the CSR's storage arrays.
 func (g *CSR) Bytes() int64 {
-	return int64(len(g.offsets))*8 + int64(len(g.neighbors))*4 + int64(len(g.weights))*4 +
+	return int64(len(g.offsets))*8 + int64(len(g.neighbors))*4 + int64(len(g.weights)+len(g.ones))*4 +
 		int64(len(g.norm))*8 + int64(len(g.sqrtNorm))*8 + int64(len(g.maxW))*4
 }
 
@@ -167,19 +167,14 @@ func (c *Cursor) Neighbors(v int32) ([]int32, []float32) {
 
 // UnitWeights reports whether every edge weight of g is exactly 1: the
 // unweighted SCAN case, where σ's numerator is the integer 2 + |N(p)∩N(q)|.
-// A *CompressedCSR answers in O(1) from the flag its encoder sets; other
-// backends scan their weights, so callers evaluate it once per build.
+// Both backends answer in O(1), since they keep no weight array exactly
+// then; any other Graph is scanned, so callers evaluate it once per build.
 func UnitWeights(g Graph) bool {
 	switch t := g.(type) {
 	case *CompressedCSR:
 		return t.unit
 	case *CSR:
-		for _, w := range t.weights {
-			if w != 1 {
-				return false
-			}
-		}
-		return true
+		return t.weights == nil
 	}
 	n := g.NumVertices()
 	unit := true

@@ -191,7 +191,7 @@ func (g *CSR) WriteEdgeList(w io.Writer) error {
 		for e := g.offsets[u]; e < g.offsets[u+1]; e++ {
 			v := g.neighbors[e]
 			if u < v {
-				if _, err := fmt.Fprintf(bw, "%d %d %g\n", u, v, g.weights[e]); err != nil {
+				if _, err := fmt.Fprintf(bw, "%d %d %g\n", u, v, g.weight(e)); err != nil {
 					return err
 				}
 			}
@@ -203,7 +203,8 @@ func (g *CSR) WriteEdgeList(w io.Writer) error {
 const binaryMagic = uint32(0xA17C5CA1) // "anySCAn" graph container
 
 // WriteBinary serializes the CSR in a compact little-endian binary layout
-// (magic, version, n, arc count, offsets, neighbors, weights).
+// (magic, version, n, arc count, offsets, neighbors, weights). A unit-weight
+// graph, which keeps no weight array, writes its 1s all the same.
 func (g *CSR) WriteBinary(w io.Writer) error {
 	bw := bufio.NewWriterSize(w, 1<<20)
 	hdr := []any{binaryMagic, uint32(1), uint64(g.NumVertices()), uint64(len(g.neighbors))}
@@ -218,10 +219,31 @@ func (g *CSR) WriteBinary(w io.Writer) error {
 	if err := binary.Write(bw, binary.LittleEndian, g.neighbors); err != nil {
 		return err
 	}
-	if err := binary.Write(bw, binary.LittleEndian, g.weights); err != nil {
+	if g.weights == nil {
+		if err := writeOnes(bw, int64(len(g.neighbors))); err != nil {
+			return err
+		}
+	} else if err := binary.Write(bw, binary.LittleEndian, g.weights); err != nil {
 		return err
 	}
 	return bw.Flush()
+}
+
+// writeOnes writes count little-endian float32 1s.
+func writeOnes(w io.Writer, count int64) error {
+	const chunk = 1024
+	var ones [4 * chunk]byte
+	for i := 0; i < len(ones); i += 4 {
+		binary.LittleEndian.PutUint32(ones[i:], math.Float32bits(1))
+	}
+	for count > 0 {
+		c := min(count, chunk)
+		if _, err := w.Write(ones[:4*c]); err != nil {
+			return err
+		}
+		count -= c
+	}
+	return nil
 }
 
 // ReadBinary deserializes a graph written by WriteBinary.

@@ -37,19 +37,24 @@ func RelabelByDegree(g *CSR) (*CSR, []int32) {
 	h := &CSR{
 		offsets:   make([]int64, n+1),
 		neighbors: make([]int32, len(g.neighbors)),
-		weights:   make([]float32, len(g.weights)),
+	}
+	if g.weights != nil {
+		h.weights = make([]float32, len(g.weights))
 	}
 	for newV, old := range order {
 		h.offsets[newV+1] = h.offsets[newV] + int64(g.Degree(old))
 	}
 	for newV, old := range order {
 		adj, wts := g.Neighbors(old)
-		lo := h.offsets[newV]
-		dst := h.neighbors[lo : lo+int64(len(adj))]
-		dw := h.weights[lo : lo+int64(len(adj))]
+		lo, hi := h.offsets[newV], h.offsets[newV+1]
+		dst := h.neighbors[lo:hi]
 		for j, q := range adj {
 			dst[j] = perm[q]
-			dw[j] = wts[j]
+		}
+		var dw []float32 // nil for a unit-weight graph, which keeps none
+		if h.weights != nil {
+			dw = h.weights[lo:hi]
+			copy(dw, wts)
 		}
 		sortAdjacency(dst, dw) // shared with Builder: neighbor ids ascending
 	}

@@ -179,34 +179,27 @@ func roleCounts(c cluster.Counts) RoleCounts {
 
 // Assignments is the full per-vertex clustering, requested with
 // ?assignments=1. Labels[v] is the dense cluster id or -1; Roles[v] encodes
-// cluster.Role (0 unclassified, 1 outlier, 2 hub, 3 border, 4 core).
+// cluster.Role (0 unclassified, 1 outlier, 2 hub, 3 border, 4 core). The
+// server writes both arrays itself (assignmentMembers, wire.go).
 type Assignments struct {
-	Labels []int32 `json:"labels"`
-	Roles  []int8  `json:"roles"`
-}
-
-func assignments(r *cluster.Result) *Assignments {
-	a := &Assignments{Labels: r.Labels, Roles: make([]int8, len(r.Roles))}
-	for i, role := range r.Roles {
-		a.Roles[i] = int8(role)
-	}
-	return a
+	Labels Ints[int32] `json:"labels"`
+	Roles  Ints[int8]  `json:"roles"`
 }
 
 // ClusteringPayload is a clustering summary, shared by the anytime snapshot,
-// the final result, and the interactive /v1/query clustering.
+// the final result, and the interactive /v1/query clustering. Assignments
+// is its last member, and every wire type that embeds it declares no
+// member after it that a clustering with assignments carries.
 type ClusteringPayload struct {
 	Clusters    int          `json:"clusters"`
 	Counts      RoleCounts   `json:"counts"`
 	Assignments *Assignments `json:"assignments,omitempty"`
 }
 
-func clusteringPayload(r *cluster.Result, withAssignments bool) ClusteringPayload {
-	p := ClusteringPayload{Clusters: r.NumClusters, Counts: roleCounts(r.RoleCounts())}
-	if withAssignments {
-		p.Assignments = assignments(r)
-	}
-	return p
+// clusteringPayload is r's summary; the assignments go out through
+// assignmentMembers.
+func clusteringPayload(r *cluster.Result) ClusteringPayload {
+	return ClusteringPayload{Clusters: r.NumClusters, Counts: roleCounts(r.RoleCounts())}
 }
 
 // SnapshotResponse is the anytime snapshot of a job mid-run.
@@ -306,15 +299,16 @@ type LocalResponse struct {
 	Stale bool `json:"stale,omitempty"`
 	// Epoch is the live-graph epoch the answer was computed on; present only
 	// for graphs that have been mutated.
-	Epoch   int64   `json:"epoch,omitempty"`
-	BuildMS float64 `json:"build_ms,omitempty"` // index build time (cache miss only)
-	QueryMS float64 `json:"query_ms"`
-	Size    int     `json:"size"`    // community size (0 for noise seeds)
-	Touched int     `json:"touched"` // vertices the expansion visited
-	Members []int32 `json:"members,omitempty"`
+	Epoch   int64       `json:"epoch,omitempty"`
+	BuildMS float64     `json:"build_ms,omitempty"` // index build time (cache miss only)
+	QueryMS float64     `json:"query_ms"`
+	Size    int         `json:"size"`    // community size (0 for noise seeds)
+	Touched int         `json:"touched"` // vertices the expansion visited
+	Members Ints[int32] `json:"members,omitempty"`
 	// Roles is parallel to Members, encoding cluster.Role per member
-	// (3 border, 4 core).
-	Roles []int8 `json:"roles,omitempty"`
+	// (3 border, 4 core). The server writes Members and Roles, the last two
+	// members, itself (localMembers, wire.go).
+	Roles Ints[int8] `json:"roles,omitempty"`
 }
 
 // ErrorResponse is the body of every non-2xx response.

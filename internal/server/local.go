@@ -104,14 +104,21 @@ func (s *Server) serveLocal(w http.ResponseWriter, r *http.Request, ge *GraphEnt
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	resp := localResponse(ge.Name, res, wantMembers(r))
-	resp.Approx = rv.approx
-	resp.CacheHit = rv.hit
-	resp.Stale = rv.stale != nil
-	resp.Epoch = rv.epoch
-	resp.BuildMS = rv.buildMS
-	resp.QueryMS = float64(queryUS) / 1000
-	s.respond(w, ge, rv, resp)
+	s.respond(w, ge, rv, LocalResponse{
+		Graph:    ge.Name,
+		Seed:     res.Seed,
+		Mu:       res.Mu,
+		Eps:      res.Eps,
+		Role:     res.Role.String(),
+		Approx:   rv.approx,
+		CacheHit: rv.hit,
+		Stale:    rv.stale != nil,
+		Epoch:    rv.epoch,
+		BuildMS:  rv.buildMS,
+		QueryMS:  float64(queryUS) / 1000,
+		Size:     len(res.Members),
+		Touched:  res.Touched,
+	}, localMembers(res, wantMembers(r)))
 }
 
 // runLocal executes one expansion against any local.View and records the
@@ -127,25 +134,4 @@ func (s *Server) runLocal(v local.View, seed int32, mu int, eps float64) (*local
 	s.met.LocalFrontier.Add(int64(res.Touched))
 	s.met.LocalQueryUS.Add(queryUS)
 	return res, queryUS, nil
-}
-
-// localResponse builds the wire form of a local result.
-func localResponse(graphName string, res *local.Result, withMembers bool) LocalResponse {
-	resp := LocalResponse{
-		Graph:   graphName,
-		Seed:    res.Seed,
-		Mu:      res.Mu,
-		Eps:     res.Eps,
-		Role:    res.Role.String(),
-		Size:    len(res.Members),
-		Touched: res.Touched,
-	}
-	if withMembers && len(res.Members) > 0 {
-		resp.Members = res.Members
-		resp.Roles = make([]int8, len(res.Roles))
-		for i, role := range res.Roles {
-			resp.Roles[i] = int8(role)
-		}
-	}
-	return resp
 }

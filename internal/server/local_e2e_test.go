@@ -21,7 +21,7 @@ import (
 // expectedLocal derives the ground-truth /v1/local answer for one seed from
 // a full /v1/query assignment vector: the seed's role plus — when the seed
 // belongs to a community — the ascending member list with per-member roles.
-func expectedLocal(a *server.Assignments, seed int32) (role string, members []int32, roles []int8) {
+func expectedLocal(a *server.Assignments, seed int32) (role string, members server.Ints[int32], roles server.Ints[int8]) {
 	role = cluster.Role(a.Roles[seed]).String()
 	label := a.Labels[seed]
 	if label == cluster.NoLabel {

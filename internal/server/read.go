@@ -137,16 +137,17 @@ func degradable(err error) bool {
 		errors.Is(err, faultinject.ErrInjected)
 }
 
-// respond writes a read's answer, marking a degraded one on the wire (the
+// respond writes a read's answer, body with its array members (nil for
+// none; see writeBody), marking a degraded one on the wire (the
 // X-Anyscan-Stale header; the payload carries its own stale flag) and in the
 // counters.
-func (s *Server) respond(w http.ResponseWriter, ge *GraphEntry, rv readView, body any) {
+func (s *Server) respond(w http.ResponseWriter, ge *GraphEntry, rv readView, body any, members func([]byte) []byte) {
 	if rv.stale != nil {
 		s.met.StaleServed.Add(1)
 		s.log.Warn("serving stale index", "graph", ge.Name, "cause", rv.stale.Error())
 		w.Header().Set("X-Anyscan-Stale", "1")
 	}
-	writeJSON(w, http.StatusOK, body)
+	writeBody(w, body, members)
 }
 
 // fail answers a request that could not be served, counting the ones their
@@ -254,8 +255,8 @@ func (s *Server) serveClustering(w http.ResponseWriter, r *http.Request, ge *Gra
 		Epoch:             rv.epoch,
 		BuildMS:           rv.buildMS,
 		QueryMS:           float64(queryUS) / 1000,
-		ClusteringPayload: clusteringPayload(res, withAssignments),
-	})
+		ClusteringPayload: clusteringPayload(res),
+	}, assignmentMembers(res, withAssignments))
 }
 
 // serveProfile answers the profile form: one clustering summary per ε, each a
@@ -311,7 +312,7 @@ func (s *Server) serveProfile(w http.ResponseWriter, r *http.Request, ge *GraphE
 		BuildMS:  rv.buildMS,
 		QueryMS:  float64(queryUS) / 1000,
 		Points:   points,
-	})
+	}, nil)
 }
 
 // countQuery books one answered /v1/query read that started at start and

@@ -16,6 +16,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"anyscan/internal/cluster"
 )
 
 // Config configures a Server.
@@ -414,14 +416,7 @@ func (s *Server) handleJobSnapshot(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errorCode(err), err)
 		return
 	}
-	res := j.Snapshot()
-	st := j.Status()
-	writeJSON(w, http.StatusOK, SnapshotResponse{
-		ID:                j.ID,
-		State:             st.State,
-		Progress:          st.Progress,
-		ClusteringPayload: clusteringPayload(res, wantAssignments(r)),
-	})
+	writeSnapshot(w, r, j, j.Snapshot())
 }
 
 func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
@@ -436,13 +431,7 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("job %s is %s; the final result exists only for done jobs", j.ID, j.State()))
 		return
 	}
-	st := j.Status()
-	writeJSON(w, http.StatusOK, SnapshotResponse{
-		ID:                j.ID,
-		State:             st.State,
-		Progress:          st.Progress,
-		ClusteringPayload: clusteringPayload(res, wantAssignments(r)),
-	})
+	writeSnapshot(w, r, j, res)
 }
 
 func (s *Server) jobControl(verb func(*Manager, string) error) http.HandlerFunc {
@@ -459,6 +448,18 @@ func (s *Server) jobControl(verb func(*Manager, string) error) http.HandlerFunc 
 		}
 		writeJSON(w, http.StatusOK, j.Status())
 	}
+}
+
+// writeSnapshot answers a job's snapshot or result res, with its
+// assignments when the request asks for them.
+func writeSnapshot(w http.ResponseWriter, r *http.Request, j *Job, res *cluster.Result) {
+	st := j.Status()
+	writeBody(w, SnapshotResponse{
+		ID:                j.ID,
+		State:             st.State,
+		Progress:          st.Progress,
+		ClusteringPayload: clusteringPayload(res),
+	}, assignmentMembers(res, wantAssignments(r)))
 }
 
 func wantAssignments(r *http.Request) bool {

@@ -162,7 +162,18 @@ func TestE2EJobLifecycle(t *testing.T) {
 		t.Fatalf("fresh job state = %s", st.State)
 	}
 
-	// Anytime snapshot mid-run: pause at the next consistent point.
+	// Anytime snapshot mid-run: pause at the next consistent point. A pause
+	// that lands inside the first block rolls it back and leaves nothing
+	// touched, so pause once a block has committed.
+	for cur := st; cur.Progress.Touched == 0; {
+		if cur.State.Terminal() {
+			t.Fatalf("job reached %s before touching a vertex", cur.State)
+		}
+		time.Sleep(time.Millisecond)
+		if cur, err = c.JobStatus(tctx, st.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
 	paused := pauseMidRun(t, c, st.ID)
 	for paused.State == server.JobRunning { // pause was accepted but not yet parked
 		time.Sleep(time.Millisecond)
@@ -661,6 +672,9 @@ func TestE2EDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A drain that starts before the only worker picks the job up leaves it
+	// queued (TestE2EDrainKeepsQueuedJob), so drain once it has left queued.
+	waitLeftQueued(t, c, st.ID)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := srv.Drain(ctx); err != nil {
@@ -692,4 +706,72 @@ func TestE2EDrain(t *testing.T) {
 	if err := c.Readyz(tctx); err == nil {
 		t.Fatal("readyz should fail while draining")
 	}
+}
+
+// waitLeftQueued polls until job id has left the queued state.
+func waitLeftQueued(t *testing.T, c *server.Client, id string) {
+	t.Helper()
+	for {
+		st, err := c.JobStatus(tctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State != server.JobQueued {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestE2EDrainKeepsQueuedJob drains a one-worker server while a second job
+// waits behind a running one: the running job parks paused, and the queued
+// one stays queued with its manifest on disk, so a restart brings it back.
+// The case needs the first job still running when the drain starts, which
+// its paused state shows; a job that finished first (it runs for about
+// 0.2 s) lets the second one start, and the attempt is repeated.
+func TestE2EDrainKeepsQueuedJob(t *testing.T) {
+	g := sharedGraph(t)
+	path := writeGraphFile(t, g, t.TempDir())
+	for attempt := 0; attempt < 5; attempt++ {
+		ckptDir := filepath.Join(t.TempDir(), "ckpt")
+		srv, c := newTestServer(t, server.ManagerConfig{Workers: 1, CheckpointDir: ckptDir})
+		if _, err := c.LoadGraph(tctx, server.LoadGraphRequest{Name: "g", GraphSource: server.GraphSource{Path: path}}); err != nil {
+			t.Fatal(err)
+		}
+		running, err := c.SubmitJob(tctx, slowSpec("g"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitLeftQueued(t, c, running.ID)
+		queued, err := c.SubmitJob(tctx, slowSpec("g"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		err = srv.Drain(ctx)
+		cancel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, err := c.JobStatus(tctx, running.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first.State != server.JobPaused {
+			t.Logf("attempt %d: the first job was %s before the drain reached it", attempt, first.State)
+			continue
+		}
+		second, err := c.JobStatus(tctx, queued.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if second.State != server.JobQueued {
+			t.Fatalf("job queued behind a running one at drain: state = %s, want queued", second.State)
+		}
+		if _, err := os.Stat(filepath.Join(ckptDir, queued.ID+".json")); err != nil {
+			t.Fatalf("queued job's manifest is not on disk after drain: %v", err)
+		}
+		return
+	}
+	t.Fatal("the first job finished before the drain in every attempt")
 }
