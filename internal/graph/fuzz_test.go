@@ -2,6 +2,9 @@ package graph
 
 import (
 	"bytes"
+	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -142,4 +145,162 @@ func FuzzReadBinary(f *testing.F) {
 			t.Fatalf("accepted bytes do not round-trip: read %d-byte input, wrote %d bytes", len(data), out.Len())
 		}
 	})
+}
+
+// FuzzValidateMatchesReference requires CSR.Validate, whose symmetry check is
+// one monotone cursor per vertex, to accept and reject exactly the arrays
+// that validateByFindArc, the per-arc binary search it replaced, accepts and
+// rejects. Byte 0 is a flag (bit 0 keeps a weight array), byte 1 sets the
+// vertex count (1 to 16), byte 2 the edge count; then come the edges, two
+// endpoint bytes and a weight byte each, and then corruptions of the built
+// arrays, three bytes each (kind, a, b): shifted offsets, out-of-range or
+// rewritten ids, swapped entries, asymmetric or invalid weights, and
+// deleted or inserted arcs.
+func FuzzValidateMatchesReference(f *testing.F) {
+	edges := []byte{0, 1, 9, 1, 2, 60, 2, 0, 77, 2, 3, 63, 3, 4, 5, 4, 0, 200}
+	valid := append([]byte{1, 5, 6}, edges...)
+	f.Add(valid)
+	f.Add(append([]byte{0, 5, 6}, edges...))
+	for kind := byte(0); kind < 6; kind++ {
+		for _, ab := range [][2]byte{{1, 3}, {4, 250}, {7, 0}, {2, 129}} {
+			f.Add(append(slices.Clone(valid), kind, ab[0], ab[1]))
+		}
+	}
+	// A star on 8 whose arc 9→8 is replaced by 9→0: the cursor at 9's only
+	// entry, 0, must not be taken for the reverse of 8→9.
+	f.Add([]byte{0, 9, 5, 0, 8, 64, 5, 8, 64, 6, 8, 64, 7, 8, 64, 8, 9, 64, 4, 9, 0, 5, 9, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g := fuzzArrays(data)
+		if g == nil {
+			return
+		}
+		got, want := g.Validate(), validateByFindArc(g)
+		if (got == nil) != (want == nil) {
+			t.Fatalf("Validate: %v, per-arc reference: %v\noffsets %v\nneighbors %v\nweights %v",
+				got, want, g.offsets, g.neighbors, g.weights)
+		}
+	})
+}
+
+// fuzzArrays decodes FuzzValidateMatchesReference's input into raw CSR
+// arrays, or returns nil when the input is too short to name a graph.
+func fuzzArrays(data []byte) *CSR {
+	if len(data) < 3 {
+		return nil
+	}
+	n := 1 + int(data[1])%16
+	var b Builder
+	b.SetNumVertices(n)
+	i := 3
+	for k := 0; k < int(data[2]) && i+3 <= len(data); k, i = k+1, i+3 {
+		b.AddEdge(int32(int(data[i])%n), int32(int(data[i+1])%n), float32(int(data[i+2])+1)/64)
+	}
+	built, err := b.Build()
+	if err != nil {
+		panic(err)
+	}
+	g := &CSR{offsets: slices.Clone(built.offsets), neighbors: slices.Clone(built.neighbors)}
+	if data[0]&1 != 0 {
+		g.weights = make([]float32, len(g.neighbors))
+		for e := range g.weights {
+			g.weights[e] = built.weight(int64(e))
+		}
+	}
+	for ; i+3 <= len(data); i += 3 {
+		kind, a, c := data[i]%6, int(data[i+1]), data[i+2]
+		m := len(g.neighbors)
+		switch {
+		case kind == 0: // shift an offset
+			g.offsets[a%len(g.offsets)] += int64(int8(c))
+		case kind == 1 && m > 0: // rewrite an id, possibly out of range
+			g.neighbors[a%m] = int32(int(c)%(n+2)) - 1
+		case kind == 2 && m > 0: // swap two entries, weights with them
+			x, y := a%m, int(c)%m
+			g.neighbors[x], g.neighbors[y] = g.neighbors[y], g.neighbors[x]
+			if g.weights != nil {
+				g.weights[x], g.weights[y] = g.weights[y], g.weights[x]
+			}
+		case kind == 3 && m > 0 && g.weights != nil: // set one side's weight
+			switch c {
+			case 254:
+				g.weights[a%m] = float32(math.NaN())
+			case 255:
+				g.weights[a%m] = float32(math.Inf(1))
+			default:
+				g.weights[a%m] = float32(c) / 64
+			}
+		case kind == 4 && m > 0: // delete one arc, keeping its reverse
+			e := a % m
+			g.neighbors = slices.Delete(g.neighbors, e, e+1)
+			if g.weights != nil {
+				g.weights = slices.Delete(g.weights, e, e+1)
+			}
+			for v := range g.offsets {
+				if g.offsets[v] > int64(e) {
+					g.offsets[v]--
+				}
+			}
+		case kind == 5: // insert arc v→u at its sorted place, without its reverse
+			v, u := a%n, int32(int(c)%n)
+			if g.offsets[v] < 0 || g.offsets[v+1] > int64(len(g.neighbors)) || g.offsets[v] > g.offsets[v+1] {
+				continue // an earlier corruption broke v's range
+			}
+			lo, hi := g.offsets[v], g.offsets[v+1]
+			p, _ := slices.BinarySearch(g.neighbors[lo:hi], u)
+			e := int(lo) + p
+			g.neighbors = slices.Insert(g.neighbors, e, u)
+			if g.weights != nil {
+				g.weights = slices.Insert(g.weights, e, float32(c)/64)
+			}
+			for w := v + 1; w < len(g.offsets); w++ {
+				g.offsets[w]++
+			}
+		}
+	}
+	return g
+}
+
+// validateByFindArc is CSR.Validate as it was before its symmetry check
+// became a monotone cursor walk: the reverse of every arc is looked up by
+// binary search (FindArc). It is the reference FuzzValidateMatchesReference
+// holds the linear check to.
+func validateByFindArc(g *CSR) error {
+	n := int32(g.NumVertices())
+	if g.weights != nil && len(g.neighbors) != len(g.weights) {
+		return fmt.Errorf("graph: neighbors/weights length mismatch %d != %d", len(g.neighbors), len(g.weights))
+	}
+	if g.offsets[0] != 0 || g.offsets[n] != int64(len(g.neighbors)) {
+		return fmt.Errorf("graph: offset bounds corrupt")
+	}
+	for v := int32(0); v < n; v++ {
+		if g.offsets[v] > g.offsets[v+1] {
+			return fmt.Errorf("graph: negative degree at vertex %d", v)
+		}
+	}
+	for v := int32(0); v < n; v++ {
+		lo, hi := g.offsets[v], g.offsets[v+1]
+		for e := lo; e < hi; e++ {
+			u := g.neighbors[e]
+			if u < 0 || u >= n {
+				return fmt.Errorf("graph: vertex %d has out-of-range neighbor %d", v, u)
+			}
+			if u == v {
+				return fmt.Errorf("graph: self loop at vertex %d", v)
+			}
+			if e > lo && g.neighbors[e-1] >= u {
+				return fmt.Errorf("graph: adjacency of %d not strictly sorted at arc %d", v, e)
+			}
+			if w := g.weight(e); !(w > 0) || math.IsInf(float64(w), 0) {
+				return fmt.Errorf("graph: non-positive or non-finite weight %v on edge (%d,%d)", w, v, u)
+			}
+			r, ok := g.FindArc(u, v)
+			if !ok {
+				return fmt.Errorf("graph: edge (%d,%d) missing reverse arc", v, u)
+			}
+			if g.weight(r) != g.weight(e) {
+				return fmt.Errorf("graph: asymmetric weight on edge (%d,%d)", v, u)
+			}
+		}
+	}
+	return nil
 }

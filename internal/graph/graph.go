@@ -173,7 +173,13 @@ func (g *CSR) ReverseEdgeIndex() []int64 {
 
 // Validate checks structural invariants (sortedness, symmetry, no self
 // loops, positive weights) and returns a descriptive error on the first
-// violation. Intended for tests and loaders, not hot paths.
+// violation it meets. Every .bin load runs it. It is one sequential O(|E|)
+// pass: the reverse of each arc v→u with v < u is matched through one
+// monotone cursor per vertex (the walk of PropagateMirrors), because for
+// fixed u those arcs arrive in ascending v, which is the order of u's
+// neighbors below u. It accepts exactly the arrays a per-arc search for
+// every reverse arc accepts, but where several arcs are at fault the first
+// error may name a different one.
 func (g *CSR) Validate() error {
 	n := int32(g.NumVertices())
 	if g.weights != nil && len(g.neighbors) != len(g.weights) {
@@ -182,13 +188,17 @@ func (g *CSR) Validate() error {
 	if g.offsets[0] != 0 || g.offsets[n] != int64(len(g.neighbors)) {
 		return fmt.Errorf("graph: offset bounds corrupt")
 	}
-	// Every range first: the symmetry check below looks up the reverse arc
-	// in a neighbor's range, which may lie ahead of v.
+	// Every range first: the symmetry check below reads a neighbor's range,
+	// which may lie ahead of v.
 	for v := int32(0); v < n; v++ {
 		if g.offsets[v] > g.offsets[v+1] {
 			return fmt.Errorf("graph: negative degree at vertex %d", v)
 		}
 	}
+	// cursor[u] is the first arc of u not yet matched as the reverse of an
+	// arc into u from below.
+	cursor := make([]int64, n)
+	copy(cursor, g.offsets)
 	for v := int32(0); v < n; v++ {
 		lo, hi := g.offsets[v], g.offsets[v+1]
 		for e := lo; e < hi; e++ {
@@ -206,13 +216,24 @@ func (g *CSR) Validate() error {
 			if w := g.weight(e); !(w > 0) || math.IsInf(float64(w), 0) {
 				return fmt.Errorf("graph: non-positive or non-finite weight %v on edge (%d,%d)", w, v, u)
 			}
-			r, ok := g.FindArc(u, v)
-			if !ok {
+			if u < v {
+				continue // matched from u's side
+			}
+			r := cursor[u]
+			if r == g.offsets[u+1] || g.neighbors[r] > v {
 				return fmt.Errorf("graph: edge (%d,%d) missing reverse arc", v, u)
+			}
+			if g.neighbors[r] < v {
+				return fmt.Errorf("graph: edge (%d,%d) missing reverse arc", u, g.neighbors[r])
 			}
 			if g.weight(r) != g.weight(e) {
 				return fmt.Errorf("graph: asymmetric weight on edge (%d,%d)", v, u)
 			}
+			cursor[u] = r + 1
+		}
+		// Every arc of v to a lower id has now been matched.
+		if r := cursor[v]; r < hi && g.neighbors[r] < v {
+			return fmt.Errorf("graph: edge (%d,%d) missing reverse arc", v, g.neighbors[r])
 		}
 	}
 	return nil

@@ -190,6 +190,25 @@ func UnitWeights(g Graph) bool {
 	return unit
 }
 
+// NeighborWeights returns v's edge weights in adjacency order without
+// decoding its ids: a storage alias on both backends, O(1), the shared run
+// of 1s on a unit-weight graph. Read-only; any other Graph is asked for
+// its Neighbors.
+func NeighborWeights(g Graph, v int32) []float32 {
+	switch t := g.(type) {
+	case *CSR:
+		return t.weightsOf(t.offsets[v], t.offsets[v+1])
+	case *CompressedCSR:
+		lo, hi := t.arcOff[v], t.arcOff[v+1]
+		if t.unit {
+			return t.ones[: hi-lo : hi-lo]
+		}
+		return t.weights[lo:hi]
+	}
+	_, w := g.Neighbors(v)
+	return w
+}
+
 // PropagateMirrors copies per-arc values from each arc's canonical slot to
 // its mirror: after a pass that fills vals[e] for every arc e = (p,q) with
 // q > p, PropagateMirrors fills vals[f] for the reverse arc f = (q,p). This

@@ -157,11 +157,12 @@ func TestApplyAllocBytesPerRingArcPinned(t *testing.T) {
 }
 
 // TestBuildAllocBytesPerArcPinned pins the bytes a single-threaded build
-// allocates per arc: exact on unit weights (the triangle kernel) and on
-// uniform weights (the per-edge kernel), and approximate. σ and the error
-// bands are written once, in place, into the sorted neighbor orders, and the
-// triangle kernel counts into σ's own storage, so no build allocates a
-// second arc-sized σ, band or count array.
+// allocates per arc: exact on unit and on uniform weights, exact on the
+// compressed backend, and approximate. The exact σ pass writes each
+// threshold once, in place, into the sorted neighbor orders and needs one
+// float32 row per worker (plus a cursor's decode buffer on the compressed
+// backend), and the approximate build writes σ and the error bands in place
+// too, so no build allocates a second arc-sized σ, band or scratch array.
 func TestBuildAllocBytesPerArcPinned(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under -race")
@@ -170,12 +171,13 @@ func TestBuildAllocBytesPerArcPinned(t *testing.T) {
 	weighted := gen.RMAT(12, 16<<12, 0.57, 0.19, 0.19, gen.WeightConfig{Mode: gen.WeightUniform, Min: 0.5, Max: 1.5}, 7)
 	for _, c := range []struct {
 		name   string
-		g      *graph.CSR
+		g      graph.Graph
 		delta  float64
 		maxPer float64
 	}{
-		{"exact", unit, 0, 22},
-		{"exact-weighted", weighted, 0, 22},
+		{"exact", unit, 0, 16},
+		{"exact-weighted", weighted, 0, 16},
+		{"exact-compressed", graph.Compress(weighted), 0, 16},
 		{"approx", unit, 0.01, 60},
 	} {
 		var before, after runtime.MemStats

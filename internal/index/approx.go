@@ -135,7 +135,7 @@ func buildApproxCtx(ctx context.Context, g graph.Graph, threads int, delta float
 	if !graph.UnitWeights(g) {
 		// Tier 1: weighted graphs have no sketchable set-resemblance form of
 		// σ; run the exact build and record the fallback.
-		x, err := buildCtx(ctx, g, threads, false)
+		x, err := BuildCtx(ctx, g, threads)
 		if err != nil {
 			return nil, err
 		}

@@ -53,12 +53,12 @@ func FuzzLoadIndex(f *testing.F) {
 }
 
 // FuzzBuildSigma builds the index of a small graph decoded from the input,
-// on the flat and the compressed backend, and checks every arc's σ against a
-// fresh exact evaluation, simeval.Crossing(EdgeNumerator), bit for bit.
-// Byte 0 is a flag: bit 0 clear keeps every weight 1, so the build runs the
-// triangle kernel; set, each edge takes a weight in (0, 4] and the build runs
-// the per-edge kernel. Byte 1 sets the vertex count (1 to 64); the rest is
-// edges, two endpoint bytes each plus a weight byte when weighted.
+// on the flat and the compressed backend, and checks every arc's σ from the
+// one exact σ kernel against the reference merge join,
+// simeval.Crossing(Engine.EdgeNumerator), bit for bit. Byte 0 is a flag:
+// bit 0 clear keeps every weight 1; set, each edge takes a weight in (0, 4].
+// Byte 1 sets the vertex count (1 to 64); the rest is edges, two endpoint
+// bytes each plus a weight byte when weighted.
 func FuzzBuildSigma(f *testing.F) {
 	var clique []byte
 	for u := byte(0); u < 12; u++ {

@@ -33,6 +33,8 @@ package index
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -78,12 +80,11 @@ type Index struct {
 
 // Build evaluates all |E| similarities with the given number of workers and
 // sorts every vertex's neighbor order; this is the only σ pass the index
-// will ever perform. The input's weights pick the σ kernel: on a unit-weight
-// graph one degree-ordered triangle listing counts every edge's common
-// neighbors at once (triangleSigma); a weighted graph runs one exact
-// adjacency join per undirected edge. Both give bit-identical thresholds, and
-// the O(|E| log d_max) sort that follows is the same; both phases are
-// parallel.
+// will ever perform. One exact kernel serves every weight (sigmaPass): each
+// edge is one gather over its lower-ranked endpoint's adjacency against the
+// other endpoint's weights, scattered into a dense row. The O(|E| log d_max)
+// sort that follows permutes the thresholds into σ order in place; both
+// phases are parallel.
 func Build(g graph.Graph, threads int) *Index {
 	x, _ := BuildCtx(context.Background(), g, threads)
 	return x
@@ -96,12 +97,6 @@ func Build(g graph.Graph, threads int) *Index {
 // instead of running to completion. On cancellation BuildCtx returns
 // ctx.Err() and no Index — a partially evaluated σ slice is never exposed.
 func BuildCtx(ctx context.Context, g graph.Graph, threads int) (*Index, error) {
-	return buildCtx(ctx, g, threads, graph.UnitWeights(g))
-}
-
-// buildCtx is BuildCtx with the weight check already made (unit reports
-// graph.UnitWeights(g)), so a caller that needs it too scans once.
-func buildCtx(ctx context.Context, g graph.Graph, threads int, unit bool) (*Index, error) {
 	start := time.Now()
 	x := &Index{
 		g:        g,
@@ -110,12 +105,7 @@ func buildCtx(ctx context.Context, g graph.Graph, threads int, unit bool) (*Inde
 		orders:   map[int]*CoreOrder{},
 	}
 	var err error
-	if unit {
-		x.nbr, x.nbrSig, err = triangleSigma(ctx, g, threads)
-	} else {
-		x.nbrSig, err = edgeSigma(ctx, g, threads)
-	}
-	if err != nil {
+	if x.nbr, x.nbrSig, err = sigmaPass(ctx, g, threads); err != nil {
 		return nil, err
 	}
 	if err := x.sortNeighborsCtx(ctx, threads); err != nil {
@@ -125,37 +115,89 @@ func buildCtx(ctx context.Context, g graph.Graph, threads int, unit bool) (*Inde
 	return x, nil
 }
 
-// edgeSigma is the exact σ pass of a weighted graph: one adjacency join per
-// undirected edge, in CSR arc order. Bit-identity across kernels, backends
-// and thread counts rests on its float sum running over common neighbors in
-// ascending id order, which the triangle listing does not keep.
+// sigmaPass is the exact σ pass, one kernel for every weight. It returns
+// every vertex's adjacency copied into nbr (a compressed backend decodes
+// each list once, here) and every arc's threshold in sig, both in CSR arc
+// order.
 //
-// Each worker evaluates through its own WorkerEngine (degree-adaptive join
-// kernels, private scratch), so the hot loop touches no shared cache line.
-// Only the canonical arc slot (v < q) is written here; the mirror slots are
-// filled by one PropagateMirrors pass afterwards, which works on any backend
-// without materializing a reverse-edge index, and the neighbor sort then
-// permutes the array into σ order in place.
-func edgeSigma(ctx context.Context, g graph.Graph, threads int) ([]float64, error) {
-	eng := simeval.New(g, 0, simeval.Options{}) // exact values: no pruning
+// Vertices rank by (degree, id). A worker takes a vertex u, scatters u's
+// weights by neighbor id into its dense row, and evaluates every edge from
+// u to a lower-ranked q as one simeval.GatherDot of that row over q's ids
+// in nbr, reading q's weights in place (graph.NeighborWeights, no decode).
+// The ranking makes every gather run over the shorter of the two lists
+// (the GS*-index similarity pass of Tseng, Dhulipala & Shun; see
+// PAPERS.md). The threshold goes to both arc slots, u's by position and q's
+// by a binary search of q's ids. Only the worker holding an edge's
+// higher-ranked end writes its two slots, so no write needs an atomic.
+//
+// Thresholds are bit-identical to the reference merge join,
+// simeval.Crossing(Engine.EdgeNumerator), on every backend and thread
+// count: a float32×float32 product is exact in float64, a non-neighbour of
+// u reads a zero slot and adds an exact +0, and q's ids ascend, so the
+// nonzero terms are the merge join's, added in its order.
+//
+// Transient memory is one float32 per vertex per worker, plus a cursor's
+// decode buffer on a compressed backend.
+func sigmaPass(ctx context.Context, g graph.Graph, threads int) ([]int32, []float64, error) {
+	n := g.NumVertices()
+	nbr := make([]int32, g.NumArcs())
 	sig := make([]float64, g.NumArcs())
-	err := par.ForWorkerCtx(ctx, g.NumVertices(), threads, par.Adaptive, func(w, i int) {
-		we := eng.ForWorker(w)
-		v := int32(i)
-		lo, _ := g.NeighborRange(v)
-		g.EachNeighbor(v, func(j int, q int32, wt float32) bool {
-			if v < q {
-				num, denom := we.EdgeNumerator(v, q, wt)
-				sig[lo+int64(j)] = simeval.Crossing(num, denom)
-			}
-			return true
-		})
+	if threads <= 0 {
+		threads = runtime.GOMAXPROCS(0)
+	}
+	type scratch struct {
+		cur *graph.Cursor
+		row []float32 // u's weights by neighbor id, zero elsewhere
+	}
+	scr := make([]scratch, threads)
+	err := par.ForWorkerCtx(ctx, n, threads, par.Adaptive, func(w, i int) {
+		s := &scr[w]
+		if s.cur == nil {
+			s.cur = graph.NewCursor(g)
+		}
+		lo, _ := g.NeighborRange(int32(i))
+		ids, _ := s.cur.Neighbors(int32(i))
+		copy(nbr[lo:], ids)
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	graph.PropagateMirrors(g, sig)
-	return sig, nil
+	err = par.ForWorkerCtx(ctx, n, threads, par.Adaptive, func(w, i int) {
+		u := int32(i)
+		lo, hi := g.NeighborRange(u)
+		ids, wu := nbr[lo:hi], graph.NeighborWeights(g, u)
+		s := &scr[w]
+		scattered := false
+		for j, q := range ids {
+			qlo, qhi := g.NeighborRange(q)
+			if qhi-qlo > hi-lo || qhi-qlo == hi-lo && q > u {
+				continue // q ranks above u: evaluated from q
+			}
+			if !scattered {
+				if s.row == nil {
+					s.row = make([]float32, n)
+				}
+				for k, r := range ids {
+					s.row[r] = wu[k]
+				}
+				scattered = true
+			}
+			qids := nbr[qlo:qhi]
+			num := 2*float64(wu[j])*graph.SelfWeight + simeval.GatherDot(s.row, qids, graph.NeighborWeights(g, q))
+			t := simeval.Crossing(num, g.SqrtNorm(u)*g.SqrtNorm(q))
+			k, _ := slices.BinarySearch(qids, u)
+			sig[lo+int64(j)], sig[qlo+int64(k)] = t, t
+		}
+		if scattered {
+			for _, r := range ids {
+				s.row[r] = 0
+			}
+		}
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return nbr, sig, nil
 }
 
 // sortNeighbors turns the arc-order nbrSig (and, for an approximate index,
@@ -167,10 +209,9 @@ func (x *Index) sortNeighbors(threads int) {
 }
 
 // sortNeighborsCtx is sortNeighbors with cooperative cancellation (nil ctx
-// disables polling and never errors). An nbr already set holds each
-// vertex's neighbors in some order parallel to nbrSig (triangleSigma's
-// output) and is sorted as it is: the (σ desc, id asc) order is total, so
-// the result does not depend on where a neighbor started.
+// disables polling and never errors). An nbr already set (sigmaPass copies
+// each adjacency there) is sorted as it is; an unset one is filled from the
+// graph first.
 func (x *Index) sortNeighborsCtx(ctx context.Context, threads int) error {
 	g := x.g
 	fill := x.nbr == nil
@@ -212,9 +253,9 @@ func (x *Index) Graph() graph.Graph { return x.g }
 func (x *Index) NumVertices() int { return x.g.NumVertices() }
 
 // SimEvals returns the number of exact σ values the build produced, not the
-// adjacency joins it ran: one per undirected edge for an exact build,
-// whichever kernel produced them; the edges an approximate build evaluated
-// exactly; 0 for an index restored by Load.
+// adjacency joins it ran: one per undirected edge for an exact build; the
+// edges an approximate build evaluated exactly; 0 for an index restored by
+// Load.
 func (x *Index) SimEvals() int64 { return x.simEvals }
 
 // BuildTime returns the wall time Build took (0 for an index restored by

@@ -322,12 +322,12 @@ func (c *pollBudget) Err() error {
 	return nil
 }
 
-// TestBuildCtxCancellation cancels exact builds on both σ kernels, unit
-// weights (triangle listing) and uniform weights (per-edge joins): with a
-// context cancelled before the call, and with one cancelled at each poll in
-// turn until the build outlasts the budget, which reaches every polled
-// phase of both σ passes and of the neighbor sort. Every cancelled build
-// must return ctx.Err() and no index.
+// TestBuildCtxCancellation cancels exact builds with unit and with uniform
+// weights: with a context cancelled before the call, and with one cancelled
+// at each poll in turn until the build outlasts the budget, which reaches
+// every polled phase of the σ pass (the adjacency copy and the gathers) and
+// of the neighbor sort. Every cancelled build must return ctx.Err() and no
+// index.
 func TestBuildCtxCancellation(t *testing.T) {
 	for _, w := range []struct {
 		name string

@@ -19,12 +19,12 @@ import (
 // checked against independent oracles: an exact index's σ of arc v→q must be
 // the crossing of a fresh exact evaluation, an approximate index's σ̂ and
 // band must be q's entry in v's sorted order, and Save → Load → Save must
-// reproduce the file byte for byte. The exact oracle is the per-edge kernel,
-// so on unit-weight graphs it also ties the triangle kernel to it. Graphs:
-// the random families; an R-MAT with hubs past the sketch size, so the
-// approximate index has sketched arcs; shapes that stress the triangle
-// kernel's (degree, id) ranking and triangle density (oracleShapes); each on
-// the flat and the compressed backend.
+// reproduce the file byte for byte. The exact oracle is the reference merge
+// join, simeval.Engine.EdgeNumerator, so it also ties the one exact σ kernel
+// to it on unit and weighted graphs. Graphs: the random families; an R-MAT
+// with hubs past the sketch size, so the approximate index has sketched
+// arcs; shapes that stress the kernel's (degree, id) ranking and common
+// neighborhoods (oracleShapes); each on the flat and the compressed backend.
 func TestPersistedLayoutOracle(t *testing.T) {
 	cases := testutil.RandomCases(1)
 	rmat := gen.RMAT(10, 8<<10, 0.57, 0.19, 0.19, gen.WeightConfig{}, 7)
@@ -58,11 +58,12 @@ func TestPersistedLayoutOracle(t *testing.T) {
 	}
 }
 
-// oracleShapes returns unit-weight graphs at the extremes of the triangle
-// kernel: a clique (every triple a triangle, all degrees tied), a star (no
-// triangle, one hub), a ring lattice (all degrees equal, so id breaks every
-// rank tie), a single edge, isolated vertices with no edge, and an R-MAT
-// shaped like perfbench's explore and build graph at 1/8 of its size.
+// oracleShapes returns unit-weight graphs at the extremes of the exact σ
+// kernel: a clique (every pair of neighbors common, all degrees tied), a
+// star (no common neighbor, one hub), a ring lattice (all degrees equal, so
+// id breaks every rank tie), a single edge, isolated vertices with no edge,
+// and an R-MAT shaped like perfbench's explore and build graph at 1/8 of its
+// size.
 func oracleShapes(t *testing.T) []testutil.RandomCase {
 	t.Helper()
 	var clique, star, ring [][2]int32
