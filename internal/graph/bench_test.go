@@ -30,3 +30,26 @@ func BenchmarkReadBinary(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkValidate times the full structural check of the same R-MAT on
+// the flat backend and on the compressed one, which every ValidateFull
+// open of a .csrz container runs.
+func BenchmarkValidate(b *testing.B) {
+	g := gen.RMAT(13, 8192*43, 0.45, 0.22, 0.22, gen.WeightConfig{}, 1)
+	for _, c := range []struct {
+		name     string
+		validate func() error
+	}{
+		{"flat", g.Validate},
+		{"compressed", graph.Compress(g).Validate},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := c.validate(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 )
 
 // CompressedCSR is an immutable weighted undirected graph whose adjacency is
@@ -268,10 +269,7 @@ func (c *CompressedCSR) EdgeWeight(u, v int32) float32 {
 	if !ok {
 		return 0
 	}
-	if c.unit {
-		return 1
-	}
-	return c.weights[c.arcOff[u]+int64(i)]
+	return c.weightAt(c.arcOff[u] + int64(i))
 }
 
 // Bytes returns the total storage footprint: offset arrays, varint data,
@@ -308,70 +306,113 @@ func (c *CompressedCSR) Close() error {
 }
 
 // Validate fully decodes every adjacency list and checks the structural
-// invariants of CSR.Validate (sortedness, range, symmetry, weight positivity
-// and symmetry) plus the compressed-specific ones (offset monotonicity,
-// exact byte consumption per vertex). O(|arcs| · log d̄); intended for
-// loaders handling untrusted files and for tests, not hot paths.
+// invariants of CSR.Validate (ids strictly ascending and in range, no self
+// loop, symmetry, positive finite weights equal on both arcs of an edge)
+// plus the compressed-specific ones (offset monotonicity, exact byte
+// consumption per vertex). Intended for loaders handling untrusted files
+// and for tests, not hot paths.
 //
-// The check runs in two passes so it never trips the decoder's corrupt-varint
-// panic: pass 1 proves every vertex's stream decodes cleanly on its own, and
-// only then does pass 2 cross-reference streams (EdgeWeight on the reverse
-// edge) for the symmetry check.
+// It is one O(|arcs|) pass, CSR.Validate's walk over a varint stream: each
+// vertex u keeps a cursor, a decode position into its own list plus the
+// last id decoded there, that only moves forward. Visiting v in id order,
+// v first decodes on from its own cursor, which the lower vertices have
+// advanced past the reverses of their arcs into v, so an entry below v
+// left there is an arc no lower vertex matched. Every arc from v to a
+// higher u then steps u's cursor, which must decode exactly v. Every list
+// is decoded once, and every step checks its varint, range and byte
+// bounds, so the walk never trips the decoder's corrupt-varint panic.
 func (c *CompressedCSR) Validate() error {
 	if err := c.validateOffsets(); err != nil {
 		return err
 	}
-	n := int32(c.n)
-	nbr := make([]int32, c.maxDeg)
-	for v := int32(0); v < n; v++ {
-		adj := nbr[:c.Degree(v)]
-		pos := c.byteOf[v]
-		prev := int64(v)
-		for i := range adj {
-			raw, k := binary.Uvarint(c.data[pos:c.byteOf[v+1]])
-			if k <= 0 {
-				return fmt.Errorf("graph: corrupt varint at vertex %d arc %d", v, i)
-			}
-			pos += int64(k)
-			if i == 0 {
-				prev += unzigzag(raw)
-			} else {
-				prev += int64(raw) + 1
-			}
-			if prev < 0 || prev >= int64(n) {
-				return fmt.Errorf("graph: vertex %d has out-of-range neighbor %d", v, prev)
-			}
-			if prev == int64(v) {
-				return fmt.Errorf("graph: self loop at vertex %d", v)
-			}
-			adj[i] = int32(prev)
-		}
-		if pos != c.byteOf[v+1] {
-			return fmt.Errorf("graph: vertex %d adjacency decodes %d bytes, frame says %d",
-				v, pos-c.byteOf[v], c.byteOf[v+1]-c.byteOf[v])
-		}
+	cur := make([]arcCursor, c.n)
+	for v := range cur {
+		cur[v] = arcCursor{pos: c.byteOf[v], arc: c.arcOff[v], prev: int32(v)}
 	}
-	for v := int32(0); v < n; v++ {
-		adj := nbr[:c.Degree(v)]
-		c.decodeIDs(v, adj)
-		var wts []float32
-		if !c.unit {
-			wts = c.weights[c.arcOff[v]:c.arcOff[v+1]]
+	for v := int32(0); v < int32(c.n); v++ {
+		k := &cur[v]
+		for k.arc < c.arcOff[v+1] {
+			e := k.arc
+			u, err := c.step(v, k)
+			if err != nil {
+				return err
+			}
+			if u < v {
+				return fmt.Errorf("graph: edge (%d,%d) missing reverse arc", v, u)
+			}
+			w := c.weightAt(e)
+			if !(w > 0) || math.IsInf(float64(w), 0) {
+				return fmt.Errorf("graph: non-positive or non-finite weight %v on edge (%d,%d)", w, v, u)
+			}
+			r := &cur[u]
+			if r.arc == c.arcOff[u+1] {
+				return fmt.Errorf("graph: edge (%d,%d) missing reverse arc", v, u)
+			}
+			re := r.arc
+			back, err := c.step(u, r)
+			if err != nil {
+				return err
+			}
+			if back != v {
+				return fmt.Errorf("graph: edge (%d,%d) missing reverse arc", v, u)
+			}
+			if c.weightAt(re) != w {
+				return fmt.Errorf("graph: asymmetric weight on edge (%d,%d)", v, u)
+			}
 		}
-		for i, u := range adj {
-			w := float32(1)
-			if wts != nil {
-				w = wts[i]
-			}
-			if !(w > 0) {
-				return fmt.Errorf("graph: non-positive weight %v on edge (%d,%d)", w, v, u)
-			}
-			if w != c.EdgeWeight(u, v) {
-				return fmt.Errorf("graph: asymmetric or missing reverse edge (%d,%d)", v, u)
-			}
+		if k.pos != c.byteOf[v+1] {
+			return fmt.Errorf("graph: vertex %d adjacency decodes %d bytes, frame says %d",
+				v, k.pos-c.byteOf[v], c.byteOf[v+1]-c.byteOf[v])
 		}
 	}
 	return nil
+}
+
+// arcCursor is a forward-only decode position in one vertex's list: the
+// byte offset of its next entry, that entry's arc index, and the id
+// decoded last (the vertex itself before the first entry).
+type arcCursor struct {
+	pos  int64
+	arc  int64
+	prev int32
+}
+
+// step decodes the entry of v's list at k and advances k past it. It
+// rejects what decodeIDs would panic on or silently accept: a truncated or
+// overlong varint, an id out of range or equal to v, and a gap that does
+// not ascend. The caller checks k.arc against v's degree first.
+func (c *CompressedCSR) step(v int32, k *arcCursor) (int32, error) {
+	raw, n := binary.Uvarint(c.data[k.pos:c.byteOf[v+1]])
+	if n <= 0 {
+		return 0, fmt.Errorf("graph: corrupt varint at vertex %d arc %d", v, k.arc-c.arcOff[v])
+	}
+	var id int64
+	switch {
+	case k.arc == c.arcOff[v]:
+		id = int64(v) + unzigzag(raw) // a wrap lands below 0
+	case raw >= uint64(c.n):
+		return 0, fmt.Errorf("graph: vertex %d has out-of-range gap %d", v, raw)
+	default:
+		id = int64(k.prev) + int64(raw) + 1
+	}
+	if id < 0 || id >= int64(c.n) {
+		return 0, fmt.Errorf("graph: vertex %d has out-of-range neighbor %d", v, id)
+	}
+	if id == int64(v) {
+		return 0, fmt.Errorf("graph: self loop at vertex %d", v)
+	}
+	k.pos += int64(n)
+	k.arc++
+	k.prev = int32(id)
+	return int32(id), nil
+}
+
+// weightAt is the weight of arc e.
+func (c *CompressedCSR) weightAt(e int64) float32 {
+	if c.unit {
+		return 1
+	}
+	return c.weights[e]
 }
 
 // validateOffsets checks the O(n) structural invariants cheap enough for

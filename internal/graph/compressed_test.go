@@ -215,3 +215,27 @@ func TestCompressedStreamRoundTrip(t *testing.T) {
 	}
 	assertEquivalentBackends(t, g, back)
 }
+
+// TestCompressedValidateRejectsInvalidLists pins two lists the check
+// before the cursor walk accepted. In the first, arcs 0→2 and 1→2 have no
+// reverse, and each runs from the end of lower degree: a lookup in the
+// shorter list finds the arc itself. In the second, vertex 0's list
+// decodes to 2 then 1, a gap that wraps below the id before it.
+func TestCompressedValidateRejectsInvalidLists(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		offsets   []int64
+		neighbors []int32
+	}{
+		{"missing reverse from the lower degree", []int64{0, 2, 4, 7, 8, 9, 10}, []int32{1, 2, 0, 2, 3, 4, 5, 2, 2, 2}},
+		{"descending ids", []int64{0, 2, 3, 4}, []int32{2, 1, 0, 0}},
+	} {
+		c := compressArrays(&CSR{offsets: tc.offsets, neighbors: tc.neighbors})
+		if err := c.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted %v over %v", tc.name, tc.neighbors, tc.offsets)
+		}
+		if err := validateByLookup(c); err == nil {
+			t.Errorf("%s: the per-arc reference accepted %v over %v", tc.name, tc.neighbors, tc.offsets)
+		}
+	}
+}

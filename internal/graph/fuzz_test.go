@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -55,8 +56,8 @@ func FuzzLoadMETIS(f *testing.F) {
 
 // FuzzReadCompressed hammers the .csrz container loader: whatever the bytes,
 // ReadCompressed must either return an error or a graph whose Validate passes
-// without panicking (Validate's two-pass structure is what guarantees the
-// cross-stream symmetry check never trips the decoder's corrupt-varint
+// without panicking (Validate bounds-checks every decode step, so its
+// cross-stream symmetry walk never trips the decoder's corrupt-varint
 // panic). A graph that fully validates must also round-trip through
 // Decompress into a CSR that satisfies the flat invariants.
 func FuzzReadCompressed(f *testing.F) {
@@ -299,6 +300,169 @@ func validateByFindArc(g *CSR) error {
 			}
 			if g.weight(r) != g.weight(e) {
 				return fmt.Errorf("graph: asymmetric weight on edge (%d,%d)", v, u)
+			}
+		}
+	}
+	return nil
+}
+
+// FuzzValidateCompressedMatchesReference requires CompressedCSR.Validate,
+// one forward-only decode cursor per vertex, to accept and reject exactly
+// the payloads validateByLookup, a decode per arc, accepts and rejects, and
+// every payload it accepts to decompress into a CSR that validates. data is
+// FuzzValidateMatchesReference's input (fuzzArrays): raw CSR arrays, which
+// compressArrays encodes as they are, so swapped entries become gaps that
+// wrap and deleted or inserted arcs break symmetry. stream then corrupts
+// the encoding, three bytes each (kind, a, b): a flipped data byte or a
+// shifted byte offset.
+func FuzzValidateCompressedMatchesReference(f *testing.F) {
+	edges := []byte{0, 1, 9, 1, 2, 60, 2, 0, 77, 2, 3, 63, 3, 4, 5, 4, 0, 200}
+	valid := append([]byte{1, 5, 6}, edges...)
+	f.Add(valid, []byte{})
+	f.Add(append([]byte{0, 5, 6}, edges...), []byte{})
+	for kind := byte(0); kind < 6; kind++ {
+		for _, ab := range [][2]byte{{1, 3}, {4, 250}, {7, 0}, {2, 129}} {
+			f.Add(append(slices.Clone(valid), kind, ab[0], ab[1]), []byte{})
+		}
+	}
+	for kind := byte(0); kind < 2; kind++ {
+		for _, ab := range [][2]byte{{1, 3}, {4, 0x80}, {7, 0xff}, {2, 1}} {
+			f.Add(valid, []byte{kind, ab[0], ab[1]})
+		}
+	}
+	f.Fuzz(func(t *testing.T, data, stream []byte) {
+		g := fuzzArrays(data)
+		if g == nil {
+			return
+		}
+		c := compressArrays(g)
+		if c == nil {
+			return
+		}
+		for i := 0; i+3 <= len(stream); i += 3 {
+			kind, a, b := stream[i]%2, int(stream[i+1]), stream[i+2]
+			switch {
+			case kind == 0 && len(c.data) > 0:
+				c.data[a%len(c.data)] ^= b
+			case kind == 1:
+				c.byteOf[a%len(c.byteOf)] += int64(int8(b))
+			}
+		}
+		got, want := c.Validate(), validateByLookup(c)
+		if (got == nil) != (want == nil) {
+			t.Fatalf("Validate: %v, per-arc reference: %v\narcOff %v\nbyteOf %v\ndata %v\nweights %v",
+				got, want, c.arcOff, c.byteOf, c.data, c.weights)
+		}
+		if got == nil {
+			if err := c.Decompress().Validate(); err != nil {
+				t.Fatalf("validated compressed graph decompresses invalid: %v", err)
+			}
+		}
+	})
+}
+
+// compressArrays encodes raw CSR arrays, valid or not, the way Compress
+// encodes a valid graph: an id at or below the one before it becomes the
+// wrapped uvarint gap a corrupt file could carry. It returns nil when the
+// offsets do not cut the neighbor array into ranges.
+func compressArrays(g *CSR) *CompressedCSR {
+	n := len(g.offsets) - 1
+	if g.offsets[0] != 0 || g.offsets[n] != int64(len(g.neighbors)) {
+		return nil
+	}
+	for v := 0; v < n; v++ {
+		if g.offsets[v] > g.offsets[v+1] {
+			return nil
+		}
+	}
+	c := &CompressedCSR{
+		n: n, edges: int64(len(g.neighbors)) / 2, unit: g.weights == nil,
+		arcOff: slices.Clone(g.offsets), byteOf: make([]int64, n+1), weights: slices.Clone(g.weights),
+		norm: make([]float64, n), sqrtNorm: make([]float64, n), maxW: make([]float32, n),
+	}
+	var buf [binary.MaxVarintLen64]byte
+	for v := 0; v < n; v++ {
+		lo, hi := g.offsets[v], g.offsets[v+1]
+		c.maxDeg = max(c.maxDeg, int(hi-lo))
+		prev := int64(v)
+		for e := lo; e < hi; e++ {
+			u := int64(g.neighbors[e])
+			enc := uint64(u - prev - 1)
+			if e == lo {
+				enc = zigzag(u - prev)
+			}
+			c.data = append(c.data, buf[:binary.PutUvarint(buf[:], enc)]...)
+			prev = u
+		}
+		c.byteOf[v+1] = int64(len(c.data))
+	}
+	if c.unit {
+		c.ones = onesSlice(c.maxDeg)
+	}
+	return c
+}
+
+// validateByLookup is CompressedCSR.Validate as it was before its symmetry
+// check became a cursor walk: a pass that decodes every list on its own,
+// then the reverse of every arc looked up by decoding the far end's list
+// (findNeighbor), a decode per arc. It is the reference
+// FuzzValidateCompressedMatchesReference holds the linear check to, with
+// the old check's two holes closed, as the linear check closes them: the
+// lookup scans the far end's own list (the old EdgeWeight call scanned the
+// shorter of the two lists, which for an arc from the lower-degree end is
+// that arc itself, so a missing reverse there went unseen), and the decode
+// pass rejects a gap that wraps to an id at or below the one before it.
+// Like CSR.Validate, both reject an infinite weight.
+func validateByLookup(c *CompressedCSR) error {
+	if err := c.validateOffsets(); err != nil {
+		return err
+	}
+	n := int32(c.n)
+	nbr := make([]int32, c.maxDeg)
+	for v := int32(0); v < n; v++ {
+		adj := nbr[:c.Degree(v)]
+		pos := c.byteOf[v]
+		prev := int64(v)
+		for i := range adj {
+			raw, k := binary.Uvarint(c.data[pos:c.byteOf[v+1]])
+			if k <= 0 {
+				return fmt.Errorf("graph: corrupt varint at vertex %d arc %d", v, i)
+			}
+			pos += int64(k)
+			if i == 0 {
+				prev += unzigzag(raw)
+			} else if raw >= uint64(n) {
+				return fmt.Errorf("graph: vertex %d has out-of-range gap %d", v, raw)
+			} else {
+				prev += int64(raw) + 1
+			}
+			if prev < 0 || prev >= int64(n) {
+				return fmt.Errorf("graph: vertex %d has out-of-range neighbor %d", v, prev)
+			}
+			if prev == int64(v) {
+				return fmt.Errorf("graph: self loop at vertex %d", v)
+			}
+			adj[i] = int32(prev)
+		}
+		if pos != c.byteOf[v+1] {
+			return fmt.Errorf("graph: vertex %d adjacency decodes %d bytes, frame says %d",
+				v, pos-c.byteOf[v], c.byteOf[v+1]-c.byteOf[v])
+		}
+	}
+	for v := int32(0); v < n; v++ {
+		adj := nbr[:c.Degree(v)]
+		c.decodeIDs(v, adj)
+		for i, u := range adj {
+			w := c.weightAt(c.arcOff[v] + int64(i))
+			if !(w > 0) || math.IsInf(float64(w), 0) {
+				return fmt.Errorf("graph: non-positive or non-finite weight %v on edge (%d,%d)", w, v, u)
+			}
+			r, ok := c.findNeighbor(u, v)
+			if !ok {
+				return fmt.Errorf("graph: edge (%d,%d) missing reverse arc", v, u)
+			}
+			if c.weightAt(c.arcOff[u]+int64(r)) != w {
+				return fmt.Errorf("graph: asymmetric or missing reverse edge (%d,%d)", v, u)
 			}
 		}
 	}

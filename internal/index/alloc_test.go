@@ -196,3 +196,22 @@ func TestBuildAllocBytesPerArcPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestBuildAllocsPinned pins an exact build's allocation count at a
+// constant that does not grow with |V|: the σ pass allocates its arrays and
+// per-worker scratch, and the neighbor-order sort allocates nothing.
+func TestBuildAllocsPinned(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	const maxAllocs = 32
+	for _, scale := range []int{11, 13} {
+		g := gen.RMAT(scale, 16<<scale, 0.57, 0.19, 0.19, gen.WeightConfig{}, 7)
+		allocs := testing.AllocsPerRun(2, func() { index.Build(g, 1) })
+		if allocs > maxAllocs {
+			t.Errorf("build of %d vertices: %v allocations, want at most %d", g.NumVertices(), allocs, maxAllocs)
+		} else {
+			t.Logf("build of %d vertices: %v allocations", g.NumVertices(), allocs)
+		}
+	}
+}

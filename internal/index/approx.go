@@ -380,12 +380,13 @@ func (x *Index) queryApprox(mu int, eps float64) (*cluster.Result, error) {
 		u := cores[i]
 		lo, hi := x.g.NeighborRange(u)
 		slack := eps - a.maxBand[u]
+		hint := r.ds.Find(u)
 		for e := lo; e < hi; e++ {
 			if x.nbrSig[e] < slack {
 				break
 			}
-			if x.effSig(ev, u, e, eps) >= eps {
-				r.link(u, x.nbr[e])
+			if q := x.nbr[e]; x.effSig(ev, u, e, eps) >= eps && !r.joined(hint, q) {
+				hint = r.link(u, hint, q)
 			}
 		}
 	})

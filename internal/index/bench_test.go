@@ -57,21 +57,15 @@ func BenchmarkBuild(b *testing.B) {
 //   - rmat-epoch: the same grid against the live epoch one single-edge
 //     Apply publishes, which finds its cores by a threshold scan;
 //   - social: perfbench mixed_rw's GR01L-shaped social circles on its 2×3
-//     grid, where every cell has several clusters.
+//     grid, where every cell has several clusters;
+//   - social-epoch: the same grid against the epoch of one single-edge
+//     Apply, what mixed_rw's reader queries.
 func BenchmarkQuery(b *testing.B) {
-	rmat := benchRMAT()
+	rmat, social := benchRMAT(), benchSocial()
 	x := index.Build(rmat, runtime.GOMAXPROCS(0))
-	lg := live.FromIndex(x)
-	v := int32(1)
-	for rmat.HasEdge(0, v) {
-		v++
-	}
-	epoch, _, err := lg.Apply([]live.Mutation{{Op: live.OpAdd, U: 0, V: v, W: 1}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	social := benchSocial()
+	xs := index.Build(social, runtime.GOMAXPROCS(0))
 	exploreMus, exploreEps := []int{2, 4, 8, 16}, []float64{0.2, 0.35, 0.5, 0.65, 0.8}
+	socialMus, socialEps := []int{4, 8}, []float64{0.4, 0.55, 0.7}
 	for _, c := range []struct {
 		name  string
 		query func(mu int, eps float64) (*cluster.Result, error)
@@ -79,8 +73,9 @@ func BenchmarkQuery(b *testing.B) {
 		eps   []float64
 	}{
 		{"rmat", x.Query, exploreMus, exploreEps},
-		{"rmat-epoch", epoch.Query, exploreMus, exploreEps},
-		{"social", index.Build(social, runtime.GOMAXPROCS(0)).Query, []int{4, 8}, []float64{0.4, 0.55, 0.7}},
+		{"rmat-epoch", oneEdgeEpoch(b, rmat, x).Query, exploreMus, exploreEps},
+		{"social", xs.Query, socialMus, socialEps},
+		{"social-epoch", oneEdgeEpoch(b, social, xs).Query, socialMus, socialEps},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -97,6 +92,20 @@ func BenchmarkQuery(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(queries), "us/query")
 		})
 	}
+}
+
+// oneEdgeEpoch returns the epoch a live graph over x publishes for one
+// single-edge batch: the add of g's first absent edge from vertex 0.
+func oneEdgeEpoch(b *testing.B, g *graph.CSR, x *index.Index) *live.Epoch {
+	v := int32(1)
+	for g.HasEdge(0, v) {
+		v++
+	}
+	epoch, _, err := live.FromIndex(x).Apply([]live.Mutation{{Op: live.OpAdd, U: 0, V: v, W: 1}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return epoch
 }
 
 // BenchmarkApply times live.Apply, one op being one published batch, and

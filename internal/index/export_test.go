@@ -20,3 +20,7 @@ func (x *Index) ArcOrder() (sig []float64, band []float32) {
 	p := x.payload()
 	return p.Sigma, p.Band
 }
+
+// ParallelQueryMin is the core count from which a replay fans its walks
+// out across workers.
+const ParallelQueryMin = parallelQueryMin

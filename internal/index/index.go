@@ -35,7 +35,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -225,21 +224,22 @@ func (x *Index) sortNeighborsCtx(ctx context.Context, threads int) error {
 	return par.ForCtx(ctx, g.NumVertices(), threads, 32, func(i int) {
 		v := int32(i)
 		lo, hi := g.NeighborRange(v)
-		o := &byOrder{ids: x.nbr[lo:hi], thr: x.nbrSig[lo:hi]}
+		ids := x.nbr[lo:hi]
 		if fill {
 			// On a flat CSR this is a storage alias; a compressed backend
 			// decodes once per vertex here (amortized against the
 			// O(deg log deg) sort).
-			ids, _ := g.Neighbors(v)
-			copy(o.ids, ids)
+			adj, _ := g.Neighbors(v)
+			copy(ids, adj)
 		}
+		var b []float32
 		if band != nil {
 			// Approximate indexes carry the per-arc error band through the
 			// same permutation, so the sorted order and its bands stay
 			// parallel.
-			o.band = band[lo:hi]
+			b = band[lo:hi]
 		}
-		sort.Sort(o)
+		sortOrder(ids, x.nbrSig[lo:hi], b)
 	})
 }
 

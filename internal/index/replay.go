@@ -10,42 +10,6 @@ import (
 	"anyscan/internal/unionfind"
 )
 
-// OrderLess is the comparator of every threshold order in the system — the
-// σ-sorted neighbor orders and the per-μ core orders alike: threshold
-// descending, ties by id ascending. Ids are unique within an order, so this
-// is a strict total order and every correct sort yields the same array.
-func OrderLess(ta float64, va int32, tb float64, vb int32) bool {
-	if ta != tb {
-		return ta > tb
-	}
-	return va < vb
-}
-
-// SortOrder sorts the parallel slices ids and thr in place into OrderLess
-// order.
-func SortOrder(ids []int32, thr []float64) { sort.Sort(&byOrder{ids: ids, thr: thr}) }
-
-// byOrder permutes ids, thr and — for an approximate index's neighbor
-// orders — the per-arc error bands together. The receivers are pointers
-// because a value receiver would copy all three slice headers on every Less
-// and Swap call through the interface, a cost the build's neighbor sort
-// measurably pays.
-type byOrder struct {
-	ids  []int32
-	thr  []float64
-	band []float32 // nil unless the order carries bands
-}
-
-func (o *byOrder) Len() int           { return len(o.ids) }
-func (o *byOrder) Less(a, b int) bool { return OrderLess(o.thr[a], o.ids[a], o.thr[b], o.ids[b]) }
-func (o *byOrder) Swap(a, b int) {
-	o.ids[a], o.ids[b] = o.ids[b], o.ids[a]
-	o.thr[a], o.thr[b] = o.thr[b], o.thr[a]
-	if o.band != nil {
-		o.band[a], o.band[b] = o.band[b], o.band[a]
-	}
-}
-
 // CoreOrder is a per-μ core order: every vertex with a positive core
 // threshold, in OrderLess order, so the cores at ε are exactly the prefix
 // with Thr ≥ ε. Immutable once derived; callers share it freely.
@@ -86,14 +50,16 @@ func (co *CoreOrder) Prefix(eps float64) []int32 {
 // order: the union-find, the CAS-min claims and the canonicalization make
 // the result independent of it, so an index passes its memoized core
 // order's prefix (CoreOrder.Prefix) and a live epoch its threshold scan.
-// Each core walks its σ-sorted neighbor order down to ε, unioning similar
-// core–core edges and claiming every similar non-core for its smallest
-// similar core; the remaining vertices split into hubs and outliers, and the
-// labels are canonicalized. The split reads only arcs that can make a hub:
-// none below two clusters, otherwise the side of the labelled/noise cut
-// with the smaller degree sum. So a replay costs O(|V|), plus the prefixes
-// its cores walk, plus that side's arcs. The result is byte-identical to
-// cluster.Reference on the same graph, at any thread count.
+// Each core walks its σ-sorted neighbor order down to ε, joining its set to
+// every similar core's and claiming every similar non-core for its smallest
+// similar core (link); the remaining vertices split into hubs and outliers,
+// and the labels are canonicalized. The split reads only arcs that can make
+// a hub: none below two clusters, otherwise the side of the labelled/noise
+// cut with the smaller degree sum. So a replay costs O(|V|), plus the
+// prefixes its cores walk, plus that side's arcs; a core–core arc whose far
+// end already hangs under the walking core's root costs one load. The
+// result is byte-identical to cluster.Reference on the same graph, at any
+// thread count.
 func Replay(v local.View, cores []int32, eps float64, threads int) *cluster.Result {
 	r := newReplay(v.NumVertices())
 	for _, u := range cores {
@@ -102,11 +68,14 @@ func Replay(v local.View, cores []int32, eps float64, threads int) *cluster.Resu
 	each(len(cores), threads, func(_, i int) {
 		u := cores[i]
 		ids, sigs := v.NeighborOrder(u)
+		hint := r.ds.Find(u)
 		for j, q := range ids {
 			if sigs[j] < eps {
 				break // sorted descending: the rest are dissimilar too
 			}
-			r.link(u, q)
+			if !r.joined(hint, q) {
+				hint = r.link(u, hint, q)
+			}
 		}
 	})
 	return r.result(v, cores)
@@ -144,25 +113,33 @@ func newReplay(n int) *replay {
 	return r
 }
 
-// link records the similar arc u→q of core u: a core–core edge unions the
-// two (each edge once, from its smaller end), a non-core q is claimed by u
-// unless a smaller core already holds it. The CAS-min makes the final claim
-// the minimum over all claiming cores whatever order concurrent walks
-// arrive in.
-func (r *replay) link(u, q int32) {
+// joined reports whether the similar arc to q needs no link: q is a core
+// whose parent slot names hint, a member of the walking core's set, so the
+// two are in one set already (unionfind.Concurrent.ParentIs). It is one
+// load, small enough to inline into the walks, so a joined arc makes no
+// call.
+func (r *replay) joined(hint, q int32) bool { return r.isCore[q] && r.ds.ParentIs(q, hint) }
+
+// link records a similar arc u→q of core u that joined did not find done,
+// and returns the hint for u's next arc. hint is a member of u's set:
+// Find(u) when u's walk starts, then whatever link returned. A core q's set
+// is joined to u's, and the hint moves to the joined root. Both ends of a
+// core–core edge walk it, and whichever meets it second mostly finds it
+// joined. A non-core q is claimed by u unless a smaller core already holds
+// it. The CAS-min makes the final claim the minimum over all claiming
+// cores whatever order concurrent walks arrive in.
+func (r *replay) link(u, hint, q int32) int32 {
 	if r.isCore[q] {
-		if u < q {
-			r.ds.Union(u, q)
-		}
-		return
+		r.ds.Union(hint, q)
+		return r.ds.Find(hint)
 	}
 	for {
 		c := atomic.LoadInt32(&r.claim[q])
 		if c != -1 && c <= u {
-			return
+			return hint
 		}
 		if atomic.CompareAndSwapInt32(&r.claim[q], c, u) {
-			return
+			return hint
 		}
 	}
 }

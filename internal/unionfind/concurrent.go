@@ -24,6 +24,10 @@ import (
 //     same root serialize on that CAS; losers re-run Find and retry.
 //   - connectivity is monotone (sets only merge), so a reader that observed
 //     two elements sharing a root may rely on them sharing a set forever.
+//   - a parent slot always names a member of its own element's set: a hook
+//     writes a root of the set it merges into, and path halving writes a
+//     grandparent. So a reader that sees parent[x] == r knows x and r share
+//     a set forever (ParentIs), without finding either root.
 //
 // Union-by-min gives up the rank balancing of DisjointSet; path halving keeps
 // chains short in practice, and the parallel merge phases touch each edge
@@ -120,6 +124,16 @@ func (c *Concurrent) Union(x, y int32) bool {
 		}
 		x, y = rx, ry
 	}
+}
+
+// ParentIs reports whether x's parent slot holds r: one atomic load and a
+// compare. A true answer proves that x and r are in the same set, now and
+// forever, by the parent-slot invariant in the type comment; a false answer
+// proves nothing. A caller that keeps a member r of some set (ideally its
+// root, which most parent slots in a compressed set name) can thus skip a
+// Union or Connected call for every x found hanging directly under r.
+func (c *Concurrent) ParentIs(x, r int32) bool {
+	return atomic.LoadInt32(&c.parent[x]) == r
 }
 
 // Connected reports whether x and y are in the same set. Linearizable under

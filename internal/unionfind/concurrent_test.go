@@ -122,6 +122,53 @@ func TestConcurrentStress(t *testing.T) {
 	}
 }
 
+// TestParentIsProvesSameSet checks ParentIs's one-way contract while
+// unions race: every (x, r) it answers true for, observed mid-run by
+// goroutines that also union, must be in one set at the end. Each worker
+// keeps a member of x's set as its hint, the way index.Replay's walks do,
+// so true answers are common. Run under -race in CI.
+func TestParentIsProvesSameSet(t *testing.T) {
+	const n, workers = 4000, 4
+	rng := rand.New(rand.NewSource(11))
+	pairs := make([][2]int32, 3*n)
+	for k := range pairs {
+		x := int32(rng.Intn(n))
+		pairs[k] = [2]int32{x, (x + 1 + int32(rng.Intn(16))) % n}
+	}
+	cc := NewConcurrent(n)
+	seen := make([][][2]int32, workers)
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func(w int) {
+			defer wg.Done()
+			for k := w; k < len(pairs); k += workers {
+				x, y := pairs[k][0], pairs[k][1]
+				hint := cc.Find(x)
+				if cc.ParentIs(y, hint) {
+					seen[w] = append(seen[w], [2]int32{y, hint})
+					continue
+				}
+				cc.Union(hint, y)
+			}
+		}(w)
+	}
+	wg.Wait()
+	hits := 0
+	for _, s := range seen {
+		for _, p := range s {
+			if !cc.Connected(p[0], p[1]) {
+				t.Fatalf("ParentIs(%d, %d) held, but the two end in different sets", p[0], p[1])
+			}
+		}
+		hits += len(s)
+	}
+	if hits == 0 {
+		t.Fatal("ParentIs never held: the test checks nothing")
+	}
+	t.Logf("%d of %d checks answered by ParentIs", hits, len(pairs))
+}
+
 func TestConcurrentAdd(t *testing.T) {
 	cc := NewConcurrent(2)
 	if id := cc.Add(); id != 2 {
