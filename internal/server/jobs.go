@@ -202,7 +202,7 @@ func NewManager(reg *Registry, met *Metrics, cfg ManagerConfig) (*Manager, error
 // Submit validates the spec, builds the Clusterer, and enqueues the job.
 func (m *Manager) Submit(spec JobSpec) (*Job, error) {
 	if m.closed.Load() || m.draining.Load() {
-		return nil, fmt.Errorf("server is draining; not accepting jobs")
+		return nil, errDraining
 	}
 	ge, err := m.reg.Get(spec.Graph)
 	if err != nil {
@@ -238,7 +238,7 @@ func (m *Manager) Get(id string) (*Job, error) {
 	defer m.mu.Unlock()
 	j, ok := m.jobs[id]
 	if !ok {
-		return nil, fmt.Errorf("job %q not found", id)
+		return nil, fmt.Errorf("job %q %w", id, errNoJob)
 	}
 	return j, nil
 }
@@ -291,14 +291,14 @@ func (m *Manager) Pause(id string) error {
 	case JobPaused:
 		return nil
 	default:
-		return fmt.Errorf("job %s is %s; only running jobs pause", id, j.state)
+		return fmt.Errorf("job %s is %s; %w", id, j.state, errNotRunning)
 	}
 }
 
 // Resume re-enqueues a paused job; it continues from its in-memory state.
 func (m *Manager) Resume(id string) error {
 	if m.draining.Load() {
-		return fmt.Errorf("server is draining; not accepting jobs")
+		return errDraining
 	}
 	j, err := m.Get(id)
 	if err != nil {
@@ -307,7 +307,7 @@ func (m *Manager) Resume(id string) error {
 	j.ctl.Lock()
 	if j.state != JobPaused {
 		j.ctl.Unlock()
-		return fmt.Errorf("job %s is %s; only paused jobs resume", id, j.state)
+		return fmt.Errorf("job %s is %s; %w", id, j.state, errNotPaused)
 	}
 	j.state = JobQueued
 	j.wantPause = false
@@ -346,7 +346,7 @@ func (m *Manager) Cancel(id string) error {
 		return nil
 	default:
 		j.ctl.Unlock()
-		return fmt.Errorf("job %s already finished (%s)", id, j.state)
+		return fmt.Errorf("job %s %w (%s)", id, errFinished, j.state)
 	}
 }
 

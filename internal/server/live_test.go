@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"anyscan/internal/datasets"
 	"anyscan/internal/gen"
 	"anyscan/internal/graph"
 	"anyscan/internal/index"
@@ -343,5 +344,41 @@ func TestMinEpochSemantics(t *testing.T) {
 	}
 	if qr.Epoch < mr.Epoch {
 		t.Fatalf("read-your-writes query answered from epoch %d < %d", qr.Epoch, mr.Epoch)
+	}
+}
+
+// TestGraphStatePinnedIndexesStay runs the memory-budget probe on live
+// graphs: under a 1 B index budget, three graphs are each queried and then
+// mutated once. A live graph's epochs alias its index, so evicting that
+// index would free nothing: the budget evicts none of the three, and the
+// memory gauge counts every one.
+func TestGraphStatePinnedIndexesStay(t *testing.T) {
+	g, err := datasets.Load("GR01L", 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perIndex := index.Build(g, 1).Bytes()
+	_, _, c := newOverloadServer(t, server.OverloadConfig{IndexMemoryBudget: 1})
+	for _, name := range []string{"a", "b", "c"} {
+		src := server.GraphSource{Dataset: "GR01L", Scale: 0.05}
+		if _, err := c.LoadGraph(tctx, server.LoadGraphRequest{Name: name, GraphSource: src}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Query(tctx, name, 3, 0.4, false); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Mutate(tctx, name, []server.MutationSpec{{Op: "add", U: 0, V: 1, W: 0.5}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	text, err := c.MetricsText(tctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := metricValue(t, text, "anyscand_index_evicted_total "); v != 0 {
+		t.Errorf("anyscand_index_evicted_total = %g; indexes pinned by live graphs must not be evicted", v)
+	}
+	if v := metricValue(t, text, "anyscand_index_memory_bytes "); v < float64(3*perIndex) {
+		t.Errorf("anyscand_index_memory_bytes = %g, want at least the three pinned indexes' %d", v, 3*perIndex)
 	}
 }

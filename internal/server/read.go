@@ -73,7 +73,7 @@ func (s *Server) resolveView(ctx context.Context, ge *GraphEntry, approx float64
 	var idx *index.Index
 	var code int
 	var err error
-	if lg, ok := s.liveGraphs.lookup(ge.Name, ge.G); ok {
+	if lg := s.reg.liveOf(ge); lg != nil {
 		if approx > 0 {
 			s.met.ApproxLiveExact.Add(1)
 			s.log.Warn("approx read on live graph served exactly", "graph", ge.Name, "approx", approx)
@@ -86,7 +86,7 @@ func (s *Server) resolveView(ctx context.Context, ge *GraphEntry, approx float64
 	} else if minEpoch > 0 {
 		return readView{}, http.StatusConflict,
 			fmt.Errorf("graph %q has no live epochs; min_epoch requires a mutated graph", ge.Name)
-	} else if idx, rv.hit, rv.buildMS, err = s.idx.get(ctx, ge, approx); err == nil {
+	} else if idx, rv.hit, rv.buildMS, err = s.reg.index(ctx, ge, approx); err == nil {
 		rv.view, rv.approx = idx, effectiveApprox(idx)
 	} else {
 		code = http.StatusBadRequest
@@ -98,8 +98,8 @@ func (s *Server) resolveView(ctx context.Context, ge *GraphEntry, approx float64
 	}
 	if err != nil {
 		if minEpoch == 0 && degradable(err) {
-			if st, ok := s.idx.staleFor(ge.Name, approx); ok {
-				return readView{view: st.idx, stale: err, hit: true, approx: effectiveApprox(st.idx), release: func() {}}, 0, nil
+			if st := s.reg.lastGood(ge.Name, approx); st != nil {
+				return readView{view: st, stale: err, hit: true, approx: effectiveApprox(st), release: func() {}}, 0, nil
 			}
 		}
 		return readView{}, code, err

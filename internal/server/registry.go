@@ -10,12 +10,15 @@ import (
 
 	"anyscan/internal/datasets"
 	"anyscan/internal/graph"
+	"anyscan/internal/live"
 )
 
-// GraphEntry is one loaded graph in the registry. G is whichever backend the
-// source produced — a flat *graph.CSR or a (possibly mmap-backed) compressed
-// graph; identity of the interface value is the generation check every
-// derived cache (index, live, jobs) keys on.
+// GraphEntry is one loaded generation of a named graph. G is whichever
+// backend the source produced — a flat *graph.CSR or a (possibly
+// mmap-backed) compressed graph. A reload is a new GraphEntry, and
+// everything derived from G hangs off the generation it was derived from,
+// so a request that resolved an entry before an eviction computes on that
+// generation's own state and never on its successor's.
 type GraphEntry struct {
 	Name   string
 	Source GraphSource
@@ -29,6 +32,15 @@ type GraphEntry struct {
 	// forfeits the memory the compressed backend saved.
 	csrOnce sync.Once
 	csr     *graph.CSR
+
+	// The derived state, guarded by the registry's mu: the exact index
+	// (slots[0]) and one approximate dial (slots[1]; a request at a new δ
+	// replaces it), and the live graph the first mutation promotes the
+	// exact index into. promoteOnce keeps concurrent first mutations to one
+	// promotion, which materializes a compressed graph.
+	slots       [2]*indexEntry
+	live        *live.Graph
+	promoteOnce sync.Once
 }
 
 // CSR returns a flat *graph.CSR view of the entry's graph, materializing
@@ -63,13 +75,32 @@ func (e *GraphEntry) Info() GraphInfo {
 	}
 }
 
-// Registry holds the graphs the service can cluster, keyed by name. Loads
-// are single-flight: concurrent requests for the same name share one load,
-// and a load in progress never blocks lookups of other graphs.
+// Registry holds the graphs the service can cluster, keyed by name, and
+// everything derived from them: one mutex guards the name map and every
+// generation's slots, while loads, index builds, promotions and waits run
+// outside it. Loads are single-flight: concurrent requests for the same
+// name share one load, and a load in progress never blocks lookups of other
+// graphs.
 type Registry struct {
-	mu      sync.Mutex
-	entries map[string]*GraphEntry
-	loading map[string]*registryLoad
+	mu    sync.Mutex
+	names map[string]*nameState
+
+	met     *Metrics
+	threads int        // workers for index construction (0 = GOMAXPROCS)
+	admit   *admission // nil → builds are never shed
+	budget  int64      // max resident index bytes (0 → unlimited)
+}
+
+// nameState is what the registry keeps under one name: the current
+// generation (nil once evicted), the load in flight, and the last good index
+// per slot. The last good indexes outlive eviction on purpose: an
+// evict-and-reload cycle is the common way to refresh a graph, and they let
+// reads degrade to stale-marked answers while the new generation's index
+// builds (or fails to).
+type nameState struct {
+	cur   *GraphEntry
+	load  *registryLoad
+	stale [2]*staleIndex
 }
 
 type registryLoad struct {
@@ -78,11 +109,19 @@ type registryLoad struct {
 	err   error
 }
 
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		entries: make(map[string]*GraphEntry),
-		loading: make(map[string]*registryLoad),
+// NewRegistry returns an empty registry that builds indexes on every CPU,
+// with no admission control and no memory budget.
+func NewRegistry() *Registry { return newRegistry(&Metrics{}, 0, nil, 0) }
+
+func newRegistry(met *Metrics, threads int, admit *admission, budget int64) *Registry {
+	return &Registry{names: make(map[string]*nameState), met: met, threads: threads, admit: admit, budget: budget}
+}
+
+// forgetLocked drops the name once it holds nothing, so names that clients
+// load and evict (or fail to load) do not accumulate. r.mu must be held.
+func (r *Registry) forgetLocked(name string, ns *nameState) {
+	if ns.cur == nil && ns.load == nil && ns.stale == [2]*staleIndex{} {
+		delete(r.names, name)
 	}
 }
 
@@ -153,74 +192,98 @@ func (r *Registry) Load(name string, src GraphSource) (*GraphEntry, error) {
 	}
 
 	r.mu.Lock()
-	if e, ok := r.entries[name]; ok {
+	ns := r.names[name]
+	if ns == nil {
+		ns = &nameState{}
+		r.names[name] = ns
+	}
+	if e := ns.cur; e != nil {
 		r.mu.Unlock()
 		if e.Source != src {
-			return nil, fmt.Errorf("graph %q is already loaded from a different source; evict it first", name)
+			return nil, fmt.Errorf("graph %q %w", name, errOtherSource)
 		}
 		return e, nil
 	}
-	if l, ok := r.loading[name]; ok {
+	if l := ns.load; l != nil {
 		r.mu.Unlock()
 		<-l.done
 		if l.err != nil {
 			return nil, l.err
 		}
 		if l.entry.Source != src {
-			return nil, fmt.Errorf("graph %q is already loaded from a different source; evict it first", name)
+			return nil, fmt.Errorf("graph %q %w", name, errOtherSource)
 		}
 		return l.entry, nil
 	}
 	l := &registryLoad{done: make(chan struct{})}
-	r.loading[name] = l
+	ns.load = l
 	r.mu.Unlock()
 
 	g, err := src.load()
 	r.mu.Lock()
-	delete(r.loading, name)
+	ns.load = nil
 	if err != nil {
 		l.err = fmt.Errorf("loading graph %q: %w", name, err)
+		r.forgetLocked(name, ns)
 	} else {
 		l.entry = &GraphEntry{Name: name, Source: src, G: g, Loaded: time.Now()}
-		r.entries[name] = l.entry
+		ns.cur = l.entry
 	}
 	r.mu.Unlock()
 	close(l.done)
 	return l.entry, l.err
 }
 
-// Get returns the loaded graph under name.
+// Get returns the current generation of the graph under name.
 func (r *Registry) Get(name string) (*GraphEntry, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	e, ok := r.entries[name]
-	if !ok {
-		return nil, fmt.Errorf("graph %q is not loaded", name)
+	if ns := r.names[name]; ns != nil && ns.cur != nil {
+		return ns.cur, nil
 	}
-	return e, nil
+	return nil, fmt.Errorf("graph %q %w", name, errNotLoaded)
 }
 
-// Evict removes the graph under name. Running jobs holding the graph keep
-// their reference (the CSR is immutable); only the registry entry — and any
-// cached explorers the server keys on the name — go away.
+// Evict is the one eviction path. In one critical section it removes the
+// name's current generation and keeps its last good indexes; then it cancels
+// the generation's in-flight index builds, whose waiters see a
+// cancellation, retryable once the graph is reloaded. Requests and jobs that
+// already hold the generation keep computing on it (the graph is
+// immutable), but nothing they derive from it is published under the name.
 func (r *Registry) Evict(name string) error {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.entries[name]; !ok {
-		return fmt.Errorf("graph %q is not loaded", name)
+	ns := r.names[name]
+	if ns == nil || ns.cur == nil {
+		r.mu.Unlock()
+		return fmt.Errorf("graph %q %w", name, errNotLoaded)
 	}
-	delete(r.entries, name)
+	slots := ns.cur.slots
+	ns.cur = nil
+	r.forgetLocked(name, ns)
+	r.mu.Unlock()
+	for _, e := range slots {
+		if e != nil {
+			e.cancelBuild() // a no-op for a finished build
+		}
+	}
 	return nil
+}
+
+// current calls f on every current generation. r.mu must be held.
+func (r *Registry) current(f func(*GraphEntry)) {
+	for _, ns := range r.names {
+		if ns.cur != nil {
+			f(ns.cur)
+		}
+	}
 }
 
 // List returns every loaded graph, sorted by name.
 func (r *Registry) List() []GraphInfo {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]GraphInfo, 0, len(r.entries))
-	for _, e := range r.entries {
-		out = append(out, e.Info())
-	}
+	out := []GraphInfo{}
+	r.current(func(e *GraphEntry) { out = append(out, e.Info()) })
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
@@ -229,7 +292,9 @@ func (r *Registry) List() []GraphInfo {
 func (r *Registry) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.entries)
+	n := 0
+	r.current(func(*GraphEntry) { n++ })
+	return n
 }
 
 // BytesUsage sums graph storage across the registry: total logical bytes and
@@ -239,11 +304,11 @@ func (r *Registry) Len() int {
 func (r *Registry) BytesUsage() (total, resident int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, e := range r.entries {
+	r.current(func(e *GraphEntry) {
 		if s, ok := e.G.(graph.Sizer); ok {
 			total += s.Bytes()
 			resident += s.ResidentBytes()
 		}
-	}
+	})
 	return total, resident
 }

@@ -14,7 +14,6 @@ import (
 	"net"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"anyscan/internal/cluster"
@@ -63,8 +62,8 @@ type OverloadConfig struct {
 	// RateBurst is the token-bucket burst (0 → 2×RatePerSec).
 	RateBurst int
 	// IndexMemoryBudget bounds resident query-index bytes; least-recently-
-	// used indexes (stale snapshots first) are evicted above it
-	// (0 → unlimited).
+	// used indexes (stale snapshots first) are evicted above it, except
+	// those a live graph pins (0 → unlimited).
 	IndexMemoryBudget int64
 }
 
@@ -88,19 +87,17 @@ func (c OverloadConfig) withDefaults() OverloadConfig {
 	return c
 }
 
-// Server wires the graph registry, the job manager, and the per-graph query
-// index cache behind an http.Handler.
+// Server wires the graph registry (with each graph's indexes and live
+// epochs) and the job manager behind an http.Handler.
 type Server struct {
-	reg        *Registry
-	jobs       *Manager
-	idx        *indexCache
-	liveGraphs *liveCache
-	met        *Metrics
-	log        *slog.Logger
-	mux        *http.ServeMux
-	admit      *admission
-	limiter    *rateLimiter
-	ocfg       OverloadConfig
+	reg     *Registry
+	jobs    *Manager
+	met     *Metrics
+	log     *slog.Logger
+	mux     *http.ServeMux
+	admit   *admission
+	limiter *rateLimiter
+	ocfg    OverloadConfig
 }
 
 // New builds a Server, recovering any unfinished jobs from the checkpoint
@@ -113,25 +110,22 @@ func New(cfg Config) (*Server, error) {
 		cfg.Manager.Logger = cfg.Logger
 	}
 	met := &Metrics{}
-	reg := NewRegistry()
+	ocfg := cfg.Overload.withDefaults()
+	admit := newAdmission(ocfg.BuildSlots, ocfg.QueueDepth, ocfg.QueueWait, met)
+	reg := newRegistry(met, cfg.IndexThreads, admit, ocfg.IndexMemoryBudget)
 	jobs, err := NewManager(reg, met, cfg.Manager)
 	if err != nil {
 		return nil, err
 	}
-	ocfg := cfg.Overload.withDefaults()
-	admit := newAdmission(ocfg.BuildSlots, ocfg.QueueDepth, ocfg.QueueWait, met)
-	idx := newIndexCache(met, cfg.IndexThreads, admit, ocfg.IndexMemoryBudget)
 	s := &Server{
-		reg:        reg,
-		jobs:       jobs,
-		idx:        idx,
-		liveGraphs: newLiveCache(idx),
-		met:        met,
-		log:        cfg.Logger,
-		mux:        http.NewServeMux(),
-		admit:      admit,
-		limiter:    newRateLimiter(ocfg.RatePerSec, ocfg.RateBurst),
-		ocfg:       ocfg,
+		reg:     reg,
+		jobs:    jobs,
+		met:     met,
+		log:     cfg.Logger,
+		mux:     http.NewServeMux(),
+		admit:   admit,
+		limiter: newRateLimiter(ocfg.RatePerSec, ocfg.RateBurst),
+		ocfg:    ocfg,
 	}
 	s.routes()
 	return s, nil
@@ -332,15 +326,28 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	return false
 }
 
+// The registry's and the job manager's domain errors. Each is wrapped with
+// %w into a message that names the graph or job, so errorCode matches them
+// with errors.Is, never by message text (which embeds client-chosen names).
+var (
+	errNotLoaded   = errors.New("is not loaded")
+	errOtherSource = errors.New("is already loaded from a different source; evict it first")
+	errNoJob       = errors.New("not found")
+	errDraining    = errors.New("server is draining; not accepting jobs")
+	errNotRunning  = errors.New("only running jobs pause")
+	errNotPaused   = errors.New("only paused jobs resume")
+	errFinished    = errors.New("already finished")
+)
+
 // errorCode maps a domain error to an HTTP status.
 func errorCode(err error) int {
-	msg := err.Error()
 	switch {
-	case strings.Contains(msg, "not found"), strings.Contains(msg, "not loaded"):
+	case errors.Is(err, errNotLoaded), errors.Is(err, errNoJob):
 		return http.StatusNotFound
-	case strings.Contains(msg, "draining"):
+	case errors.Is(err, errDraining):
 		return http.StatusServiceUnavailable
-	case strings.Contains(msg, "already"), strings.Contains(msg, "only "):
+	case errors.Is(err, errOtherSource), errors.Is(err, errNotRunning),
+		errors.Is(err, errNotPaused), errors.Is(err, errFinished):
 		return http.StatusConflict
 	default:
 		return http.StatusBadRequest
@@ -372,8 +379,6 @@ func (s *Server) handleEvictGraph(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errorCode(err), err)
 		return
 	}
-	s.idx.evictGraph(name)
-	s.liveGraphs.evictGraph(name)
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -471,7 +476,7 @@ func wantAssignments(r *http.Request) bool {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counts := s.jobs.CountByState()
-	liveGraphs, epochLag := s.liveGraphs.stats()
+	indexes, indexBytes, liveGraphs, epochLag := s.reg.stateStats()
 	graphBytes, graphResident := s.reg.BytesUsage()
 	gauges := []Gauge{
 		{"anyscand_graph_bytes", "Logical bytes of all registry graph storage.", float64(graphBytes)},
@@ -479,10 +484,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"anyscand_live_graphs", "Graphs with a live mutable epoch chain.", float64(liveGraphs)},
 		{"anyscand_epoch_lag", "Largest gap between a demanded epoch and the newest published one.", float64(epochLag)},
 		{"anyscand_graphs_loaded", "Graphs resident in the registry.", float64(s.reg.Len())},
-		{"anyscand_indexes_cached", "Query indexes resident in the cache.", float64(s.idx.size())},
+		{"anyscand_indexes_cached", "Query indexes resident in the cache.", float64(indexes)},
 		{"anyscand_index_cache_hit_rate", "Query-index cache hit rate.", s.met.IndexHitRate()},
 		{"anyscand_job_sim_evals", "Similarity evaluations across all jobs.", float64(s.jobs.TotalSims())},
-		{"anyscand_index_memory_bytes", "Resident query-index bytes (fresh + stale).", float64(s.idx.usedBytes())},
+		{"anyscand_index_memory_bytes", "Resident query-index bytes (fresh + stale).", float64(indexBytes)},
 		{"anyscand_admission_queue_depth", "Requests waiting in the admission queue.", float64(s.admit.sem.QueueLen())},
 	}
 	for _, st := range []JobState{JobQueued, JobRunning, JobPaused, JobDone, JobFailed, JobCanceled} {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -774,4 +775,49 @@ func TestE2EDrainKeepsQueuedJob(t *testing.T) {
 		return
 	}
 	t.Fatal("the first job finished before the drain in every attempt")
+}
+
+// TestErrorCodesIgnoreNames checks that a status comes from the kind of
+// error, not from its text: a failed load answers 400 whatever words the
+// client put in the graph's name, while the real 404, 409 and 503 answers
+// keep their codes.
+func TestErrorCodesIgnoreNames(t *testing.T) {
+	srv, c := newTestServer(t, server.ManagerConfig{Workers: 1, Logger: quietLogger()})
+	c.Retry.MaxAttempts = 1 // the draining 503 is checked, not retried
+	missing := filepath.Join(t.TempDir(), "missing.bin")
+	for _, name := range []string{"g", "already", "only x", "not found", "draining"} {
+		_, err := c.LoadGraph(tctx, server.LoadGraphRequest{Name: name, GraphSource: server.GraphSource{Path: missing}})
+		if got := apiStatus(t, err); got != http.StatusBadRequest {
+			t.Errorf("load %q from a missing file: status %d, want 400", name, got)
+		}
+	}
+
+	path := writeGraphFile(t, sharedGraph(t), t.TempDir())
+	if _, err := c.LoadGraph(tctx, server.LoadGraphRequest{Name: "g", GraphSource: server.GraphSource{Path: path}}); err != nil {
+		t.Fatal(err)
+	}
+	_, err := c.LoadGraph(tctx, server.LoadGraphRequest{Name: "g", GraphSource: server.GraphSource{Dataset: "GR01L", Scale: 0.05}})
+	if got := apiStatus(t, err); got != http.StatusConflict {
+		t.Errorf("reload from another source: status %d, want 409", got)
+	}
+	if got := apiStatus(t, c.EvictGraph(tctx, "nope")); got != http.StatusNotFound {
+		t.Errorf("evict an unknown graph: status %d, want 404", got)
+	}
+	_, err = c.JobStatus(tctx, "nope")
+	if got := apiStatus(t, err); got != http.StatusNotFound {
+		t.Errorf("status of an unknown job: %d, want 404", got)
+	}
+	_, err = c.ResumeJob(tctx, "nope")
+	if got := apiStatus(t, err); got != http.StatusNotFound {
+		t.Errorf("resume an unknown job: status %d, want 404", got)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	_, err = c.SubmitJob(tctx, slowSpec("g"))
+	if got := apiStatus(t, err); got != http.StatusServiceUnavailable {
+		t.Errorf("submit while draining: status %d, want 503", got)
+	}
 }
