@@ -177,37 +177,6 @@ func flatten(labels []int32) ([]int, int) {
 	return out, k + 1
 }
 
-// Purity returns the fraction of vertices whose cluster in a maps to the
-// majority co-cluster in b. A coarse sanity measure used in tests.
-func Purity(a, b *cluster.Result) float64 {
-	la, _ := labelsOf(a)
-	lb, kb := labelsOf(b)
-	n := len(la)
-	if n == 0 {
-		return 1
-	}
-	perCluster := make(map[int]map[int]int)
-	for i := 0; i < n; i++ {
-		m, ok := perCluster[la[i]]
-		if !ok {
-			m = make(map[int]int, kb)
-			perCluster[la[i]] = m
-		}
-		m[lb[i]]++
-	}
-	correct := 0
-	for _, m := range perCluster {
-		best := 0
-		for _, c := range m {
-			if c > best {
-				best = c
-			}
-		}
-		correct += best
-	}
-	return float64(correct) / float64(n)
-}
-
 // Modularity returns the Newman weighted modularity Q of a clustering:
 // the fraction of edge weight inside clusters minus the expectation under
 // the configuration model. Noise vertices count as singletons. Q ∈

@@ -113,15 +113,6 @@ func TestARISplitPenalty(t *testing.T) {
 	}
 }
 
-func TestPurity(t *testing.T) {
-	a := mk([]int32{0, 0, 1, 1}, 2)
-	b := mk([]int32{0, 0, 0, 1}, 2)
-	// Cluster a0 maps fully to b0 (2/2), cluster a1 majority 1 of {0,1}.
-	if got := Purity(a, b); math.Abs(got-0.75) > 1e-12 {
-		t.Errorf("Purity = %v, want 0.75", got)
-	}
-}
-
 // Property: NMI and ARI are symmetric and bounded.
 func TestMeasureProperties(t *testing.T) {
 	f := func(seed int64) bool {

@@ -55,9 +55,6 @@ func (b *Builder) AddEdge(u, v int32, w float32) {
 // AddEdgeUnweighted records (u,v) with weight 1.
 func (b *Builder) AddEdgeUnweighted(u, v int32) { b.AddEdge(u, v, 1) }
 
-// NumEdgesBuffered returns the number of (possibly duplicate) edges recorded.
-func (b *Builder) NumEdgesBuffered() int { return len(b.edges) }
-
 // Build sorts, deduplicates, symmetrizes and freezes the graph. The Builder
 // can be reused afterwards (it keeps its buffered edges).
 func (b *Builder) Build() (*CSR, error) {

@@ -354,14 +354,6 @@ func TestConnectedComponents(t *testing.T) {
 	}
 }
 
-func TestDegreeHistogram(t *testing.T) {
-	g := buildTriangle(t)
-	h := DegreeHistogram(g)
-	if len(h) != 3 || h[2] != 3 {
-		t.Fatalf("histogram = %v, want [0 0 3]", h)
-	}
-}
-
 // Property: any graph built from random edges passes Validate, and its CSR
 // invariants (sorted adjacency, weight symmetry) hold.
 func TestBuilderPropertyValid(t *testing.T) {

@@ -93,22 +93,6 @@ func intersectCount(a, b []int32) int {
 	return c
 }
 
-// DegreeHistogram returns counts[d] = number of vertices of degree d.
-func DegreeHistogram(g *CSR) []int {
-	maxD := 0
-	n := g.NumVertices()
-	for v := 0; v < n; v++ {
-		if d := g.Degree(int32(v)); d > maxD {
-			maxD = d
-		}
-	}
-	counts := make([]int, maxD+1)
-	for v := 0; v < n; v++ {
-		counts[g.Degree(int32(v))]++
-	}
-	return counts
-}
-
 // ConnectedComponents returns the number of connected components and a
 // component label per vertex (BFS over an explicit stack; no recursion).
 func ConnectedComponents(g *CSR) (int, []int32) {

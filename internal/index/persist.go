@@ -29,6 +29,12 @@ const (
 	indexVersionApprox = 2
 )
 
+// maxSigma bounds a persisted threshold. σ ≤ 1 by Cauchy–Schwarz, but
+// the exact crossing of its rounded numerator and denominator can land a
+// few ulps above 1 (every edge of a triangle gets 1+2⁻⁵²), and Build keeps
+// it; at any valid ε such a threshold means what 1 does.
+const maxSigma = 1 + 1e-9
+
 // indexKind is the frame parameterization of the persisted-index artifact.
 // The container version stays 1 for both payload versions — the envelope
 // format is unchanged; MaxPayload bounds the declared payload length so a
@@ -159,7 +165,7 @@ func restore(g graph.Graph, payload []byte, threads int) (*Index, error) {
 		return nil, fmt.Errorf("anyscan: index has %d arc thresholds, graph has %d arcs", len(p.Sigma), g.NumArcs())
 	}
 	for e, s := range p.Sigma {
-		if !(s >= 0 && s <= 1) { // also rejects NaN
+		if !(s >= 0 && s <= maxSigma) { // also rejects NaN
 			return nil, fmt.Errorf("anyscan: index arc %d threshold %v out of range [0,1]", e, s)
 		}
 	}

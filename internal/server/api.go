@@ -226,8 +226,8 @@ type QueryResponse struct {
 	CacheHit bool    `json:"cache_hit"`
 	// Stale marks a degraded-mode answer: the fresh index build failed or
 	// was shed, so the response was served from the last good index (which
-	// may describe an older generation of the graph). The response also
-	// carries an X-Anyscan-Stale: 1 header.
+	// may describe another generation of the graph with the same vertex
+	// count). The response also carries an X-Anyscan-Stale: 1 header.
 	Stale bool `json:"stale,omitempty"`
 	// Epoch is the live-graph epoch the answer was computed on; present only
 	// for graphs that have been mutated (see POST /v1/graphs/{name}/edges).

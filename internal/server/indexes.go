@@ -196,7 +196,8 @@ func (r *Registry) runBuild(ctx context.Context, g graph.Graph, delta float64) (
 }
 
 // lastGood returns the last index built under name at delta, or nil. It may
-// answer for an older generation of the graph.
+// belong to another generation of the graph, older or newer, so a caller
+// must check its vertex count against the generation it resolved.
 func (r *Registry) lastGood(name string, delta float64) *index.Index {
 	r.mu.Lock()
 	defer r.mu.Unlock()

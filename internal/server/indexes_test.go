@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http/httptest"
@@ -147,11 +148,14 @@ func generationStep(ctx context.Context, s *Server, ge *GraphEntry, op int, v in
 	n := ge.G.NumVertices()
 	check := func(rv readView) error {
 		defer rv.release()
-		if rv.stale != nil {
-			return nil // a stale answer may describe another generation by contract
-		}
 		if got := rv.view.NumVertices(); got != n {
+			if rv.stale != nil {
+				return fmt.Errorf("stale read answered with %d vertices, generation has %d", got, n)
+			}
 			return errors.New("read answered from another generation's view")
+		}
+		if rv.stale != nil {
+			return nil // a stale answer may describe another generation of the same size
 		}
 		if idx, ok := rv.view.(*index.Index); ok && idx.Graph() != ge.G {
 			return errors.New("read answered from another generation's index")

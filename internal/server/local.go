@@ -91,13 +91,6 @@ func (s *Server) serveLocal(w http.ResponseWriter, r *http.Request, ge *GraphEnt
 		s.fail(w, code, err)
 		return
 	}
-	if rv.stale != nil && vertexInRange(seed, rv.view.NumVertices()) != nil {
-		// The last good index describes an older, smaller generation of the
-		// graph: it cannot answer for this seed.
-		rv.release()
-		s.fail(w, http.StatusBadRequest, rv.stale)
-		return
-	}
 	res, queryUS, err := s.runLocal(rv.view.LocalView(eps), seed, mu, eps)
 	rv.release()
 	if err != nil {

@@ -62,9 +62,11 @@ type readView struct {
 //   - when the fresh index or the slot fails for a capacity reason (shed
 //     build or admission, expired deadline, failed rebuild) and the read
 //     carries no min_epoch bound, the last good index at that δ answers,
-//     marked stale; it may describe an older generation of the graph. A
-//     read-your-writes request never degrades: a stale answer would
-//     silently break the guarantee the client asked for.
+//     marked stale, provided it has the resolved generation's vertex count:
+//     it may describe an older or newer generation of the graph, but never
+//     arrays of another length. Otherwise the read fails with its capacity
+//     error. A read-your-writes request never degrades: a stale answer
+//     would silently break the guarantee the client asked for.
 //
 // On failure the returned code is the status to answer with (writeError
 // overrides it for overload and deadline errors).
@@ -98,7 +100,7 @@ func (s *Server) resolveView(ctx context.Context, ge *GraphEntry, approx float64
 	}
 	if err != nil {
 		if minEpoch == 0 && degradable(err) {
-			if st := s.reg.lastGood(ge.Name, approx); st != nil {
+			if st := s.reg.lastGood(ge.Name, approx); st != nil && st.NumVertices() == ge.G.NumVertices() {
 				return readView{view: st, stale: err, hit: true, approx: effectiveApprox(st), release: func() {}}, 0, nil
 			}
 		}

@@ -1,8 +1,10 @@
 package simeval
 
-import "anyscan/internal/graph"
-
-// MemoState is the resolution state of one arc's similarity.
+// MemoState is the resolution state of one arc's similarity: an
+// algorithm that memoizes the boolean outcome σ(p,q) ≥ ε per undirected
+// edge never evaluates the same pair twice. pSCAN keeps such a memo to be
+// work-optimal; for SCAN++ memo hits are the "similarity sharing"
+// evaluations plotted in Fig. 7 (counted under Counters.Shared).
 type MemoState int8
 
 // Memo states.
@@ -11,72 +13,3 @@ const (
 	Similar    MemoState = 1
 	Dissimilar MemoState = 2
 )
-
-// EdgeMemo caches the boolean outcome σ(p,q) ≥ ε per undirected edge, so an
-// algorithm never evaluates the same pair twice. pSCAN relies on this to be
-// work-optimal; for SCAN++ memo hits are the "similarity sharing"
-// evaluations plotted in Fig. 7 (counted under Counters.Shared).
-//
-// Not safe for concurrent use; the exact baselines that use it are
-// sequential, as in the paper.
-type EdgeMemo struct {
-	e     *Engine
-	g     *graph.CSR
-	state []MemoState
-	rev   []int64
-}
-
-// NewEdgeMemo builds a memo over all arcs of the engine's graph. The memo
-// needs arc-indexed lookups and the reverse-edge index, which only the flat
-// CSR backend provides, so a compressed engine graph is materialized here
-// (free when the engine already runs on a *graph.CSR).
-func NewEdgeMemo(e *Engine) *EdgeMemo {
-	g := graph.Materialize(e.G)
-	return &EdgeMemo{
-		e:     e,
-		g:     g,
-		state: make([]MemoState, g.NumArcs()),
-		rev:   g.ReverseEdgeIndex(),
-	}
-}
-
-// State returns the memoized state of arc without evaluating anything.
-func (m *EdgeMemo) State(arc int64) MemoState { return m.state[arc] }
-
-// Set records the outcome for an arc (and its reverse) resolved externally.
-func (m *EdgeMemo) Set(arc int64, similar bool) {
-	s := Dissimilar
-	if similar {
-		s = Similar
-	}
-	m.state[arc] = s
-	m.state[m.rev[arc]] = s
-}
-
-// SimilarArc reports whether σ(p, head(arc)) ≥ ε, consulting the memo first.
-// p must be the tail of arc.
-func (m *EdgeMemo) SimilarArc(p int32, arc int64) bool {
-	switch m.state[arc] {
-	case Similar:
-		m.e.C.Shared.Add(1)
-		return true
-	case Dissimilar:
-		m.e.C.Shared.Add(1)
-		return false
-	}
-	q, w := m.g.Arc(arc)
-	ok := m.e.SimilarEdge(p, q, w)
-	m.Set(arc, ok)
-	return ok
-}
-
-// Resolved returns how many undirected edges have a memoized outcome.
-func (m *EdgeMemo) Resolved() int64 {
-	var c int64
-	for _, s := range m.state {
-		if s != Unknown {
-			c++
-		}
-	}
-	return c / 2
-}

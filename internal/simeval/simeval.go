@@ -177,7 +177,7 @@ func New(g graph.Graph, eps float64, opt Options) *Engine {
 // (no early exits) so the value is exact; it still counts as one evaluation.
 func (e *Engine) Sigma(p, q int32) float64 {
 	e.C.Sims.Add(1)
-	num := e.closedDot(p, q, -1, -1)
+	num := e.closedDot(p, q)
 	return num / (e.G.SqrtNorm(p) * e.G.SqrtNorm(q))
 }
 
@@ -277,9 +277,8 @@ func (e *Engine) openDot(p, q int32) float64 {
 	return mergeDotSlices(pAdj, pW, qAdj, qW)
 }
 
-// closedDot returns the closed-neighborhood numerator. The skip arguments
-// are unused hooks kept at -1; they exist so tests can exercise the raw dot.
-func (e *Engine) closedDot(p, q int32, _, _ int64) float64 {
+// closedDot returns the closed-neighborhood numerator.
+func (e *Engine) closedDot(p, q int32) float64 {
 	acc := e.openDot(p, q)
 	// Self terms: r=p contributes w_pp·w_qp, r=q contributes w_pq·w_qq.
 	if w := e.G.EdgeWeight(p, q); w > 0 {

@@ -153,44 +153,6 @@ func TestCountersAccumulate(t *testing.T) {
 	}
 }
 
-func TestEdgeMemo(t *testing.T) {
-	g := randomWeighted(80, 400, 3)
-	e := New(g, 0.5, Options{})
-	memo := NewEdgeMemo(e)
-	// Resolve every arc twice: second pass must be pure memo hits.
-	var firstSims int64
-	for pass := 0; pass < 2; pass++ {
-		for v := int32(0); v < int32(g.NumVertices()); v++ {
-			lo, hi := g.NeighborRange(v)
-			for arc := lo; arc < hi; arc++ {
-				memo.SimilarArc(v, arc)
-			}
-		}
-		if pass == 0 {
-			firstSims = e.C.Sims.Load()
-		}
-	}
-	if e.C.Sims.Load() != firstSims {
-		t.Errorf("second pass recomputed similarities: %d → %d", firstSims, e.C.Sims.Load())
-	}
-	if e.C.Shared.Load() == 0 {
-		t.Errorf("no shared lookups counted")
-	}
-	if memo.Resolved() != g.NumEdges() {
-		t.Errorf("resolved %d edges, want %d", memo.Resolved(), g.NumEdges())
-	}
-	// Memo answers must agree with direct evaluation.
-	for v := int32(0); v < int32(g.NumVertices()); v++ {
-		lo, hi := g.NeighborRange(v)
-		for arc := lo; arc < hi; arc++ {
-			q, w := g.Arc(arc)
-			if memo.SimilarArc(v, arc) != e.SimilarEdge(v, q, w) {
-				t.Fatalf("memo disagrees with engine on (%d,%d)", v, q)
-			}
-		}
-	}
-}
-
 func randomWeighted(n, m int, seed int64) *graph.CSR {
 	rng := rand.New(rand.NewSource(seed))
 	var b graph.Builder
