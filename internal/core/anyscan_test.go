@@ -26,6 +26,66 @@ func mustCluster(t *testing.T, g *graph.CSR, o Options) (*cluster.Result, Metric
 	return res, m
 }
 
+func TestAnySCANMatchesReferenceOnFixtures(t *testing.T) {
+	configs := []struct {
+		name         string
+		threads      int
+		alpha, beta  int
+		resolveRoles bool
+	}{
+		{"seq-small-blocks", 1, 4, 4, true},
+		{"seq-big-blocks", 1, 1024, 1024, true},
+		{"par2", 2, 16, 16, true},
+		{"par4-tiny-blocks", 4, 2, 2, true},
+		{"par8", 8, 64, 64, true},
+	}
+	fixtures := []struct {
+		name string
+		g    *graph.CSR
+		mu   int
+		eps  float64
+	}{
+		{"two-triangles", testutil.TwoTriangles(), 3, 0.6},
+		{"karate-mu2", testutil.Karate(), 2, 0.5},
+		{"karate-mu3", testutil.Karate(), 3, 0.6},
+		{"karate-mu5", testutil.Karate(), 5, 0.4},
+	}
+	for _, f := range fixtures {
+		for _, cfg := range configs {
+			t.Run(f.name+"/"+cfg.name, func(t *testing.T) {
+				o := opts(f.mu, f.eps, cfg.threads, cfg.alpha, cfg.beta)
+				o.ResolveRoles = cfg.resolveRoles
+				res, _ := mustCluster(t, f.g, o)
+				if err := cluster.Validate(f.g, f.mu, f.eps, res); err != nil {
+					t.Fatalf("invalid: %v", err)
+				}
+			})
+		}
+	}
+}
+
+func TestAnySCANMatchesReferenceOnRandomGraphs(t *testing.T) {
+	count := 2
+	if testing.Short() {
+		count = 1
+	}
+	for _, tc := range testutil.RandomCases(count) {
+		for _, threads := range []int{1, 4} {
+			for _, block := range []int{7, 128, 100000} {
+				o := opts(tc.Mu, tc.Eps, threads, block, block)
+				o.ResolveRoles = true
+				res, _, err := Cluster(tc.G, o)
+				if err != nil {
+					t.Fatalf("%s: %v", tc.Name, err)
+				}
+				if err := cluster.Validate(tc.G, tc.Mu, tc.Eps, res); err != nil {
+					t.Fatalf("%s threads=%d block=%d: %v", tc.Name, threads, block, err)
+				}
+			}
+		}
+	}
+}
+
 // Without ResolveRoles the labels and noise set must still be exact; only
 // the core/border split of clustered vertices may be coarser than SCAN's.
 func TestAnySCANMembershipExactWithoutRoleResolution(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -16,8 +17,48 @@ import (
 	"anyscan/internal/cluster"
 	"anyscan/internal/gen"
 	"anyscan/internal/index"
+	"anyscan/internal/scan"
 	"anyscan/internal/testutil"
 )
+
+// TestQueryMatchesReferenceOnGrid is the equivalence suite of the query
+// index: over every random test graph and a randomized (μ, ε) grid, Query
+// must be byte-identical (after canonicalization, which Query performs) to
+// the literal reference implementation, and equivalent to batch SCAN.
+func TestQueryMatchesReferenceOnGrid(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	epsGrid := []float64{0.1, 0.3, 0.45, 0.5, 0.6, 0.75, 0.9, 1.0}
+	for _, tc := range testutil.RandomCases(1) {
+		for _, threads := range []int{1, 4} {
+			x := index.Build(tc.G, threads)
+			muValues := []int{1, 2, tc.Mu, tc.Mu + 2}
+			for _, mu := range muValues {
+				// Fixed grid plus randomized points per (graph, μ).
+				eps := append([]float64{}, epsGrid...)
+				for i := 0; i < 4; i++ {
+					eps = append(eps, 0.05+0.9*rng.Float64())
+				}
+				for _, e := range eps {
+					got, err := x.Query(mu, e)
+					if err != nil {
+						t.Fatalf("%s mu=%d eps=%v: %v", tc.Name, mu, e, err)
+					}
+					want := cluster.Reference(tc.G, mu, e)
+					if !reflect.DeepEqual(got.Labels, want.Labels) || !reflect.DeepEqual(got.Roles, want.Roles) {
+						t.Fatalf("%s threads=%d mu=%d eps=%v: Query differs from Reference", tc.Name, threads, mu, e)
+					}
+					if err := cluster.Validate(tc.G, mu, e, got); err != nil {
+						t.Fatalf("%s mu=%d eps=%v: invalid clustering: %v", tc.Name, mu, e, err)
+					}
+					scanRes, _ := scan.SCAN(tc.G, mu, e)
+					if err := cluster.Equivalent(scanRes, got); err != nil {
+						t.Fatalf("%s mu=%d eps=%v: Query not equivalent to SCAN: %v", tc.Name, mu, e, err)
+					}
+				}
+			}
+		}
+	}
+}
 
 // TestOneSigmaPassManyQueries asserts the defining property of the index:
 // exactly one σ evaluation per undirected edge at build time, zero for any

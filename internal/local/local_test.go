@@ -1,14 +1,172 @@
 package local_test
 
 import (
+	"math/rand/v2"
 	"slices"
 	"testing"
 
+	"anyscan/internal/cluster"
 	"anyscan/internal/gen"
 	"anyscan/internal/graph"
 	"anyscan/internal/index"
+	"anyscan/internal/live"
 	"anyscan/internal/local"
 )
+
+// globalQuerier is the full-clustering side of the equivalence contract:
+// both *index.Index and *live.Epoch provide it alongside local.View.
+type globalQuerier interface {
+	local.View
+	Query(mu int, eps float64) (*cluster.Result, error)
+}
+
+// verifySeed checks the byte-identical membership contract for one seed:
+// the local result's role, members, and member roles must match exactly
+// what the full query assigned the seed's component.
+func verifySeed(t *testing.T, v globalQuerier, global *cluster.Result, seed int32, mu int, eps float64) {
+	t.Helper()
+	lr, err := local.Query(v, seed, mu, eps)
+	if err != nil {
+		t.Fatalf("local.Query(seed=%d, mu=%d, eps=%g): %v", seed, mu, eps, err)
+	}
+	if lr.Role != global.Roles[seed] {
+		t.Fatalf("seed %d at (mu=%d, eps=%g): local role %v, global role %v",
+			seed, mu, eps, lr.Role, global.Roles[seed])
+	}
+	if lr.Touched < 1 || lr.Touched > v.NumVertices() {
+		t.Fatalf("seed %d: implausible touched count %d (n=%d)", seed, lr.Touched, v.NumVertices())
+	}
+	label := global.Labels[seed]
+	if label == cluster.NoLabel {
+		if len(lr.Members) != 0 {
+			t.Fatalf("seed %d is noise globally but local returned %d members", seed, len(lr.Members))
+		}
+		return
+	}
+	want := global.Members(label)
+	if !slices.Equal(lr.Members, want) {
+		t.Fatalf("seed %d at (mu=%d, eps=%g): local members %v != global cluster %v",
+			seed, mu, eps, lr.Members, want)
+	}
+	for i, m := range lr.Members {
+		if lr.Roles[i] != global.Roles[m] {
+			t.Fatalf("seed %d: member %d local role %v, global role %v",
+				seed, m, lr.Roles[i], global.Roles[m])
+		}
+	}
+}
+
+// seedsFor picks a randomized-but-covering seed set: a sample of random
+// vertices plus the first vertex of every role present at this (μ, ε), so
+// the core/border/hub/outlier paths are all exercised whenever they exist.
+func seedsFor(rng *rand.Rand, global *cluster.Result, sample int) []int32 {
+	n := global.N()
+	seeds := make([]int32, 0, sample+4)
+	for i := 0; i < sample; i++ {
+		seeds = append(seeds, int32(rng.IntN(n)))
+	}
+	for _, want := range []cluster.Role{cluster.Core, cluster.Border, cluster.Hub, cluster.Outlier} {
+		for v := 0; v < n; v++ {
+			if global.Roles[v] == want {
+				seeds = append(seeds, int32(v))
+				break
+			}
+		}
+	}
+	slices.Sort(seeds)
+	return slices.Compact(seeds)
+}
+
+func testGraphs(t *testing.T) map[string]*graph.CSR {
+	t.Helper()
+	var wc gen.WeightConfig
+	return map[string]*graph.CSR{
+		"planted": gen.PlantedPartition(300, 6, 0.5, 0.01, wc, 1),
+		"er":      gen.ErdosRenyi(200, 900, wc, 2),
+		"ba":      gen.BarabasiAlbert(250, 3, wc, 3),
+	}
+}
+
+// TestLocalMatchesGlobal is the core property test of this package: on a
+// randomized (μ, ε, seed) grid over several graph families, local.Query
+// must reproduce exactly the community full index.Query assigns the seed.
+func TestLocalMatchesGlobal(t *testing.T) {
+	for name, g := range testGraphs(t) {
+		t.Run(name, func(t *testing.T) {
+			x := index.Build(g, 2)
+			rng := rand.New(rand.NewPCG(7, 11))
+			for _, mu := range []int{1, 2, 3, 5} {
+				for _, eps := range []float64{0.2, 0.4, 0.6, 0.8} {
+					global, err := x.Query(mu, eps)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, seed := range seedsFor(rng, global, 20) {
+						verifySeed(t, x, global, seed, mu, eps)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestLocalCompressedBackend runs the same contract over an index built on
+// the varint-compressed graph backend: NeighborOrder/CoreThreshold are
+// backend-independent, so results must not change.
+func TestLocalCompressedBackend(t *testing.T) {
+	g := gen.PlantedPartition(240, 5, 0.5, 0.02, gen.WeightConfig{}, 4)
+	x := index.Build(graph.Compress(g), 2)
+	rng := rand.New(rand.NewPCG(3, 9))
+	for _, mu := range []int{2, 4} {
+		for _, eps := range []float64{0.3, 0.5, 0.7} {
+			global, err := x.Query(mu, eps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, seed := range seedsFor(rng, global, 12) {
+				verifySeed(t, x, global, seed, mu, eps)
+			}
+		}
+	}
+}
+
+// TestLocalLiveEpoch checks the contract against a mutated live epoch: the
+// epoch satisfies local.View, and local results must match Epoch.Query
+// after batches of edge mutations.
+func TestLocalLiveEpoch(t *testing.T) {
+	g := gen.ErdosRenyi(150, 600, gen.WeightConfig{}, 5)
+	lg := live.FromIndex(index.Build(g, 1))
+	rng := rand.New(rand.NewPCG(13, 17))
+	for batch := 0; batch < 3; batch++ {
+		muts := make([]live.Mutation, 0, 12)
+		for i := 0; i < 12; i++ {
+			u, v := int32(rng.IntN(150)), int32(rng.IntN(150))
+			if u == v {
+				continue
+			}
+			if rng.IntN(3) == 0 {
+				muts = append(muts, live.Mutation{Op: live.OpDelete, U: u, V: v})
+			} else {
+				muts = append(muts, live.Mutation{Op: live.OpAdd, U: u, V: v, W: 1})
+			}
+		}
+		if _, _, err := lg.Apply(muts); err != nil {
+			t.Fatal(err)
+		}
+		ep := lg.Epoch()
+		for _, mu := range []int{2, 3} {
+			for _, eps := range []float64{0.3, 0.6} {
+				global, err := ep.Query(mu, eps)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, seed := range seedsFor(rng, global, 10) {
+					verifySeed(t, ep, global, seed, mu, eps)
+				}
+			}
+		}
+	}
+}
 
 // TestLocalOutputProportional pins the cost bound on a graph built for it:
 // two 8-cliques inside a 500-vertex graph of otherwise isolated vertices.

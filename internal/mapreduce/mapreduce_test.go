@@ -6,6 +6,7 @@ import (
 
 	"anyscan/internal/cluster"
 	"anyscan/internal/graph"
+	"anyscan/internal/testutil"
 )
 
 func TestRoundWordCount(t *testing.T) {
@@ -45,6 +46,34 @@ func TestRoundEmptyInput(t *testing.T) {
 	}
 }
 
+func TestPSCANMRMatchesReference(t *testing.T) {
+	for _, tc := range testutil.RandomCases(1) {
+		for _, workers := range []int{1, 4} {
+			res, stats, _ := PSCANMR(tc.G, tc.Mu, tc.Eps, workers)
+			if err := cluster.Validate(tc.G, tc.Mu, tc.Eps, res); err != nil {
+				t.Fatalf("%s workers=%d: %v", tc.Name, workers, err)
+			}
+			if stats.Rounds < 3 {
+				t.Fatalf("%s: suspiciously few rounds (%d)", tc.Name, stats.Rounds)
+			}
+		}
+	}
+}
+
+func TestPSCANMRAgreesWithSCANOnFixtures(t *testing.T) {
+	g := testutil.TwoTriangles()
+	res, stats, _ := PSCANMR(g, 3, 0.6, 2)
+	if res.NumClusters != 2 {
+		t.Fatalf("clusters = %d, want 2", res.NumClusters)
+	}
+	if err := cluster.Validate(g, 3, 0.6, res); err != nil {
+		t.Fatal(err)
+	}
+	if stats.ShuffledKVs == 0 {
+		t.Fatal("no shuffle traffic recorded")
+	}
+}
+
 func TestPSCANMRRoundsGrowWithDiameter(t *testing.T) {
 	// A long path of overlapping triangles: the core-core similar graph is
 	// a chain, so min-label propagation needs ~length rounds — the
@@ -62,9 +91,6 @@ func TestPSCANMRRoundsGrowWithDiameter(t *testing.T) {
 	_, stats, _ := PSCANMR(g, 2, 0.5, 2)
 	if stats.Rounds < 10 {
 		t.Fatalf("chain of %d segments finished in %d rounds; label propagation should need many", segments, stats.Rounds)
-	}
-	if stats.ShuffledKVs == 0 {
-		t.Fatal("no shuffle traffic recorded")
 	}
 	res, _, _ := PSCANMR(g, 2, 0.5, 2)
 	if err := cluster.Validate(g, 2, 0.5, res); err != nil {

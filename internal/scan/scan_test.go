@@ -5,8 +5,71 @@ import (
 
 	"anyscan/internal/cluster"
 	"anyscan/internal/eval"
+	"anyscan/internal/graph"
 	"anyscan/internal/testutil"
 )
+
+// algorithms under test, all of which must be exact.
+var algorithms = []struct {
+	name string
+	run  func(g *graph.CSR, mu int, eps float64) (*cluster.Result, Metrics)
+}{
+	{"SCAN", func(g *graph.CSR, mu int, eps float64) (*cluster.Result, Metrics) { return SCAN(g, mu, eps) }},
+	{"SCAN-B", func(g *graph.CSR, mu int, eps float64) (*cluster.Result, Metrics) { return SCANB(g, mu, eps) }},
+	{"pSCAN", PSCAN},
+	{"SCAN++", SCANPP},
+}
+
+func TestAlgorithmsMatchReferenceOnFixtures(t *testing.T) {
+	fixtures := []struct {
+		name string
+		g    *graph.CSR
+		mu   int
+		eps  float64
+	}{
+		{"two-triangles", testutil.TwoTriangles(), 3, 0.6},
+		{"karate-mu2", testutil.Karate(), 2, 0.5},
+		{"karate-mu3", testutil.Karate(), 3, 0.6},
+		{"karate-mu5", testutil.Karate(), 5, 0.4},
+	}
+	for _, f := range fixtures {
+		for _, a := range algorithms {
+			t.Run(f.name+"/"+a.name, func(t *testing.T) {
+				res, _ := a.run(f.g, f.mu, f.eps)
+				if err := cluster.Validate(f.g, f.mu, f.eps, res); err != nil {
+					t.Fatalf("%s invalid on %s: %v", a.name, f.name, err)
+				}
+			})
+		}
+	}
+}
+
+func TestAlgorithmsMatchReferenceOnRandomGraphs(t *testing.T) {
+	count := 2
+	if testing.Short() {
+		count = 1
+	}
+	for _, tc := range testutil.RandomCases(count) {
+		for _, a := range algorithms {
+			res, _ := a.run(tc.G, tc.Mu, tc.Eps)
+			if err := cluster.Validate(tc.G, tc.Mu, tc.Eps, res); err != nil {
+				t.Fatalf("%s invalid on %s: %v", a.name, tc.Name, err)
+			}
+		}
+	}
+}
+
+func TestAlgorithmsAgreePairwise(t *testing.T) {
+	for _, tc := range testutil.RandomCases(1) {
+		base, _ := SCAN(tc.G, tc.Mu, tc.Eps)
+		for _, a := range algorithms[1:] {
+			res, _ := a.run(tc.G, tc.Mu, tc.Eps)
+			if err := cluster.Equivalent(base, res); err != nil {
+				t.Fatalf("%s disagrees with SCAN on %s: %v", a.name, tc.Name, err)
+			}
+		}
+	}
+}
 
 func TestTwoTrianglesKnownClustering(t *testing.T) {
 	g := testutil.TwoTriangles()
@@ -49,17 +112,8 @@ func TestHubDetection(t *testing.T) {
 func TestWorkOrdering(t *testing.T) {
 	// pSCAN must not do more similarity evaluations than SCAN; SCAN must
 	// evaluate each arc exactly once per side (2|E| total since every
-	// vertex is range-queried exactly once); ParallelSCAN evaluates (or
-	// prunes) each undirected edge once, at any thread count.
-	for i, tc := range testutil.RandomCases(1) {
-		for _, threads := range []int{1, 4} {
-			if _, m := ParallelSCAN(tc.G, tc.Mu, tc.Eps, threads); m.Sim.Sims+m.Sim.Pruned != tc.G.NumEdges() {
-				t.Errorf("%s threads=%d: ParallelSCAN work %d != |E| %d", tc.Name, threads, m.Sim.Sims+m.Sim.Pruned, tc.G.NumEdges())
-			}
-		}
-		if i >= 4 {
-			continue
-		}
+	// vertex is range-queried exactly once).
+	for _, tc := range testutil.RandomCases(1)[:4] {
 		_, mScan := SCAN(tc.G, tc.Mu, tc.Eps)
 		_, mPscan := PSCAN(tc.G, tc.Mu, tc.Eps)
 		if want := tc.G.NumArcs(); mScan.Sim.Sims != want {
@@ -78,6 +132,22 @@ func TestIdealEvaluatesEveryEdge(t *testing.T) {
 		m := Ideal(g, 0.5, threads)
 		if m.Sim.Sims != g.NumEdges() {
 			t.Errorf("threads=%d: sims = %d, want %d", threads, m.Sim.Sims, g.NumEdges())
+		}
+	}
+}
+
+func TestParallelSCANMatchesReference(t *testing.T) {
+	for _, tc := range testutil.RandomCases(1) {
+		for _, threads := range []int{1, 4} {
+			res, m := ParallelSCAN(tc.G, tc.Mu, tc.Eps, threads)
+			if err := cluster.Validate(tc.G, tc.Mu, tc.Eps, res); err != nil {
+				t.Fatalf("%s threads=%d: %v", tc.Name, threads, err)
+			}
+			// One evaluation (or prune) per undirected edge, regardless of
+			// thread count.
+			if work := m.Sim.Sims + m.Sim.Pruned; work != tc.G.NumEdges() {
+				t.Fatalf("%s: work %d != |E| %d", tc.Name, work, tc.G.NumEdges())
+			}
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -13,6 +14,7 @@ import (
 
 	"anyscan/internal/cluster"
 	"anyscan/internal/gen"
+	"anyscan/internal/graph"
 	"anyscan/internal/server"
 )
 
@@ -32,6 +34,36 @@ func expectedLocal(a *server.Assignments, seed int32) (role string, members serv
 		}
 	}
 	return role, members, roles
+}
+
+// checkLocalAgainstGlobal fetches /v1/local for seed and fails unless it
+// matches the global assignment-derived expectation exactly.
+func checkLocalAgainstGlobal(t *testing.T, c *server.Client, name string, a *server.Assignments, seed int32, mu int, eps float64) {
+	t.Helper()
+	lr, err := c.Local(tctx, name, seed, mu, eps, true)
+	if err != nil {
+		t.Fatalf("%s: local(seed=%d, mu=%d, eps=%g): %v", name, seed, mu, eps, err)
+	}
+	wantRole, wantMembers, wantRoles := expectedLocal(a, seed)
+	if lr.Role != wantRole {
+		t.Fatalf("%s: seed %d at (μ=%d, ε=%g): local role %q, global says %q",
+			name, seed, mu, eps, lr.Role, wantRole)
+	}
+	if !reflect.DeepEqual(lr.Members, wantMembers) {
+		t.Fatalf("%s: seed %d at (μ=%d, ε=%g): local members diverge from global (%d vs %d vertices)",
+			name, seed, mu, eps, len(lr.Members), len(wantMembers))
+	}
+	if !reflect.DeepEqual(lr.Roles, wantRoles) {
+		t.Fatalf("%s: seed %d at (μ=%d, ε=%g): local member roles diverge from global",
+			name, seed, mu, eps)
+	}
+	if lr.Size != len(wantMembers) {
+		t.Fatalf("%s: seed %d: size %d but %d members", name, seed, lr.Size, len(wantMembers))
+	}
+	if lr.Touched <= 0 || lr.Touched > len(a.Labels) {
+		t.Fatalf("%s: seed %d: implausible touched count %d (graph has %d vertices)",
+			name, seed, lr.Touched, len(a.Labels))
+	}
 }
 
 // seedGrid picks a deterministic but varied seed set for one (μ, ε) cell:
@@ -59,6 +91,54 @@ func seedGrid(rng *rand.Rand, a *server.Assignments, sample int) []int32 {
 		}
 	}
 	return seeds
+}
+
+// TestE2ELocalMatchesGlobalAcrossBackends is the end-to-end equivalence
+// gauntlet of the local-query tentpole: the same graph served from the flat
+// CSR, the in-memory compressed backend, and an mmap-backed .csrz file must
+// all answer /v1/local byte-identically to the membership the full /v1/query
+// assignment vector implies — across a randomized (μ, ε, seed) grid.
+func TestE2ELocalMatchesGlobalAcrossBackends(t *testing.T) {
+	g, _, err := gen.LFR(gen.DefaultLFR(2500, 9, 19))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	flatPath := writeGraphFile(t, g, dir)
+	zPath := filepath.Join(dir, "graph.csrz")
+	if err := graph.Compress(g).WriteCompressedFile(zPath); err != nil {
+		t.Fatal(err)
+	}
+
+	_, c := newTestServer(t, server.ManagerConfig{Workers: 1, Logger: quietLogger()})
+	backends := []struct {
+		name string
+		src  server.GraphSource
+	}{
+		{"flat", server.GraphSource{Path: flatPath}},
+		{"packed", server.GraphSource{Path: flatPath, Format: server.FormatCompressed}},
+		{"mmap", server.GraphSource{Path: zPath}},
+	}
+	for _, b := range backends {
+		if _, err := c.LoadGraph(tctx, server.LoadGraphRequest{Name: b.name, GraphSource: b.src}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(77))
+	for i := 0; i < 4; i++ {
+		mu := 2 + rng.Intn(5)
+		eps := 0.25 + 0.5*rng.Float64()
+		for _, b := range backends {
+			global, err := c.Query(tctx, b.name, mu, eps, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, seed := range seedGrid(rng, global.Assignments, 6) {
+				checkLocalAgainstGlobal(t, c, b.name, global.Assignments, seed, mu, eps)
+			}
+		}
+	}
 }
 
 // TestE2ELocalMinEpochAfterMutations interleaves edge mutations with local

@@ -13,6 +13,35 @@ import (
 	"anyscan/internal/unionfind"
 )
 
+func TestExplorerMatchesReference(t *testing.T) {
+	epsValues := []float64{0.1, 0.3, 0.45, 0.5, 0.6, 0.75, 0.9, 1.0}
+	for _, tc := range testutil.RandomCases(1) {
+		for _, mu := range []int{1, 2, tc.Mu} {
+			for _, threads := range []int{1, 4} {
+				ex, err := NewExplorer(tc.G, mu, threads)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, eps := range epsValues {
+					got := ex.ClusteringAt(eps)
+					want := cluster.Reference(tc.G, mu, eps)
+					if err := cluster.Equivalent(want, got); err != nil {
+						t.Fatalf("%s mu=%d threads=%d eps=%v: %v", tc.Name, mu, threads, eps, err)
+					}
+					// The explorer's deterministic border rule matches the
+					// reference exactly, so demand full label equality.
+					for v := 0; v < got.N(); v++ {
+						if got.Labels[v] != want.Labels[v] || got.Roles[v] != want.Roles[v] {
+							t.Fatalf("%s mu=%d eps=%v vertex %d: got (%v,%d) want (%v,%d)",
+								tc.Name, mu, eps, v, got.Roles[v], got.Labels[v], want.Roles[v], want.Labels[v])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestExplorerOneSigmaPerEdge(t *testing.T) {
 	g := testutil.Karate()
 	ex, err := NewExplorer(g, 3, 2)
