@@ -3,13 +3,12 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
-	"os"
 	"path/filepath"
 	"strings"
 	"time"
 
 	"anyscan"
+	"anyscan/internal/frame"
 	igraph "anyscan/internal/graph"
 )
 
@@ -59,7 +58,8 @@ func graphConvert(args []string) {
 	loadTime := time.Since(start)
 
 	start = time.Now()
-	switch ext := strings.ToLower(filepath.Ext(*output)); ext {
+	write := g.WriteEdgeList
+	switch strings.ToLower(filepath.Ext(*output)) {
 	case ".csrz":
 		c := anyscan.CompressGraph(g)
 		if err := c.WriteCompressedFile(*output); err != nil {
@@ -84,13 +84,11 @@ func graphConvert(args []string) {
 			100*float64(c.Bytes())/float64(raw))
 		return
 	case ".bin":
-		err = writeGraphAtomic(*output, g.WriteBinary)
+		write = g.WriteBinary
 	case ".metis", ".graph":
-		err = writeGraphAtomic(*output, g.WriteMETIS)
-	default:
-		err = writeGraphAtomic(*output, g.WriteEdgeList)
+		write = g.WriteMETIS
 	}
-	if err != nil {
+	if err := frame.Publish(*output, "graph", write); err != nil {
 		fatal(err)
 	}
 	fmt.Printf("converted in %v (load %v): %d vertices, %d edges -> %s\n",
@@ -121,24 +119,6 @@ func graphInfo(args []string) {
 	}); ok {
 		fmt.Printf("bytes:    %s (%s resident)\n", byteCount(s.Bytes()), byteCount(s.ResidentBytes()))
 	}
-}
-
-// writeGraphAtomic writes via temp file + rename so an interrupted convert
-// never leaves a truncated destination.
-func writeGraphAtomic(path string, write func(w io.Writer) error) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".convert-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if err := write(tmp); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
 }
 
 func byteCount(b int64) string {

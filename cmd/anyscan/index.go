@@ -3,12 +3,13 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
+	"io"
 	"strconv"
 	"strings"
 	"time"
 
 	"anyscan"
+	"anyscan/internal/frame"
 	igraph "anyscan/internal/graph"
 )
 
@@ -167,15 +168,14 @@ func indexLocal(args []string) {
 		fmt.Println()
 	}
 	if *output != "" {
-		f, err := os.Create(*output)
+		err := frame.Publish(*output, "members", func(w io.Writer) error {
+			fmt.Fprintln(w, "# vertex role")
+			for i, m := range res.Members {
+				fmt.Fprintf(w, "%d %s\n", orig(m), res.Roles[i])
+			}
+			return nil
+		})
 		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintln(f, "# vertex role")
-		for i, m := range res.Members {
-			fmt.Fprintf(f, "%d %s\n", orig(m), res.Roles[i])
-		}
-		if err := f.Close(); err != nil {
 			fatal(err)
 		}
 		fmt.Println("wrote", *output)

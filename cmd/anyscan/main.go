@@ -39,6 +39,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strconv"
@@ -47,7 +48,9 @@ import (
 	"time"
 
 	"anyscan"
+	"anyscan/internal/core"
 	"anyscan/internal/datasets"
+	"anyscan/internal/frame"
 	igraph "anyscan/internal/graph"
 )
 
@@ -187,10 +190,7 @@ func runAnySCAN(ctx context.Context, stop context.CancelFunc, g *anyscan.Graph, 
 		opts.Mu, opts.Eps = cfg.mu, cfg.eps
 		alpha, beta := cfg.alpha, cfg.beta
 		if alpha <= 0 {
-			alpha = g.NumVertices() / 128
-			if alpha < 128 {
-				alpha = 128
-			}
+			alpha = core.AutoBlock(g.NumVertices())
 		}
 		if beta <= 0 {
 			beta = alpha
@@ -224,7 +224,7 @@ func runAnySCAN(ctx context.Context, stop context.CancelFunc, g *anyscan.Graph, 
 		}
 		iter++
 		if cfg.checkpointEvery > 0 && time.Since(lastCkpt) >= cfg.checkpointEvery {
-			if err := saveCheckpoint(c, cfg.checkpoint); err != nil {
+			if err := c.SaveCheckpointFile(cfg.checkpoint); err != nil {
 				fatal(err)
 			}
 			lastCkpt = time.Now()
@@ -253,18 +253,11 @@ func runAnySCAN(ctx context.Context, stop context.CancelFunc, g *anyscan.Graph, 
 	return res
 }
 
-// saveCheckpoint writes a checkpoint durably: SaveCheckpointFile stages the
-// frame in a temp file, fsyncs and atomically renames it over path, so a
-// crash mid-save never destroys the previous checkpoint.
-func saveCheckpoint(c *anyscan.Clusterer, path string) error {
-	return c.SaveCheckpointFile(path)
-}
-
 func writeCheckpointIfConfigured(c *anyscan.Clusterer, path string) {
 	if path == "" {
 		return
 	}
-	if err := saveCheckpoint(c, path); err != nil {
+	if err := c.SaveCheckpointFile(path); err != nil {
 		fatal(err)
 	}
 	fmt.Printf("checkpoint written to %s (resume with -resume %s)\n", path, path)
@@ -376,24 +369,17 @@ func load(input, dataset string, scale float64) (*anyscan.Graph, []int64, error)
 }
 
 func writeResult(path string, res *anyscan.Result, ids []int64) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	w := bufio.NewWriter(f)
-	fmt.Fprintln(w, "# vertex cluster role")
-	for v := 0; v < res.N(); v++ {
-		id := int64(v)
-		if ids != nil {
-			id = ids[v]
+	return frame.Publish(path, "result", func(w io.Writer) error {
+		fmt.Fprintln(w, "# vertex cluster role")
+		for v := 0; v < res.N(); v++ {
+			id := int64(v)
+			if ids != nil {
+				id = ids[v]
+			}
+			fmt.Fprintf(w, "%d %d %s\n", id, res.Labels[v], res.Roles[v])
 		}
-		fmt.Fprintf(w, "%d %d %s\n", id, res.Labels[v], res.Roles[v])
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	return f.Close()
+		return nil
+	})
 }
 
 func fatal(err error) {

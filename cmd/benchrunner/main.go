@@ -20,6 +20,7 @@ import (
 
 	"anyscan/internal/bench"
 	"anyscan/internal/datasets"
+	"anyscan/internal/frame"
 )
 
 func main() {
@@ -197,16 +198,7 @@ func writeJSONReport(cfg bench.Config, datasetCSV, path, goBenchPath string, wri
 		fmt.Fprintf(cfg.Out, "\nwrote %s (%d records)\n", path, len(rep.Records))
 	}
 	if goBenchPath != "" {
-		f, err := os.Create(goBenchPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchrunner:", err)
-			os.Exit(1)
-		}
-		if err := rep.WriteGoBench(f); err != nil {
-			fmt.Fprintln(os.Stderr, "benchrunner:", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
+		if err := frame.Publish(goBenchPath, "go-bench report", rep.WriteGoBench); err != nil {
 			fmt.Fprintln(os.Stderr, "benchrunner:", err)
 			os.Exit(1)
 		}

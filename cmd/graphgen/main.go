@@ -17,6 +17,7 @@ import (
 
 	"anyscan"
 	"anyscan/internal/datasets"
+	"anyscan/internal/frame"
 )
 
 func main() {
@@ -118,23 +119,14 @@ func main() {
 			100*float64(c.Bytes())/float64(g.Bytes()))
 		return
 	}
-	f, err := os.Create(*out)
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
+	write := g.WriteEdgeList
 	switch {
 	case strings.HasSuffix(*out, ".bin"):
-		err = g.WriteBinary(f)
+		write = g.WriteBinary
 	case strings.HasSuffix(*out, ".metis"), strings.HasSuffix(*out, ".graph"):
-		err = g.WriteMETIS(f)
-	default:
-		err = g.WriteEdgeList(f)
+		write = g.WriteMETIS
 	}
-	if err == nil {
-		err = f.Close()
-	}
-	if err != nil {
+	if err := frame.Publish(*out, "graph", write); err != nil {
 		fatal(err)
 	}
 	fmt.Println("wrote", *out)

@@ -135,23 +135,13 @@ func (cfg Config) anyOpts(g *graph.CSR, threads int) core.Options {
 	o.Mu, o.Eps = cfg.Mu, cfg.Eps
 	o.Alpha, o.Beta = cfg.Alpha, cfg.Beta
 	if o.Alpha <= 0 {
-		o.Alpha = autoBlock(g)
+		o.Alpha = core.AutoBlock(g.NumVertices())
 	}
 	if o.Beta <= 0 {
-		o.Beta = autoBlock(g)
+		o.Beta = core.AutoBlock(g.NumVertices())
 	}
 	o.Threads = threads
 	return o
-}
-
-// autoBlock is the default block size for a graph: ~0.8% of the vertices,
-// floored at 128.
-func autoBlock(g *graph.CSR) int {
-	b := g.NumVertices() / 128
-	if b < 128 {
-		b = 128
-	}
-	return b
 }
 
 func (cfg Config) load(name string) (*graph.CSR, error) {

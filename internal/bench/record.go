@@ -3,11 +3,12 @@ package bench
 import (
 	"encoding/json"
 	"fmt"
-	"os"
+	"io"
 	"runtime"
 	"slices"
 	"time"
 
+	"anyscan/internal/frame"
 	"anyscan/internal/graph"
 	"anyscan/internal/index"
 )
@@ -232,7 +233,10 @@ func (rep Report) WriteJSON(path string) error {
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o666)
+	return frame.Publish(path, "bench report", func(w io.Writer) error {
+		_, err := w.Write(append(data, '\n'))
+		return err
+	})
 }
 
 // DefaultJSONPath returns the conventional report file name for the date.

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"anyscan/internal/core"
 	"anyscan/internal/datasets"
 	"anyscan/internal/graph"
 )
@@ -42,16 +43,16 @@ func TestSparkline(t *testing.T) {
 
 func TestAutoBlockAndHelpers(t *testing.T) {
 	small := datasetsMustLoad(t, "GR01L", 0.05)
-	if b := autoBlock(small); b != 128 {
+	if b := core.AutoBlock(small.NumVertices()); b != 128 {
 		t.Fatalf("small graph auto block = %d, want floor 128", b)
 	}
 	big := datasetsMustLoad(t, "GR02L", 1.0)
-	if b := autoBlock(big); b != big.NumVertices()/128 {
+	if b := core.AutoBlock(big.NumVertices()); b != big.NumVertices()/128 {
 		t.Fatalf("big graph auto block = %d, want |V|/128", b)
 	}
 	cfg := DefaultConfig(nil)
 	o := cfg.anyOpts(big, 3)
-	if o.Threads != 3 || o.Alpha != autoBlock(big) || o.Beta != autoBlock(big) {
+	if o.Threads != 3 || o.Alpha != core.AutoBlock(big.NumVertices()) || o.Beta != core.AutoBlock(big.NumVertices()) {
 		t.Fatalf("anyOpts wiring wrong: %+v", o)
 	}
 	cfg.Alpha, cfg.Beta = 77, 88

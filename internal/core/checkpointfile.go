@@ -1,73 +1,20 @@
 package core
 
 import (
-	"bufio"
 	"fmt"
 	"os"
-	"path/filepath"
 
-	"anyscan/internal/faultinject"
+	"anyscan/internal/frame"
 	"anyscan/internal/graph"
 )
 
-// SaveCheckpointFile writes a checkpoint to path crash-safely: the frame is
-// written to a temporary file in the same directory, flushed and fsynced,
-// and then atomically renamed over path (the directory is fsynced too, so
-// the rename itself survives a crash). At every instant either the previous
-// checkpoint or the complete new one exists under path — a crash mid-save
-// can never destroy the last good checkpoint. On error the temporary file
-// is removed and path is untouched.
-func (c *Clusterer) SaveCheckpointFile(path string) (err error) {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("anyscan: creating checkpoint temp file: %w", err)
-	}
-	tmpName := tmp.Name()
-	defer func() {
-		if err != nil {
-			tmp.Close()
-			os.Remove(tmpName)
-		}
-	}()
-
-	bw := bufio.NewWriterSize(tmp, 1<<20)
-	if err = c.SaveCheckpoint(bw); err != nil {
-		return err
-	}
-	if err = faultinject.Hit("checkpoint.write"); err != nil {
-		return fmt.Errorf("anyscan: writing checkpoint %s: %w", tmpName, err)
-	}
-	if err = bw.Flush(); err != nil {
-		return fmt.Errorf("anyscan: flushing checkpoint %s: %w", tmpName, err)
-	}
-	if err = tmp.Sync(); err == nil {
-		err = faultinject.Hit("checkpoint.sync")
-	}
-	if err != nil {
-		return fmt.Errorf("anyscan: syncing checkpoint %s: %w", tmpName, err)
-	}
-	if err = tmp.Close(); err != nil {
-		return fmt.Errorf("anyscan: closing checkpoint %s: %w", tmpName, err)
-	}
-	if err = faultinject.Hit("checkpoint.rename"); err == nil {
-		err = os.Rename(tmpName, path)
-	}
-	if err != nil {
-		return fmt.Errorf("anyscan: publishing checkpoint %s: %w", path, err)
-	}
-	syncDir(dir) // best effort: not all filesystems support directory fsync
-	return nil
-}
-
-// syncDir fsyncs a directory so a just-completed rename is durable.
-func syncDir(dir string) {
-	d, err := os.Open(dir)
-	if err != nil {
-		return
-	}
-	d.Sync()
-	d.Close()
+// SaveCheckpointFile writes a checkpoint to path crash-safely with
+// frame.Publish: at every instant either the previous checkpoint or the
+// complete new one exists under path, so a crash mid-save can never destroy
+// the last good checkpoint. On error path is untouched. The fault points
+// are "checkpoint.write", "checkpoint.sync" and "checkpoint.rename".
+func (c *Clusterer) SaveCheckpointFile(path string) error {
+	return frame.Publish(path, checkpointKind.Name, c.SaveCheckpoint)
 }
 
 // LoadCheckpointFile opens path and reconstructs the suspended run over g

@@ -90,6 +90,11 @@ func DefaultOptions() Options {
 	}
 }
 
+// AutoBlock is the automatic block size for a graph of n vertices,
+// max(128, n/128): the paper's α = β = 8192 relative to its 1M–5M-vertex
+// graphs, kept well below 1% of |V| on small ones.
+func AutoBlock(n int) int { return max(128, n/128) }
+
 func (o *Options) validate() error {
 	if o.Mu < 1 {
 		return fmt.Errorf("anyscan: Mu must be >= 1, got %d", o.Mu)

@@ -15,16 +15,26 @@
 // and the CRC detects any bit-level corruption of the payload. Integrity of
 // the header itself is implied: a corrupted magic/version fails those
 // checks, a corrupted length or CRC fails the truncation or checksum check.
+//
+// Publish is the one code path that writes a file in this module: framed
+// artifacts through Kind.WriteFile, and every other output (job manifests,
+// converted and generated graphs, CLI results, benchmark reports) directly.
 package frame
 
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"strconv"
+
+	"anyscan/internal/faultinject"
 )
 
 // headerSize is the fixed frame header length in bytes.
@@ -100,44 +110,75 @@ func (k Kind) Read(r io.Reader) ([]byte, error) {
 	return payload, nil
 }
 
-// WriteFile frames payload and publishes it to path crash-safely: the frame
-// is written to a temporary file in the same directory, flushed and fsynced,
-// and then atomically renamed over path (the directory is fsynced too, so
-// the rename itself survives a crash). At every instant either the previous
-// file or the complete new one exists under path. On error the temporary
-// file is removed and path is untouched.
-func (k Kind) WriteFile(path string, payload []byte) (err error) {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
+// WriteFile frames payload and publishes it to path with Publish, under
+// the fault points k.Name+".write", ".sync" and ".rename".
+func (k Kind) WriteFile(path string, payload []byte) error {
+	return Publish(path, k.Name, func(w io.Writer) error { return k.Write(w, payload) })
+}
+
+// Publish is the one way this module writes a file, so that a crash never
+// leaves it torn: write fills a buffered temporary file beside path, which is
+// flushed, fsynced and renamed over path, and then the directory is fsynced
+// so the rename itself survives a crash. At every instant either the previous
+// file or the complete new one exists under path. On any error the temporary
+// file is removed and path is untouched. The file gets the mode os.Create
+// gives, 0666 less the umask. The writer handed to write is a bufio.Writer,
+// so a write error also fails the flush that follows. name labels errors
+// and the fault points name+".write" (after write, before the final flush),
+// name+".sync" (after the fsync) and name+".rename" (before the rename).
+func Publish(path, name string, write func(io.Writer) error) (err error) {
+	f, err := createTemp(path)
 	if err != nil {
-		return fmt.Errorf("anyscan: creating %s temp file: %w", k.Name, err)
+		return fmt.Errorf("anyscan: creating %s temp file: %w", name, err)
 	}
-	tmpName := tmp.Name()
+	tmp := f.Name()
 	defer func() {
 		if err != nil {
-			tmp.Close()
-			os.Remove(tmpName)
+			f.Close()
+			os.Remove(tmp)
 		}
 	}()
 
-	bw := bufio.NewWriterSize(tmp, 1<<20)
-	if err = k.Write(bw, payload); err != nil {
-		return err
+	bw := bufio.NewWriter(f)
+	if err = write(bw); err == nil {
+		err = faultinject.Hit(name + ".write")
 	}
-	if err = bw.Flush(); err != nil {
-		return fmt.Errorf("anyscan: flushing %s %s: %w", k.Name, tmpName, err)
+	if err == nil {
+		err = bw.Flush()
 	}
-	if err = tmp.Sync(); err != nil {
-		return fmt.Errorf("anyscan: syncing %s %s: %w", k.Name, tmpName, err)
+	if err != nil {
+		return fmt.Errorf("anyscan: writing %s %s: %w", name, tmp, err)
 	}
-	if err = tmp.Close(); err != nil {
-		return fmt.Errorf("anyscan: closing %s %s: %w", k.Name, tmpName, err)
+	if err = f.Sync(); err == nil {
+		err = faultinject.Hit(name + ".sync")
 	}
-	if err = os.Rename(tmpName, path); err != nil {
-		return fmt.Errorf("anyscan: publishing %s %s: %w", k.Name, path, err)
+	if err != nil {
+		return fmt.Errorf("anyscan: syncing %s %s: %w", name, tmp, err)
 	}
-	SyncDir(dir) // best effort: not all filesystems support directory fsync
+	if err = f.Close(); err != nil {
+		return fmt.Errorf("anyscan: closing %s %s: %w", name, tmp, err)
+	}
+	if err = faultinject.Hit(name + ".rename"); err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		return fmt.Errorf("anyscan: publishing %s %s: %w", name, path, err)
+	}
+	syncDir(filepath.Dir(path))
 	return nil
+}
+
+// createTemp creates a new file named path+".tmp-<random>" with the mode
+// os.Create gives; os.CreateTemp would make it 0600.
+func createTemp(path string) (f *os.File, err error) {
+	for range 100 {
+		name := path + ".tmp-" + strconv.FormatUint(uint64(rand.Uint32()), 10)
+		f, err = os.OpenFile(name, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o666)
+		if !errors.Is(err, fs.ErrExist) {
+			break
+		}
+	}
+	return f, err
 }
 
 // ReadFile opens path and reads one frame with Read.
@@ -150,9 +191,9 @@ func (k Kind) ReadFile(path string) ([]byte, error) {
 	return k.Read(f)
 }
 
-// SyncDir fsyncs a directory so a just-completed rename is durable. Best
+// syncDir fsyncs a directory so a just-completed rename is durable. Best
 // effort: errors are ignored because not all filesystems support it.
-func SyncDir(dir string) {
+func syncDir(dir string) {
 	d, err := os.Open(dir)
 	if err != nil {
 		return

@@ -312,6 +312,10 @@ func (x *Index) CoreThreshold(v int32, mu int) float64 {
 // vertex has fewer than μ-1 arcs. Every row layout — the index, a live
 // epoch's segments, an approximate index's effective orders — answers
 // CoreThreshold through it.
+//
+// The threshold is capped at 1, the largest valid ε: simeval.Crossing gives
+// an edge whose σ is exactly 1 the threshold 1+2⁻⁵², and for every ε ≤ 1,
+// t ≥ ε holds exactly when min(t, 1) ≥ ε, so no clustering changes.
 func CoreThresholdOf(sigs []float64, mu int) float64 {
 	if mu <= 1 {
 		return 1
@@ -319,7 +323,7 @@ func CoreThresholdOf(sigs []float64, mu int) float64 {
 	if len(sigs) < mu-1 {
 		return 0
 	}
-	return sigs[mu-2]
+	return min(sigs[mu-2], 1)
 }
 
 // CoreOrder returns the memoized core order for μ, deriving it on first use.

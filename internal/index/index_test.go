@@ -16,6 +16,7 @@ import (
 
 	"anyscan/internal/cluster"
 	"anyscan/internal/gen"
+	"anyscan/internal/graph"
 	"anyscan/internal/index"
 	"anyscan/internal/scan"
 	"anyscan/internal/testutil"
@@ -84,32 +85,38 @@ func TestOneSigmaPassManyQueries(t *testing.T) {
 
 // TestCoreThresholdSemantics checks the O(1) per-μ core threshold against
 // the clustering itself: a vertex is a core at exactly ε ≤ coreThr(v, μ).
+// The triangle with a pendant vertex has edges whose σ is exactly 1.
 func TestCoreThresholdSemantics(t *testing.T) {
-	g := testutil.TwoTriangles()
-	x := index.Build(g, 1)
-	for mu := 1; mu <= 4; mu++ {
-		for v := int32(0); v < int32(g.NumVertices()); v++ {
-			thr := x.CoreThreshold(v, mu)
-			if thr < 0 || thr > 1 {
-				t.Fatalf("mu=%d vertex %d threshold %v out of range", mu, v, thr)
-			}
-			if thr <= 0 {
-				continue
-			}
-			at, err := x.Query(mu, thr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if at.Roles[v] != cluster.Core {
-				t.Errorf("mu=%d vertex %d not core at its own threshold %v", mu, v, thr)
-			}
-			if above := math.Nextafter(thr, 2); above <= 1 {
-				res, err := x.Query(mu, above)
+	pendant, err := graph.FromUnweightedEdges(4, [][2]int32{{0, 1}, {0, 2}, {1, 2}, {2, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []*graph.CSR{testutil.TwoTriangles(), pendant} {
+		x := index.Build(g, 1)
+		for mu := 1; mu <= 4; mu++ {
+			for v := int32(0); v < int32(g.NumVertices()); v++ {
+				thr := x.CoreThreshold(v, mu)
+				if thr < 0 || thr > 1 {
+					t.Fatalf("mu=%d vertex %d threshold %v out of range", mu, v, thr)
+				}
+				if thr <= 0 {
+					continue
+				}
+				at, err := x.Query(mu, thr)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if res.Roles[v] == cluster.Core {
-					t.Errorf("mu=%d vertex %d still core above its threshold %v", mu, v, thr)
+				if at.Roles[v] != cluster.Core {
+					t.Errorf("mu=%d vertex %d not core at its own threshold %v", mu, v, thr)
+				}
+				if above := math.Nextafter(thr, 2); above <= 1 {
+					res, err := x.Query(mu, above)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.Roles[v] == cluster.Core {
+						t.Errorf("mu=%d vertex %d still core above its threshold %v", mu, v, thr)
+					}
 				}
 			}
 		}

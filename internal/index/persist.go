@@ -114,16 +114,11 @@ func (x *Index) Save(w io.Writer) error {
 	return indexKind.Write(w, buf.Bytes())
 }
 
-// SaveFile writes the index to path crash-safely (temp file + fsync +
-// atomic rename): at every instant either the previous file or the complete
-// new one exists under path.
+// SaveFile writes the index to path crash-safely with frame.Publish: at
+// every instant either the previous file or the complete new one exists
+// under path.
 func (x *Index) SaveFile(path string) error {
-	p := x.payload()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&p); err != nil {
-		return fmt.Errorf("anyscan: encoding index: %w", err)
-	}
-	return indexKind.WriteFile(path, buf.Bytes())
+	return frame.Publish(path, indexKind.Name, x.Save)
 }
 
 // Load reconstructs an index over g from a stream written by Save. g must

@@ -130,10 +130,7 @@ func Communities(g *graph.CSR, opt Options) (*Overlap, error) {
 	// Cluster the link space with anySCAN.
 	o := core.DefaultOptions()
 	o.Mu, o.Eps, o.Threads = opt.Mu, opt.Eps, opt.Threads
-	blk := lg.NumVertices() / 128
-	if blk < 128 {
-		blk = 128
-	}
+	blk := core.AutoBlock(lg.NumVertices())
 	o.Alpha, o.Beta = blk, blk
 	res, _, err := core.Cluster(lg, o)
 	if err != nil {

@@ -76,17 +76,6 @@ func applyOne(t *testing.T, lg *Graph, m Mutation) ApplyStats {
 	return st
 }
 
-func TestFromGraphMatchesReference(t *testing.T) {
-	for _, tc := range testutil.RandomCases(1)[:4] {
-		e := mustFromCSR(t, tc.G).Epoch()
-		if e.NumEdges() != tc.G.NumEdges() {
-			t.Fatalf("%s: edge count %d != %d", tc.Name, e.NumEdges(), tc.G.NumEdges())
-		}
-		checkAgainstReference(t, tc.Name, e, tc.Mu, tc.Eps)
-		checkGridAgainstReference(t, tc.Name, e)
-	}
-}
-
 // TestIncrementalInsertions builds the karate club from an edgeless graph,
 // one single-edge batch per edge, checking the epochs on the way.
 func TestIncrementalInsertions(t *testing.T) {

@@ -110,26 +110,6 @@ func TestLocalMatchesGlobal(t *testing.T) {
 	}
 }
 
-// TestLocalCompressedBackend runs the same contract over an index built on
-// the varint-compressed graph backend: NeighborOrder/CoreThreshold are
-// backend-independent, so results must not change.
-func TestLocalCompressedBackend(t *testing.T) {
-	g := gen.PlantedPartition(240, 5, 0.5, 0.02, gen.WeightConfig{}, 4)
-	x := index.Build(graph.Compress(g), 2)
-	rng := rand.New(rand.NewPCG(3, 9))
-	for _, mu := range []int{2, 4} {
-		for _, eps := range []float64{0.3, 0.5, 0.7} {
-			global, err := x.Query(mu, eps)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, seed := range seedsFor(rng, global, 12) {
-				verifySeed(t, x, global, seed, mu, eps)
-			}
-		}
-	}
-}
-
 // TestLocalLiveEpoch checks the contract against a mutated live epoch: the
 // epoch satisfies local.View, and local results must match Epoch.Query
 // after batches of edge mutations.

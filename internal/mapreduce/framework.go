@@ -8,7 +8,6 @@
 package mapreduce
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -120,10 +119,4 @@ func Round[I any, K comparable, M any, O any](
 	}
 	wg.Wait()
 	return out
-}
-
-// SortInt32Keys is a helper for deterministic post-processing of reduce
-// outputs keyed by int32.
-func SortInt32Keys[V any](kvs []KV[int32, V]) {
-	sort.Slice(kvs, func(i, j int) bool { return kvs[i].Key < kvs[j].Key })
 }

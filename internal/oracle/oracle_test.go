@@ -494,7 +494,8 @@ func localQuery(name string, view local.View) adapter {
 // way it checks that the index built on every backend at 1, 2 and 4
 // workers, and ep, have the neighbor orders, σ bit for bit, and core
 // thresholds of the reference merge join, that every build counts one σ
-// per edge, and that each backend persists the same bytes.
+// per edge, that ep counts g's edges, and that each backend persists the
+// same bytes.
 func adapters(t *testing.T, dir, file string, in input, g *graph.CSR, ep *live.Epoch) []adapter {
 	t.Helper()
 	names, graphs := []string{"flat", "compressed"}, []graph.Graph{g, graph.Compress(g)}
@@ -542,8 +543,8 @@ func adapters(t *testing.T, dir, file string, in input, g *graph.CSR, ep *live.E
 	if err != nil {
 		t.Fatalf("%s: %v", in.name, err)
 	}
-	if err := want.differ(ep, in.cells); err != nil {
-		t.Fatalf("%s: epoch %d: %v", in.name, ep.Seq(), err)
+	if err := want.differ(ep, in.cells); err != nil || ep.NumEdges() != g.NumEdges() {
+		t.Fatalf("%s: epoch %d: %d edges (want %d); %v", in.name, ep.Seq(), ep.NumEdges(), g.NumEdges(), err)
 	}
 	as = append(as,
 		exact("index/loaded", loaded.Query),

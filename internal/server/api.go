@@ -73,10 +73,7 @@ func (s JobSpec) Options(n int) core.Options {
 	o.Mu, o.Eps = s.Mu, s.Eps
 	o.Alpha, o.Beta = s.Alpha, s.Beta
 	if o.Alpha <= 0 {
-		o.Alpha = n / 128
-		if o.Alpha < 128 {
-			o.Alpha = 128
-		}
+		o.Alpha = core.AutoBlock(n)
 	}
 	if o.Beta <= 0 {
 		o.Beta = o.Alpha

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -15,6 +16,7 @@ import (
 
 	"anyscan/internal/cluster"
 	"anyscan/internal/core"
+	"anyscan/internal/frame"
 	"anyscan/internal/graph"
 )
 
@@ -475,6 +477,7 @@ func (m *Manager) checkpointPath(id string) string {
 
 // writeManifest persists the job description (not its run state) so a
 // restarted daemon can rebuild the job even before its first checkpoint.
+// The manifest is fsynced before Submit acknowledges the job.
 func (m *Manager) writeManifest(j *Job, src GraphSource) error {
 	if m.cfg.CheckpointDir == "" {
 		return nil
@@ -484,12 +487,12 @@ func (m *Manager) writeManifest(j *Job, src GraphSource) error {
 	if err != nil {
 		return err
 	}
-	tmp := m.manifestPath(j.ID) + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o666); err != nil {
-		return fmt.Errorf("writing job manifest: %w", err)
-	}
-	if err := os.Rename(tmp, m.manifestPath(j.ID)); err != nil {
-		return fmt.Errorf("publishing job manifest: %w", err)
+	err = frame.Publish(m.manifestPath(j.ID), "manifest", func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
+	if err != nil {
+		return fmt.Errorf("job %s %w: %w", j.ID, errNotDurable, err)
 	}
 	return nil
 }

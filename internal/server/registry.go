@@ -109,10 +109,6 @@ type registryLoad struct {
 	err   error
 }
 
-// NewRegistry returns an empty registry that builds indexes on every CPU,
-// with no admission control and no memory budget.
-func NewRegistry() *Registry { return newRegistry(&Metrics{}, 0, nil, 0) }
-
 func newRegistry(met *Metrics, threads int, admit *admission, budget int64) *Registry {
 	return &Registry{names: make(map[string]*nameState), met: met, threads: threads, admit: admit, budget: budget}
 }

@@ -137,9 +137,6 @@ func (s *Server) Metrics() *Metrics { return s.met }
 // Registry exposes the graph registry (used by the daemon for preloads).
 func (s *Server) Registry() *Registry { return s.reg }
 
-// Jobs exposes the job manager.
-func (s *Server) Jobs() *Manager { return s.jobs }
-
 // Drain stops accepting jobs, parks every running job at a consistent
 // checkpoint, and waits for them (bounded by ctx). Called on SIGTERM before
 // http.Server.Shutdown.
@@ -337,6 +334,7 @@ var (
 	errNotRunning  = errors.New("only running jobs pause")
 	errNotPaused   = errors.New("only paused jobs resume")
 	errFinished    = errors.New("already finished")
+	errNotDurable  = errors.New("could not be made durable")
 )
 
 // errorCode maps a domain error to an HTTP status.
@@ -349,6 +347,8 @@ func errorCode(err error) int {
 	case errors.Is(err, errOtherSource), errors.Is(err, errNotRunning),
 		errors.Is(err, errNotPaused), errors.Is(err, errFinished):
 		return http.StatusConflict
+	case errors.Is(err, errNotDurable):
+		return http.StatusInternalServerError
 	default:
 		return http.StatusBadRequest
 	}

@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -413,6 +414,75 @@ func TestE2ECheckpointFaults(t *testing.T) {
 	}
 	if rec.State != server.JobFailed || !strings.Contains(rec.Error, "checkpoint") {
 		t.Fatalf("corrupt checkpoint: state=%s err=%q", rec.State, rec.Error)
+	}
+}
+
+// TestE2EManifestFaults fails each step of a job manifest's publish in
+// turn. The submission is a server error, not a client one; the job is
+// neither listed nor left as a temp file; and a restarted daemon recovers
+// exactly the jobs acknowledged before the faults.
+func TestE2EManifestFaults(t *testing.T) {
+	defer faultinject.Reset()
+	g := sharedGraph(t)
+	dir := t.TempDir()
+	path := writeGraphFile(t, g, dir)
+	ckptDir := filepath.Join(dir, "ckpt")
+
+	srvA, err := server.New(server.Config{Manager: server.ManagerConfig{Workers: 1, CheckpointDir: ckptDir}, Logger: quietLogger()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tsA := httptest.NewServer(srvA)
+	cA := server.NewClient(tsA.URL)
+	if _, err := cA.LoadGraph(tctx, server.LoadGraphRequest{Name: "g", GraphSource: server.GraphSource{Path: path}}); err != nil {
+		t.Fatal(err)
+	}
+	acked, err := cA.SubmitJob(tctx, slowSpec("g"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pauseMidRun(t, cA, acked.ID)
+	waitState(t, cA, acked.ID, server.JobPaused)
+
+	onlyAcked := func(what string, c *server.Client) []server.JobStatus {
+		t.Helper()
+		jobs, err := c.ListJobs(tctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(jobs) != 1 || jobs[0].ID != acked.ID {
+			t.Fatalf("%s: jobs %+v, want only %s", what, jobs, acked.ID)
+		}
+		return jobs
+	}
+	for _, point := range []string{"manifest.write", "manifest.sync", "manifest.rename"} {
+		faultinject.Arm(point, 1, nil)
+		_, err := cA.SubmitJob(tctx, slowSpec("g"))
+		var apiErr *server.APIError
+		if !errors.As(err, &apiErr) || apiErr.Status != http.StatusInternalServerError {
+			t.Fatalf("%s: submit answered %v, want a 500", point, err)
+		}
+		onlyAcked(point, cA)
+		entries, err := os.ReadDir(ckptDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if strings.Contains(e.Name(), ".tmp") {
+				t.Fatalf("%s: temp file %s left in the checkpoint directory", point, e.Name())
+			}
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srvA.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	tsA.Close()
+
+	_, cB := newTestServer(t, server.ManagerConfig{Workers: 1, CheckpointDir: ckptDir})
+	if rec := onlyAcked("after restart", cB); !rec[0].Recovered || rec[0].State != server.JobPaused {
+		t.Fatalf("after restart: %s is %s (recovered %v), want a recovered paused job", acked.ID, rec[0].State, rec[0].Recovered)
 	}
 }
 

@@ -174,6 +174,15 @@ func TestServedBodiesMatchEncoder(t *testing.T) {
 	if _, err := srv.Registry().Load("g<&>", GraphSource{Path: path}); err != nil {
 		t.Fatal(err)
 	}
+	// A triangle with a pendant vertex: edges whose σ is exactly 1, which the
+	// probe-form profile must still answer at ε = 1.
+	pendant := filepath.Join(t.TempDir(), "pendant.txt")
+	if err := os.WriteFile(pendant, []byte("0 1\n0 2\n1 2\n2 3\n"), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Registry().Load("pendant", GraphSource{Path: pendant}); err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range []struct {
 		query string
 		into  any
@@ -181,6 +190,7 @@ func TestServedBodiesMatchEncoder(t *testing.T) {
 		{"/v1/query?graph=g%3C%26%3E&mu=3&eps=0.3&assignments=1", &QueryResponse{}},
 		{"/v1/query?graph=g%3C%26%3E&mu=3&eps=0.3", &QueryResponse{}},
 		{"/v1/query?graph=g%3C%26%3E&mu=3&eps=0.2,0.4", &QueryResponse{}},
+		{"/v1/query?graph=pendant&mu=2", &QueryResponse{}},
 		{"/v1/local?graph=g%3C%26%3E&mu=3&eps=0.3&seed=1", &LocalResponse{}},
 		{"/v1/local?graph=g%3C%26%3E&mu=3&eps=0.3&seed=1&members=0", &LocalResponse{}},
 	} {

@@ -134,11 +134,6 @@ func (we *WorkerEngine) SimilarEdge(p, q int32, wpq float32) bool {
 	return selfTerms+we.adaptiveDot(p, q) >= threshold
 }
 
-// Similar reports whether σ(p,q) ≥ ε for an arbitrary pair.
-func (we *WorkerEngine) Similar(p, q int32) bool {
-	return we.SimilarEdge(p, q, we.e.G.EdgeWeight(p, q))
-}
-
 // EdgeNumerator mirrors Engine.EdgeNumerator with the adaptive kernels.
 func (we *WorkerEngine) EdgeNumerator(p, q int32, wpq float32) (num, denom float64) {
 	selfTerms := 2 * float64(wpq) * graph.SelfWeight

@@ -162,9 +162,6 @@ func (c *Concurrent) Unions() int64 { return c.unions.Load() }
 // not counted on the lock-free hot path.
 func (c *Concurrent) Finds() int64 { return 0 }
 
-// ResetCounters zeroes the union counter without touching the forest.
-func (c *Concurrent) ResetCounters() { c.unions.Store(0) }
-
 // Labels returns, for each element, a dense label in [0, Sets()): elements
 // in the same set share a label, assigned in order of first appearance of
 // each set's representative — the same canonical order DisjointSet.Labels
