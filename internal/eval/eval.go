@@ -10,6 +10,7 @@ package eval
 
 import (
 	"math"
+	"slices"
 
 	"anyscan/internal/cluster"
 	"anyscan/internal/graph"
@@ -39,11 +40,16 @@ func NMI(a, b *cluster.Result) float64 {
 	return NMILabels(la, ka, lb, kb)
 }
 
-// NMILabels is NMI over raw label vectors with ka and kb clusters.
+// NMILabels is NMI over raw label vectors with ka and kb clusters. It sums
+// the mutual information in ascending (a, b) label order, so its bits do not
+// depend on map iteration, and identical label vectors score exactly 1.
 func NMILabels(la []int, ka int, lb []int, kb int) float64 {
 	n := len(la)
 	if n == 0 || n != len(lb) {
 		return 0
+	}
+	if slices.Equal(la, lb) {
+		return 1
 	}
 	cont := make(map[int64]int64)
 	ca := make([]int64, ka)
@@ -67,10 +73,15 @@ func NMILabels(la []int, ka int, lb []int, kb int) float64 {
 			hb -= p * math.Log(p)
 		}
 	}
+	keys := make([]int64, 0, len(cont))
+	for key := range cont {
+		keys = append(keys, key)
+	}
+	slices.Sort(keys)
 	var mi float64
-	for key, c := range cont {
+	for _, key := range keys {
 		i, j := key/int64(kb), key%int64(kb)
-		pij := float64(c) / fn
+		pij := float64(cont[key]) / fn
 		pi := float64(ca[i]) / fn
 		pj := float64(cb[j]) / fn
 		mi += pij * math.Log(pij/(pi*pj))

@@ -34,6 +34,32 @@ func TestNMIIdentical(t *testing.T) {
 	}
 }
 
+// TestNMIDeterministic scores a 2,000-vertex, 20-cluster labelling against
+// itself and against a relabelling of itself 100 times each: the first must
+// be exactly 1 every time, the second the same bits every time.
+func TestNMIDeterministic(t *testing.T) {
+	const n, k = 2000, 20
+	rng := rand.New(rand.NewSource(3))
+	la, lb := make([]int, n), make([]int, n)
+	perm := rng.Perm(k)
+	for i := range la {
+		la[i] = rng.Intn(k)
+		lb[i] = perm[la[i]]
+	}
+	first := NMILabels(la, k, lb, k)
+	for i := 0; i < 100; i++ {
+		if got := NMILabels(la, k, la, k); got != 1 {
+			t.Fatalf("call %d: NMI of a labelling with itself = %v, want exactly 1", i, got)
+		}
+		if got := NMILabels(la, k, lb, k); math.Float64bits(got) != math.Float64bits(first) {
+			t.Fatalf("call %d: NMI of a relabelling = %v, first call gave %v", i, got, first)
+		}
+	}
+	if math.Abs(first-1) > 1e-12 {
+		t.Fatalf("NMI of a relabelling = %v, want 1", first)
+	}
+}
+
 func TestNMIRelabelInvariant(t *testing.T) {
 	a := mk([]int32{0, 0, 1, 1, 2, 2}, 3)
 	b := mk([]int32{2, 2, 0, 0, 1, 1}, 3)

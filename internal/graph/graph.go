@@ -239,33 +239,51 @@ func (g *CSR) Validate() error {
 	return nil
 }
 
+// NormOf returns l_v = SelfWeight² + Σ w² of a vertex whose edge weights, in
+// ascending neighbor order, are w: the closed-neighborhood norm of
+// Definition 1. It is the one accumulation of a norm, so every adjacency
+// with the same weights gets the same bits, whoever builds it.
+func NormOf(w []float32) float64 {
+	l := float64(SelfWeight) * float64(SelfWeight)
+	for _, x := range w {
+		l += float64(x) * float64(x)
+	}
+	return l
+}
+
 // finalize computes the derived per-vertex arrays and, when every weight is
 // 1, drops the weight array for a shared run of 1s. Every constructor ends
-// here, so a CSR keeps its weights exactly when some weight is not 1.
+// here, so a CSR keeps its weights exactly when some weight is not 1. A CSR
+// that arrives without weights gets its run of 1s first, so each vertex's
+// norm is NormOf of the weights Neighbors hands out, taken while they are
+// in cache from the max and unit checks.
 func (g *CSR) finalize() {
 	n := g.NumVertices()
 	g.norm = make([]float64, n)
 	g.sqrtNorm = make([]float64, n)
 	g.maxW = make([]float32, n)
-	unit, maxDeg := true, 0
-	for v := 0; v < n; v++ {
-		l := float64(SelfWeight) * float64(SelfWeight)
-		var mw float32
-		lo, hi := g.offsets[v], g.offsets[v+1]
-		for e := lo; e < hi; e++ {
-			w := g.weight(e)
-			l += float64(w) * float64(w)
-			if w > mw {
-				mw = w
-			}
-			unit = unit && w == 1
-		}
-		g.norm[v] = l
-		g.sqrtNorm[v] = sqrt(l)
-		g.maxW[v] = mw
-		maxDeg = max(maxDeg, int(hi-lo))
+	maxDeg := 0
+	for v := range n {
+		maxDeg = max(maxDeg, int(g.offsets[v+1]-g.offsets[v]))
 	}
-	if unit {
+	if g.weights == nil {
+		g.ones = onesSlice(maxDeg)
+	}
+	unit := true
+	for v := range n {
+		w := g.weightsOf(g.offsets[v], g.offsets[v+1])
+		var mw float32
+		for _, x := range w {
+			if x > mw {
+				mw = x
+			}
+			unit = unit && x == 1
+		}
+		g.norm[v] = NormOf(w)
+		g.sqrtNorm[v] = sqrt(g.norm[v])
+		g.maxW[v] = mw
+	}
+	if unit && g.weights != nil {
 		g.weights, g.ones = nil, onesSlice(maxDeg)
 	}
 }

@@ -119,10 +119,10 @@ func BuildCtx(ctx context.Context, g graph.Graph, threads int) (*Index, error) {
 // each list once, here) and every arc's threshold in sig, both in CSR arc
 // order.
 //
-// Vertices rank by (degree, id). A worker takes a vertex u, scatters u's
-// weights by neighbor id into its dense row, and evaluates every edge from
-// u to a lower-ranked q as one simeval.GatherDot of that row over q's ids
-// in nbr, reading q's weights in place (graph.NeighborWeights, no decode).
+// Vertices rank by (degree, id). A worker takes a vertex u, loads u's
+// weights into its simeval.Row, and evaluates every edge from u to a
+// lower-ranked q as one Row.Crossing, a gather of that row over q's ids in
+// nbr, reading q's weights in place (graph.NeighborWeights, no decode).
 // The ranking makes every gather run over the shorter of the two lists
 // (the GS*-index similarity pass of Tseng, Dhulipala & Shun; see
 // PAPERS.md). The threshold goes to both arc slots, u's by position and q's
@@ -131,9 +131,7 @@ func BuildCtx(ctx context.Context, g graph.Graph, threads int) (*Index, error) {
 //
 // Thresholds are bit-identical to the reference merge join,
 // simeval.Crossing(Engine.EdgeNumerator), on every backend and thread
-// count: a float32×float32 product is exact in float64, a non-neighbour of
-// u reads a zero slot and adds an exact +0, and q's ids ascend, so the
-// nonzero terms are the merge join's, added in its order.
+// count (see simeval.Row).
 //
 // Transient memory is one float32 per vertex per worker, plus a cursor's
 // decode buffer on a compressed backend.
@@ -146,9 +144,12 @@ func sigmaPass(ctx context.Context, g graph.Graph, threads int) ([]int32, []floa
 	}
 	type scratch struct {
 		cur *graph.Cursor
-		row []float32 // u's weights by neighbor id, zero elsewhere
+		row simeval.Row // holds u's weights; nbr keeps the ids it clears
 	}
 	scr := make([]scratch, threads)
+	for i := range scr {
+		scr[i].row = simeval.NewRow(n)
+	}
 	err := par.ForWorkerCtx(ctx, n, threads, par.Adaptive, func(w, i int) {
 		s := &scr[w]
 		if s.cur == nil {
@@ -165,32 +166,19 @@ func sigmaPass(ctx context.Context, g graph.Graph, threads int) ([]int32, []floa
 		u := int32(i)
 		lo, hi := g.NeighborRange(u)
 		ids, wu := nbr[lo:hi], graph.NeighborWeights(g, u)
-		s := &scr[w]
-		scattered := false
+		row := &scr[w].row
 		for j, q := range ids {
 			qlo, qhi := g.NeighborRange(q)
 			if qhi-qlo > hi-lo || qhi-qlo == hi-lo && q > u {
 				continue // q ranks above u: evaluated from q
 			}
-			if !scattered {
-				if s.row == nil {
-					s.row = make([]float32, n)
-				}
-				for k, r := range ids {
-					s.row[r] = wu[k]
-				}
-				scattered = true
+			if row.Vertex() != u {
+				row.Load(u, ids, wu)
 			}
 			qids := nbr[qlo:qhi]
-			num := 2*float64(wu[j])*graph.SelfWeight + simeval.GatherDot(s.row, qids, graph.NeighborWeights(g, q))
-			t := simeval.Crossing(num, g.SqrtNorm(u)*g.SqrtNorm(q))
+			t := row.Crossing(wu[j], qids, graph.NeighborWeights(g, q), g.SqrtNorm(u)*g.SqrtNorm(q))
 			k, _ := slices.BinarySearch(qids, u)
 			sig[lo+int64(j)], sig[qlo+int64(k)] = t, t
-		}
-		if scattered {
-			for _, r := range ids {
-				s.row[r] = 0
-			}
 		}
 	})
 	if err != nil {

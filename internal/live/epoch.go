@@ -23,7 +23,7 @@ type seg struct {
 	onbr []int32   // neighbor ids sorted by σ desc, id asc
 	osig []float64 // thresholds, parallel to onbr
 
-	norm     float64 // l_v = SelfWeight² + Σ w², accumulated in ascending id order
+	norm     float64 // l_v, graph.NormOf(wt)
 	sqrtNorm float64
 }
 

@@ -18,15 +18,13 @@
 // under randomized interleaved mutate/query workloads. Beyond the
 // 8 B/vertex segment table it copies, a batch costs what it touches:
 //
-//   - The σ patch scatters each touched vertex's weights once into a dense
-//     scratch row, and each of its arcs' numerators is then a branchless
-//     gather over the other endpoint's adjacency (simeval.GatherDot). The
-//     gather adds the merge join's products in the same ascending id order,
-//     a non-neighbor contributes an exact +0 (a float32×float32 product is
-//     exact in float64), and thresholds come from simeval.Crossing with
-//     norms accumulated in ascending id order as graph.CSR does, so every
-//     patched threshold is bit-identical to the static build's. The Graph
-//     keeps the rows for its lifetime: 4 B per vertex per patch worker.
+//   - The σ patch runs the static build's kernel: each touched vertex's
+//     weights are loaded once into a simeval.Row, and each of its arcs'
+//     thresholds is then Row.Crossing, a branchless gather over the other
+//     endpoint's adjacency. With norms from graph.NormOf, as graph.CSR
+//     computes them, every patched threshold is bit-identical to the static
+//     build's. The Graph keeps the rows for its lifetime: 4 B per vertex
+//     per patch worker.
 //   - Ring vertices, the unmutated neighbors of touched ones, repair their
 //     parent's order: each moved entry is found by binary search on its old
 //     (σ, id), its new position by a second search, and the unmoved runs
@@ -155,7 +153,7 @@ type Graph struct {
 
 	// scratch holds the σ patch's dense rows, one per worker, each 4 B per
 	// vertex; guarded by writeMu.
-	scratch []patchRow
+	scratch []simeval.Row
 }
 
 // FromIndex wraps an already-built query index as epoch 0 of a live graph.
@@ -308,44 +306,6 @@ func (g *Graph) workers(items, least int) int {
 	return g.threads
 }
 
-// patchRow is one σ patch worker's dense scratch row: the weights of the
-// touched vertex v scattered by neighbor id, zero everywhere else, so that
-// simeval.GatherDot evaluates any arc of v against it.
-type patchRow struct {
-	w   []float32 // |V| entries
-	v   int32     // vertex scattered into w, -1 when w is all zero
-	adj []int32   // v's adjacency: the entries to zero again
-}
-
-// scatter makes r hold s, the segment of v, and returns the row.
-func (r *patchRow) scatter(v int32, s *seg) []float32 {
-	if r.v != v {
-		r.reset()
-		r.v, r.adj = v, s.nbr
-		for i, q := range s.nbr {
-			r.w[q] = s.wt[i]
-		}
-	}
-	return r.w
-}
-
-// reset zeroes the scattered entries, leaving r all zero.
-func (r *patchRow) reset() {
-	for _, q := range r.adj {
-		r.w[q] = 0
-	}
-	r.v, r.adj = -1, nil
-}
-
-// patchRows returns k all-zero scratch rows of n entries each, allocating
-// the ones no earlier Apply needed. The caller holds writeMu.
-func (g *Graph) patchRows(k, n int) []patchRow {
-	for len(g.scratch) < k {
-		g.scratch = append(g.scratch, patchRow{w: make([]float32, n), v: -1})
-	}
-	return g.scratch[:k]
-}
-
 // pendState is the resolved in-batch state of one edge.
 type pendState struct {
 	w   float32
@@ -369,7 +329,7 @@ type change struct {
 //     the same edge cancels out), and only the net changes are applied;
 //   - σ is recomputed only for arcs incident to touched vertices (the
 //     mutation endpoints), each numerator a gather against the touched
-//     end's weights scattered once into a dense scratch row; ring vertices
+//     end's weights loaded once into a dense scratch row; ring vertices
 //     (their unmutated neighbors) get copy-on-write segments whose orders
 //     repair the parent's by binary search and block copy; everything else
 //     is shared with the parent epoch, so beyond the 8 B/vertex segment
@@ -469,8 +429,8 @@ func (g *Graph) Apply(muts []Mutation) (*Epoch, ApplyStats, error) {
 	copy(newSegs, parent.segs)
 
 	// Touched vertices (mutation endpoints): rebuild adjacency with the net
-	// changes merged in, recompute the norm from scratch in ascending id
-	// order (the exact accumulation of graph.CSR), every incident σ pending.
+	// changes merged in, recompute the norm from scratch (graph.NormOf, the
+	// accumulation of graph.CSR), every incident σ pending.
 	// tsig[k] is touched[k]'s σ row in adjacency order until its order is
 	// sorted, when it becomes the segment's osig.
 	touched := make([]int32, 0, len(delta))
@@ -510,24 +470,20 @@ func (g *Graph) Apply(muts []Mutation) (*Epoch, ApplyStats, error) {
 				j++
 			}
 		}
-		l := float64(graph.SelfWeight) * float64(graph.SelfWeight)
-		for _, w := range s.wt {
-			l += float64(w) * float64(w)
-		}
-		s.norm = l
-		s.sqrtNorm = math.Sqrt(l)
+		s.norm = graph.NormOf(s.wt)
+		s.sqrtNorm = math.Sqrt(s.norm)
 		tsig[k] = make([]float64, len(s.nbr))
 		newSegs[t] = s
 	}
 
 	// σ patch: re-evaluate exactly the arcs incident to touched vertices,
 	// each undirected arc once, writing the row slot of every touched end.
-	// An arc's numerator is a gather of its far end's adjacency against the
-	// near end's weights scattered into a worker's dense row (GatherDot),
-	// and its threshold is simeval.Crossing, so every patched threshold is
-	// bit-identical to what a full index.Build over the new adjacency would
-	// produce. Arcs are listed by near end, so a worker scatters each
-	// touched vertex once per run of its arcs.
+	// An arc's threshold is Row.Crossing, a gather of its far end's
+	// adjacency against the near end's weights loaded into a worker's
+	// simeval.Row, so every patched threshold is bit-identical to what a
+	// full index.Build over the new adjacency would produce. Arcs are listed
+	// by near end, so a worker loads each touched vertex once per run of its
+	// arcs.
 	// An arc is listed from u = touched[uk]: v is u's ui-th neighbor and
 	// tsig[uk][ui] the arc's slot at u; tsig[vk][vi] is its slot at v when
 	// v is touched too, vk = -1 when it is not.
@@ -552,19 +508,27 @@ func (g *Graph) Apply(muts []Mutation) (*Epoch, ApplyStats, error) {
 		}
 	}
 	st.SigmaRecomputed = int64(len(arcs))
-	scratch := g.patchRows(g.workers(len(arcs), parallelPatchMin), int(n))
+	// One all-zero row per worker, allocating the ones no earlier Apply
+	// needed.
+	k := g.workers(len(arcs), parallelPatchMin)
+	for len(g.scratch) < k {
+		g.scratch = append(g.scratch, simeval.NewRow(int(n)))
+	}
+	scratch := g.scratch[:k]
 	defer func() {
 		for i := range scratch {
-			scratch[i].reset()
+			scratch[i].Reset()
 		}
 	}()
 	par.ForWorker(len(arcs), len(scratch), par.Adaptive, func(w, i int) {
 		a := &arcs[i]
 		u := touched[a.uk]
 		su, sv := newSegs[u], newSegs[a.v]
-		row := scratch[w].scatter(u, su)
-		num := 2*float64(su.wt[a.ui])*float64(graph.SelfWeight) + simeval.GatherDot(row, sv.nbr, sv.wt)
-		sg := simeval.Crossing(num, su.sqrtNorm*sv.sqrtNorm)
+		row := &scratch[w]
+		if row.Vertex() != u {
+			row.Load(u, su.nbr, su.wt)
+		}
+		sg := row.Crossing(su.wt[a.ui], sv.nbr, sv.wt, su.sqrtNorm*sv.sqrtNorm)
 		tsig[a.uk][a.ui] = sg
 		if a.vk >= 0 {
 			tsig[a.vk][a.vi] = sg

@@ -9,7 +9,6 @@ import (
 	"anyscan/internal/gen"
 	"anyscan/internal/graph"
 	"anyscan/internal/index"
-	"anyscan/internal/live"
 	"anyscan/internal/local"
 )
 
@@ -107,44 +106,6 @@ func TestLocalMatchesGlobal(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestLocalLiveEpoch checks the contract against a mutated live epoch: the
-// epoch satisfies local.View, and local results must match Epoch.Query
-// after batches of edge mutations.
-func TestLocalLiveEpoch(t *testing.T) {
-	g := gen.ErdosRenyi(150, 600, gen.WeightConfig{}, 5)
-	lg := live.FromIndex(index.Build(g, 1))
-	rng := rand.New(rand.NewPCG(13, 17))
-	for batch := 0; batch < 3; batch++ {
-		muts := make([]live.Mutation, 0, 12)
-		for i := 0; i < 12; i++ {
-			u, v := int32(rng.IntN(150)), int32(rng.IntN(150))
-			if u == v {
-				continue
-			}
-			if rng.IntN(3) == 0 {
-				muts = append(muts, live.Mutation{Op: live.OpDelete, U: u, V: v})
-			} else {
-				muts = append(muts, live.Mutation{Op: live.OpAdd, U: u, V: v, W: 1})
-			}
-		}
-		if _, _, err := lg.Apply(muts); err != nil {
-			t.Fatal(err)
-		}
-		ep := lg.Epoch()
-		for _, mu := range []int{2, 3} {
-			for _, eps := range []float64{0.3, 0.6} {
-				global, err := ep.Query(mu, eps)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, seed := range seedsFor(rng, global, 10) {
-					verifySeed(t, ep, global, seed, mu, eps)
-				}
-			}
-		}
 	}
 }
 

@@ -284,6 +284,11 @@ func check(t *testing.T, dir string, in input) {
 		}
 		for _, p := range in.cells {
 			c := newCell(g, p, rng, in.seeds)
+			// Every exact adapter must answer the truth, so validating the
+			// truth validates each of their answers.
+			if err := c.valid(c.truth); err != nil {
+				t.Fatalf("%s, after %d batches: the truth at μ=%d ε=%v: %v", in.name, stage, p.mu, p.eps, err)
+			}
 			for _, a := range as {
 				if a.batch && !p.batch {
 					continue
@@ -546,11 +551,14 @@ func adapters(t *testing.T, dir, file string, in input, g *graph.CSR, ep *live.E
 	if err := want.differ(ep, in.cells); err != nil || ep.NumEdges() != g.NumEdges() {
 		t.Fatalf("%s: epoch %d: %d edges (want %d); %v", in.name, ep.Seq(), ep.NumEdges(), g.NumEdges(), err)
 	}
+	// SCAN, the cheapest batch algorithm, answers every cell.
+	scanAll := equivalent("SCAN", func(c *cell) (*cluster.Result, error) { r, _ := scan.SCAN(c.g, c.mu, c.eps); return r, nil })
+	scanAll.batch = false
 	as = append(as,
 		exact("index/loaded", loaded.Query),
 		exact("epoch", ep.Query),
 		localQuery("local/epoch", ep),
-		equivalent("SCAN", func(c *cell) (*cluster.Result, error) { r, _ := scan.SCAN(c.g, c.mu, c.eps); return r, nil }),
+		scanAll,
 		equivalent("SCAN-B", func(c *cell) (*cluster.Result, error) { r, _ := scan.SCANB(c.g, c.mu, c.eps); return r, nil }),
 		equivalent("pSCAN", func(c *cell) (*cluster.Result, error) { r, _ := scan.PSCAN(c.g, c.mu, c.eps); return r, nil }),
 		equivalent("SCAN++", func(c *cell) (*cluster.Result, error) { r, _ := scan.SCANPP(c.g, c.mu, c.eps); return r, nil }),

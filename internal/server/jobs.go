@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -528,8 +529,12 @@ func (m *Manager) removeDurableState(j *Job) {
 // process. A job with a checkpoint resumes exactly where it parked; one
 // without (crash before the first checkpoint) restarts from scratch. Every
 // recovered job starts paused — the operator (or client) resumes it. A
-// corrupt checkpoint or missing graph marks the job failed instead of
-// aborting startup: one bad file must not take the service down.
+// corrupt manifest or checkpoint, or a missing graph, marks the job failed
+// instead of aborting startup: one bad file must not take the service down.
+// A manifest j<N>.json that cannot be read or parsed is failed job j<N>,
+// and N counts toward the next id, so no new job takes the id of the lost
+// one and lands beside its checkpoint; other unreadable files are logged
+// and skipped.
 func (m *Manager) recover() error {
 	entries, err := os.ReadDir(m.cfg.CheckpointDir)
 	if err != nil {
@@ -540,14 +545,22 @@ func (m *Manager) recover() error {
 		if ent.IsDir() || !strings.HasSuffix(ent.Name(), ".json") {
 			continue
 		}
-		data, err := os.ReadFile(filepath.Join(m.cfg.CheckpointDir, ent.Name()))
-		if err != nil {
-			m.log.Error("reading job manifest", "file", ent.Name(), "err", err)
-			continue
-		}
 		var man jobManifest
-		if err := json.Unmarshal(data, &man); err != nil || man.ID == "" {
-			m.log.Error("parsing job manifest", "file", ent.Name(), "err", err)
+		data, err := os.ReadFile(filepath.Join(m.cfg.CheckpointDir, ent.Name()))
+		if err == nil {
+			if err = json.Unmarshal(data, &man); err == nil && man.ID == "" {
+				err = errors.New("manifest names no job")
+			}
+		}
+		if err != nil {
+			id := strings.TrimSuffix(ent.Name(), ".json")
+			n, idErr := parseJobID(id)
+			if idErr != nil || id != fmt.Sprintf("j%d", n) {
+				m.log.Error("reading job manifest", "file", ent.Name(), "err", err)
+				continue
+			}
+			maxID = max(maxID, n)
+			m.failRecovered(&Job{ID: id, recovered: true}, fmt.Errorf("recovering job %s manifest: %w", id, err))
 			continue
 		}
 		if n, err := parseJobID(man.ID); err == nil && n > maxID {

@@ -21,6 +21,7 @@ import (
 	"anyscan/internal/gen"
 	"anyscan/internal/graph"
 	"anyscan/internal/server"
+	"anyscan/internal/testutil"
 )
 
 // tctx is the background context threaded through client calls in tests that
@@ -483,6 +484,52 @@ func TestE2EManifestFaults(t *testing.T) {
 	_, cB := newTestServer(t, server.ManagerConfig{Workers: 1, CheckpointDir: ckptDir})
 	if rec := onlyAcked("after restart", cB); !rec[0].Recovered || rec[0].State != server.JobPaused {
 		t.Fatalf("after restart: %s is %s (recovered %v), want a recovered paused job", acked.ID, rec[0].State, rec[0].Recovered)
+	}
+}
+
+// TestE2EUnreadableManifestsFailTheirJobs starts a daemon over a checkpoint
+// directory holding a truncated j5.json, beside its checkpoint, and an
+// empty j6.json. Both jobs must be listed as failed with the manifest
+// error, and the next submission must get an id above j6, so it cannot
+// land beside the lost job's checkpoint.
+func TestE2EUnreadableManifestsFailTheirJobs(t *testing.T) {
+	dir := t.TempDir()
+	path := writeGraphFile(t, testutil.Karate(), dir)
+	ckptDir := filepath.Join(dir, "ckpt")
+	if err := os.MkdirAll(ckptDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for name, body := range map[string]string{
+		"j5.json": `{"id": "j5", "spec": {"graph": "g", "mu"`,
+		"j5.ckpt": "a checkpoint the lost manifest pointed at",
+		"j6.json": "",
+	} {
+		if err := os.WriteFile(filepath.Join(ckptDir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, c := newTestServer(t, server.ManagerConfig{Workers: 1, CheckpointDir: ckptDir})
+	jobs, err := c.ListJobs(tctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(jobs) != 2 {
+		t.Fatalf("listed %d jobs, want the two with unreadable manifests: %+v", len(jobs), jobs)
+	}
+	for i, id := range []string{"j5", "j6"} {
+		if st := jobs[i]; st.ID != id || st.State != server.JobFailed || !strings.Contains(st.Error, "manifest") {
+			t.Fatalf("job %d: %s is %s (error %q), want %s failed with its manifest error", i, st.ID, st.State, st.Error, id)
+		}
+	}
+	if _, err := c.LoadGraph(tctx, server.LoadGraphRequest{Name: "g", GraphSource: server.GraphSource{Path: path}}); err != nil {
+		t.Fatal(err)
+	}
+	st, err := c.SubmitJob(tctx, server.JobSpec{Graph: "g", Mu: 3, Eps: 0.5, Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.ID != "j7" {
+		t.Fatalf("next submission got id %s, want j7", st.ID)
 	}
 }
 

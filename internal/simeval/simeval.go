@@ -3,7 +3,9 @@
 // upper-bound pruning and early success/failure exits inside the sort-merge
 // join). Every clustering algorithm in this repository funnels its
 // similarity work through an Engine, so the "number of structural similarity
-// calculations" axis of Fig. 7 is measured uniformly.
+// calculations" axis of Fig. 7 is measured uniformly; the index build and the
+// live σ patch evaluate whole stars through a Row, the dense-row kernel
+// WorkerEngine's hub joins run too.
 //
 // Similarity uses the closed-neighborhood convention (see package graph):
 //
@@ -173,11 +175,18 @@ func New(g graph.Graph, eps float64, opt Options) *Engine {
 	return &Engine{G: g, Eps: eps, Opt: opt}
 }
 
-// Sigma returns the exact similarity σ(p,q). It always runs the full join
-// (no early exits) so the value is exact; it still counts as one evaluation.
+// Sigma returns the exact similarity σ(p,q) of any pair, adjacent or not.
+// It always runs the full join (no early exits) so the value is exact; it
+// still counts as one evaluation.
 func (e *Engine) Sigma(p, q int32) float64 {
 	e.C.Sims.Add(1)
-	num := e.closedDot(p, q)
+	num := e.openDot(p, q)
+	if w := e.G.EdgeWeight(p, q); w > 0 {
+		num += selfTerms(w)
+	}
+	if p == q {
+		num += graph.SelfWeight * graph.SelfWeight
+	}
 	return num / (e.G.SqrtNorm(p) * e.G.SqrtNorm(q))
 }
 
@@ -185,32 +194,35 @@ func (e *Engine) Sigma(p, q int32) float64 {
 // known edge weight wpq, applying the enabled optimizations. This is the hot
 // path of every core check.
 func (e *Engine) SimilarEdge(p, q int32, wpq float32) bool {
-	// Parenthesized so the predicate is exactly num >= eps*(√l_p·√l_q),
-	// the form EdgeNumerator documents and package sweep replays.
-	threshold := e.Eps * (e.G.SqrtNorm(p) * e.G.SqrtNorm(q))
-	if e.Opt.Lemma5 {
-		dp, dq := e.G.Degree(p), e.G.Degree(q)
-		minD := dp
-		if dq < minD {
-			minD = dq
-		}
-		// num ≤ min(d_p,d_q)·w_p·w_q (open intersection) + 2·w_pq·SelfWeight
-		// (the two closed self terms). Tighter than the paper's bound, same
-		// purpose.
-		bound := float64(minD)*float64(e.G.MaxWeight(p))*float64(e.G.MaxWeight(q)) +
-			2*float64(wpq)*graph.SelfWeight
-		if bound < threshold {
-			e.C.Pruned.Add(1)
-			return false
-		}
+	self, threshold, pruned := e.predicate(p, q, wpq)
+	if pruned {
+		e.C.Pruned.Add(1)
+		return false
 	}
 	e.C.Sims.Add(1)
-	selfTerms := 2 * float64(wpq) * graph.SelfWeight
 	if e.Opt.EarlyExit {
-		return e.joinThreshold(p, q, selfTerms, threshold)
+		return e.joinThreshold(p, q, self, threshold)
 	}
-	num := selfTerms + e.openDot(p, q)
-	return num >= threshold
+	return self+e.openDot(p, q) >= threshold
+}
+
+// predicate returns the two sides of the similarity predicate num >=
+// threshold of the adjacent pair (p,q) with edge weight wpq: the self terms
+// num starts from, and threshold. pruned reports that Lemma 5, when
+// enabled, rules the pair out without a join. Engine and WorkerEngine both
+// decide through it.
+func (e *Engine) predicate(p, q int32, wpq float32) (self, threshold float64, pruned bool) {
+	// Parenthesized so the predicate is exactly num >= eps*(√l_p·√l_q),
+	// the form EdgeNumerator documents and package sweep replays.
+	threshold = e.Eps * (e.G.SqrtNorm(p) * e.G.SqrtNorm(q))
+	self = selfTerms(wpq)
+	if e.Opt.Lemma5 {
+		// num ≤ min(d_p,d_q)·w_p·w_q (open intersection) + the self terms.
+		// Tighter than the paper's bound, same purpose.
+		minD := min(e.G.Degree(p), e.G.Degree(q))
+		pruned = float64(minD)*float64(e.G.MaxWeight(p))*float64(e.G.MaxWeight(q))+self < threshold
+	}
+	return self, threshold, pruned
 }
 
 // Similar reports whether σ(p,q) ≥ ε for an arbitrary pair (adjacent or
@@ -239,8 +251,7 @@ func (e *Engine) joinThreshold(p, q int32, selfTerms, threshold float64) bool {
 // these to derive per-edge activation thresholds that agree bit-for-bit
 // with every algorithm in this repository.
 func (e *Engine) EdgeNumerator(p, q int32, wpq float32) (num, denom float64) {
-	selfTerms := 2 * float64(wpq) * graph.SelfWeight
-	num = selfTerms + e.openDot(p, q)
+	num = selfTerms(wpq) + e.openDot(p, q)
 	denom = e.G.SqrtNorm(p) * e.G.SqrtNorm(q)
 	return num, denom
 }
@@ -275,19 +286,6 @@ func (e *Engine) openDot(p, q int32) float64 {
 	pAdj, pW := e.G.Neighbors(p)
 	qAdj, qW := e.G.Neighbors(q)
 	return mergeDotSlices(pAdj, pW, qAdj, qW)
-}
-
-// closedDot returns the closed-neighborhood numerator.
-func (e *Engine) closedDot(p, q int32) float64 {
-	acc := e.openDot(p, q)
-	// Self terms: r=p contributes w_pp·w_qp, r=q contributes w_pq·w_qq.
-	if w := e.G.EdgeWeight(p, q); w > 0 {
-		acc += 2 * float64(w) * graph.SelfWeight
-	}
-	if p == q {
-		acc += graph.SelfWeight * graph.SelfWeight
-	}
-	return acc
 }
 
 // Restore resets the counters to previously snapshotted values (used when

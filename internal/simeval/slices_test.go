@@ -33,14 +33,13 @@ func randomRow(rng *rand.Rand, n, d int) ([]int32, []float32) {
 	return ids, w
 }
 
-// TestGatherDotMatchesMergeJoin checks the σ patch kernel against the
+// TestGatherDotMatchesMergeJoin checks the dense-row kernel against the
 // merge join bit for bit, over balanced and skewed adjacency lengths, with
-// one row scattered, gathered and zeroed again the way package live reuses
-// it.
+// one Row loaded, gathered and cleared again the way its callers reuse it.
 func TestGatherDotMatchesMergeJoin(t *testing.T) {
 	const n = 4096
 	rng := rand.New(rand.NewSource(1))
-	row := make([]float32, n)
+	row := NewRow(n)
 	for _, dp := range []int{1, 7, 60, 500, 3000} {
 		for _, dq := range []int{1, 7, 60, 500, 3000} {
 			t.Run(fmt.Sprintf("%dx%d", dp, dq), func(t *testing.T) {
@@ -49,16 +48,11 @@ func TestGatherDotMatchesMergeJoin(t *testing.T) {
 					// every length.
 					pAdj, pW := randomRow(rng, max(dp, n/(1+trial%4)), dp)
 					qAdj, qW := randomRow(rng, max(dq, n/(1+trial%3)), dq)
-					for i, r := range pAdj {
-						row[r] = pW[i]
-					}
-					got := GatherDot(row, qAdj, qW)
-					for _, r := range pAdj {
-						row[r] = 0
-					}
+					row.Load(int32(trial), pAdj, pW)
+					got := row.Dot(qAdj, qW)
 					want := mergeDotSlices(pAdj, pW, qAdj, qW)
 					if math.Float64bits(got) != math.Float64bits(want) {
-						t.Fatalf("trial %d: GatherDot = %v (%#x), merge join = %v (%#x)",
+						t.Fatalf("trial %d: Row.Dot = %v (%#x), merge join = %v (%#x)",
 							trial, got, math.Float64bits(got), want, math.Float64bits(want))
 					}
 					if g := gallopDotSlices(pAdj, pW, qAdj, qW); math.Float64bits(g) != math.Float64bits(want) {
@@ -68,7 +62,8 @@ func TestGatherDotMatchesMergeJoin(t *testing.T) {
 			})
 		}
 	}
-	if i := slices.IndexFunc(row, func(w float32) bool { return w != 0 }); i >= 0 {
-		t.Fatalf("row entry %d left at %v after zeroing", i, row[i])
+	row.Reset()
+	if i := slices.IndexFunc(row.w, func(w float32) bool { return w != 0 }); i >= 0 {
+		t.Fatalf("row entry %d left at %v after Reset", i, row.w[i])
 	}
 }

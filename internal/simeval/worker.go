@@ -12,11 +12,10 @@ import (
 //   - gallopRatio: once one adjacency list is this many times longer than the
 //     other, scanning the short list and galloping through the long one does
 //     O(d_min·log d_max) work instead of the merge join's O(d_min + d_max).
-//   - hubMinDegree: once the tail vertex is this heavy, materializing its
-//     neighborhood as a bitset (plus dense weight array) turns every
-//     subsequent join against it into an O(d_other) probe. The build cost is
-//     amortized because core checks evaluate all arcs of a tail vertex
-//     back-to-back on the same worker.
+//   - hubMinDegree: once the tail vertex is this heavy, loading its weights
+//     into the worker's dense Row turns every subsequent join against it
+//     into an O(d_other) gather. The load is amortized because core checks
+//     evaluate all arcs of a tail vertex back-to-back on the same worker.
 const (
 	gallopRatio  = 8
 	hubMinDegree = 512
@@ -38,23 +37,19 @@ const (
 // A WorkerEngine must only be used by the worker id it was created for; the
 // Engine itself remains safe for concurrent use.
 type WorkerEngine struct {
-	e   *Engine
-	c   *Shard
-	hub hubScratch
+	e *Engine
+	c *Shard
 	// pc/qc are this worker's decode cursors: every kernel holds p's and q's
 	// adjacency simultaneously, so each endpoint gets its own cursor. On a
 	// flat CSR a cursor access is a plain slice alias; on a compressed backend
 	// it decodes into the cursor's reusable buffer, keeping the parallel hot
 	// path allocation-free on every graph.Graph implementation.
 	pc, qc *graph.Cursor
-}
-
-// hubScratch caches one tail vertex's neighborhood as a membership bitset
-// plus a dense weight array, both sized to the graph once per worker.
-type hubScratch struct {
-	v    int32 // vertex currently materialized; -1 when none
-	bits []uint64
-	wt   []float32
+	// hub holds the last hub tail's weights, and hc decodes hub adjacencies
+	// only, so the ids the row keeps to clear itself survive the joins'
+	// decodes. Both are made on the worker's first hub (hubRow).
+	hub Row
+	hc  *graph.Cursor
 }
 
 // ForWorker returns worker w's engine view, creating it (and its counter
@@ -85,7 +80,7 @@ func (e *Engine) growWorker(w int) *WorkerEngine {
 	for i := range next {
 		if next[i] == nil {
 			next[i] = &WorkerEngine{
-				e: e, c: e.C.Shard(i), hub: hubScratch{v: -1},
+				e: e, c: e.C.Shard(i),
 				pc: graph.NewCursor(e.G), qc: graph.NewCursor(e.G),
 			}
 		}
@@ -94,57 +89,31 @@ func (e *Engine) growWorker(w int) *WorkerEngine {
 	return next[w]
 }
 
-// Sigma returns the exact similarity σ(p,q), bit-identical to Engine.Sigma.
-func (we *WorkerEngine) Sigma(p, q int32) float64 {
-	we.c.Sims.Add(1)
-	e := we.e
-	acc := we.adaptiveDot(p, q)
-	if w := e.G.EdgeWeight(p, q); w > 0 {
-		acc += 2 * float64(w) * graph.SelfWeight
-	}
-	if p == q {
-		acc += graph.SelfWeight * graph.SelfWeight
-	}
-	return acc / (e.G.SqrtNorm(p) * e.G.SqrtNorm(q))
-}
-
 // SimilarEdge reports whether σ(p,q) ≥ ε for the adjacent pair (p,q) with
 // known edge weight wpq. Decision-identical to Engine.SimilarEdge.
 func (we *WorkerEngine) SimilarEdge(p, q int32, wpq float32) bool {
-	e := we.e
-	threshold := e.Eps * (e.G.SqrtNorm(p) * e.G.SqrtNorm(q))
-	if e.Opt.Lemma5 {
-		dp, dq := e.G.Degree(p), e.G.Degree(q)
-		minD := dp
-		if dq < minD {
-			minD = dq
-		}
-		bound := float64(minD)*float64(e.G.MaxWeight(p))*float64(e.G.MaxWeight(q)) +
-			2*float64(wpq)*graph.SelfWeight
-		if bound < threshold {
-			we.c.Pruned.Add(1)
-			return false
-		}
+	self, threshold, pruned := we.e.predicate(p, q, wpq)
+	if pruned {
+		we.c.Pruned.Add(1)
+		return false
 	}
 	we.c.Sims.Add(1)
-	selfTerms := 2 * float64(wpq) * graph.SelfWeight
-	if e.Opt.EarlyExit {
-		return we.adaptiveThreshold(p, q, selfTerms, threshold)
+	if we.e.Opt.EarlyExit {
+		return we.adaptiveThreshold(p, q, self, threshold)
 	}
-	return selfTerms+we.adaptiveDot(p, q) >= threshold
+	return self+we.adaptiveDot(p, q) >= threshold
 }
 
 // EdgeNumerator mirrors Engine.EdgeNumerator with the adaptive kernels.
 func (we *WorkerEngine) EdgeNumerator(p, q int32, wpq float32) (num, denom float64) {
-	selfTerms := 2 * float64(wpq) * graph.SelfWeight
-	num = selfTerms + we.adaptiveDot(p, q)
+	num = selfTerms(wpq) + we.adaptiveDot(p, q)
 	denom = we.e.G.SqrtNorm(p) * we.e.G.SqrtNorm(q)
 	return num, denom
 }
 
 // adaptiveThreshold picks the join kernel from the endpoint degrees. The
-// bitset probe keys on the tail p so consecutive evaluations of p's arcs
-// reuse one materialization.
+// hub gather keys on the tail p so consecutive evaluations of p's arcs
+// reuse one loaded row.
 func (we *WorkerEngine) adaptiveThreshold(p, q int32, selfTerms, threshold float64) bool {
 	if selfTerms >= threshold {
 		we.c.EarlyYes.Add(1)
@@ -153,7 +122,7 @@ func (we *WorkerEngine) adaptiveThreshold(p, q int32, selfTerms, threshold float
 	dp, dq := we.e.G.Degree(p), we.e.G.Degree(q)
 	switch {
 	case dp >= hubMinDegree && dp >= dq:
-		return we.bitsetThreshold(p, q, selfTerms, threshold)
+		return we.hubThreshold(p, q, selfTerms, threshold)
 	case dp >= gallopRatio*dq || dq >= gallopRatio*dp:
 		return we.gallopThreshold(p, q, selfTerms, threshold)
 	default:
@@ -172,7 +141,8 @@ func (we *WorkerEngine) adaptiveDot(p, q int32) float64 {
 	dp, dq := we.e.G.Degree(p), we.e.G.Degree(q)
 	switch {
 	case dp >= hubMinDegree && dp >= dq:
-		return we.bitsetDot(p, q)
+		qAdj, qW := we.qc.Neighbors(q)
+		return we.hubRow(p).Dot(qAdj, qW)
 	case dp >= gallopRatio*dq || dq >= gallopRatio*dp:
 		pAdj, pW := we.pc.Neighbors(p)
 		qAdj, qW := we.qc.Neighbors(q)
@@ -184,74 +154,45 @@ func (we *WorkerEngine) adaptiveDot(p, q int32) float64 {
 	}
 }
 
-// loadHub materializes p's neighborhood into the worker's bitset scratch,
-// clearing the previous hub's bits first (only its own words, so a switch
-// costs O(deg(old)) — the same order as the build it replaces).
-func (we *WorkerEngine) loadHub(p int32) {
-	if we.hub.v == p {
-		return
+// hubRow returns the worker's row holding p's weights, loading it unless p
+// was the last hub. The row is cleared before hc decodes p, because on a
+// compressed backend that decode overwrites the previous hub's ids.
+func (we *WorkerEngine) hubRow(p int32) *Row {
+	if we.hub.w == nil {
+		we.hub, we.hc = NewRow(we.e.G.NumVertices()), graph.NewCursor(we.e.G)
+	} else if we.hub.v == p {
+		return &we.hub
 	}
-	g := we.e.G
-	if we.hub.bits == nil {
-		n := g.NumVertices()
-		we.hub.bits = make([]uint64, (n+63)/64)
-		we.hub.wt = make([]float32, n)
-	}
-	if we.hub.v >= 0 {
-		adj, _ := we.pc.Neighbors(we.hub.v)
-		for _, r := range adj {
-			we.hub.bits[r>>6] = 0
-		}
-	}
-	adj, w := we.pc.Neighbors(p)
-	for i, r := range adj {
-		we.hub.bits[r>>6] |= 1 << (uint(r) & 63)
-		we.hub.wt[r] = w[i]
-	}
-	we.hub.v = p
+	we.hub.Reset()
+	ids, w := we.hc.Neighbors(p)
+	we.hub.Load(p, ids, w)
+	return &we.hub
 }
 
-// bitsetThreshold probes p's cached bitset with q's adjacency. Common
-// neighbors surface in ascending id order (q's list is sorted), and the
-// remaining-work bound counts only q's unscanned entries — at least the
-// merge join's min-based bound, so an early exit here implies the merge join
-// would decide identically.
-func (we *WorkerEngine) bitsetThreshold(p, q int32, selfTerms, threshold float64) bool {
-	we.loadHub(p)
+// hubThreshold gathers q's adjacency against hub p's row with running
+// bound exits. A non-neighbor adds an exact +0 and leaves the sum as it
+// was, so the success exit can fire only after a common neighbor, at the
+// sum the merge join reaches there. The remaining-work bound counts q's
+// unscanned entries, at least the merge join's min-based bound, so an early
+// failure here implies the merge join would decide identically.
+func (we *WorkerEngine) hubThreshold(p, q int32, selfTerms, threshold float64) bool {
+	row := we.hubRow(p).w
 	g := we.e.G
 	qAdj, qW := we.qc.Neighbors(q)
 	maxTerm := float64(g.MaxWeight(p)) * float64(g.MaxWeight(q))
-	bits, wt := we.hub.bits, we.hub.wt
 	dot := 0.0
-	for j := 0; j < len(qAdj); j++ {
+	for j, r := range qAdj {
 		if selfTerms+dot+float64(len(qAdj)-j)*maxTerm < threshold {
 			we.c.EarlyNo.Add(1)
 			return false
 		}
-		r := qAdj[j]
-		if bits[r>>6]&(1<<(uint(r)&63)) != 0 {
-			dot += float64(wt[r]) * float64(qW[j])
-			if selfTerms+dot >= threshold {
-				we.c.EarlyYes.Add(1)
-				return true
-			}
+		dot += float64(row[r]) * float64(qW[j])
+		if selfTerms+dot >= threshold {
+			we.c.EarlyYes.Add(1)
+			return true
 		}
 	}
 	return selfTerms+dot >= threshold
-}
-
-// bitsetDot is bitsetThreshold without the exits (exact dot product).
-func (we *WorkerEngine) bitsetDot(p, q int32) float64 {
-	we.loadHub(p)
-	qAdj, qW := we.qc.Neighbors(q)
-	bits, wt := we.hub.bits, we.hub.wt
-	dot := 0.0
-	for j, r := range qAdj {
-		if bits[r>>6]&(1<<(uint(r)&63)) != 0 {
-			dot += float64(wt[r]) * float64(qW[j])
-		}
-	}
-	return dot
 }
 
 // gallopThreshold scans the shorter adjacency list and gallops through the
