@@ -217,8 +217,8 @@ func Modularity(g *graph.CSR, r *cluster.Result) float64 {
 			next++
 		}
 	}
-	intra := map[int32]float64{}  // Σ internal arc weight per community
-	degree := map[int32]float64{} // Σ weighted degree per community
+	intra := make([]float64, next)  // Σ internal arc weight per community id
+	degree := make([]float64, next) // Σ weighted degree per community id
 	for v := int32(0); v < n; v++ {
 		adj, wts := g.Neighbors(v)
 		for i, q := range adj {
@@ -230,7 +230,7 @@ func Modularity(g *graph.CSR, r *cluster.Result) float64 {
 		}
 	}
 	var q float64
-	for c, d := range degree {
+	for c, d := range degree { // in id order, so every call sums the same bits
 		q += intra[c]/m2 - (d/m2)*(d/m2)
 	}
 	return q

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"anyscan/internal/cluster"
+	"anyscan/internal/gen"
 	"anyscan/internal/graph"
 )
 
@@ -197,6 +198,26 @@ func TestModularity(t *testing.T) {
 	empty, _ := graph.FromUnweightedEdges(0, nil)
 	if q := Modularity(empty, mk(nil, 0)); q != 0 {
 		t.Fatalf("empty Q = %v", q)
+	}
+}
+
+// TestModularityDeterministic scores one SCAN clustering of an LFR graph
+// (2,000 vertices, over a hundred clusters) 200 times: every call must
+// return the first call's bits.
+func TestModularityDeterministic(t *testing.T) {
+	g, _, err := gen.LFR(gen.DefaultLFR(2000, 10, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := cluster.Reference(g, 3, 0.4)
+	if r.NumClusters < 100 {
+		t.Fatalf("%d clusters, want a clustering with many", r.NumClusters)
+	}
+	first := Modularity(g, r)
+	for i := 0; i < 200; i++ {
+		if got := Modularity(g, r); math.Float64bits(got) != math.Float64bits(first) {
+			t.Fatalf("call %d: Q = %v, first call gave %v", i, got, first)
+		}
 	}
 }
 

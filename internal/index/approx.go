@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,7 +30,7 @@ import (
 //  1. non-unit edge weights: MinHash estimates set resemblance only, so the
 //     whole build falls back to the exact pass (recorded, band-free);
 //  2. build-time: arcs whose endpoint degrees sum to ≤ k are evaluated
-//     exactly (the merge join is cheaper than comparing k minima), band 0;
+//     exactly (the exact gather is cheaper than comparing k minima), band 0;
 //  3. query-time: arcs with |σ̂ − ε| ≤ band get one exact evaluation,
 //     cached in a lock-free slot array shared by all queries.
 //
@@ -75,7 +76,7 @@ type approxState struct {
 	resolved    []uint64
 	resolvedCnt atomic.Int64
 
-	eng *simeval.Engine // exact fallback evaluator (σ pass engine, no pruning)
+	rows sync.Pool // idle bandRows, cleared (arcScan)
 
 	buildExactArcs int64 // tier-2: undirected edges evaluated exactly at build
 	sketchedArcs   int64 // undirected edges estimated from sketches
@@ -149,29 +150,29 @@ func buildApproxCtx(ctx context.Context, g graph.Graph, threads int, delta float
 		return nil, err
 	}
 	t := simeval.HoeffdingHalfWidth(k, delta)
-	eng := simeval.New(g, 0, simeval.Options{})
+	x := &Index{g: g, threads: threads, orders: map[int]*CoreOrder{},
+		approx: &approxState{delta: delta, k: k, seed: seed}}
 	// σ̂ and its band are written in CSR arc order, mirrored, and then
 	// permuted into σ order in place by the neighbor sort, as in BuildCtx.
 	sig := make([]float64, g.NumArcs())
 	band := make([]float32, g.NumArcs())
 	type tally struct{ exact, sketched int64 }
-	totals, err := par.ReduceCtx(ctx, g.NumVertices(), threads, par.Adaptive, func(w, i int, acc tally) tally {
-		we := eng.ForWorker(w)
+	totals, err := par.ReduceCtx(ctx, g.NumVertices(), threads, par.Adaptive, func(_, i int, acc tally) tally {
 		v := int32(i)
 		lo, _ := g.NeighborRange(v)
 		dv := g.Degree(v)
-		g.EachNeighbor(v, func(j int, q int32, wt float32) bool {
+		ex := arcScan{x: x, v: v}
+		g.EachNeighbor(v, func(j int, q int32, _ float32) bool {
 			if v >= q {
 				return true
 			}
 			dq := g.Degree(q)
 			if int(dv)+int(dq) <= k {
-				// Tier 2: the exact merge join touches fewer entries than the
+				// Tier 2: the exact gather touches fewer entries than the
 				// k-minima comparison — estimating would be slower *and* less
 				// accurate. Band 0: the value is exact.
 				acc.exact++
-				num, denom := we.EdgeNumerator(v, q, wt)
-				sig[lo+int64(j)] = simeval.Crossing(num, denom)
+				sig[lo+int64(j)] = ex.crossing(q)
 				return true
 			}
 			acc.sketched++
@@ -200,6 +201,7 @@ func buildApproxCtx(ctx context.Context, g graph.Graph, threads int, delta float
 			band[lo+int64(j)] = bw
 			return true
 		})
+		ex.done()
 		return acc
 	}, func(a, b tally) tally { return tally{a.exact + b.exact, a.sketched + b.sketched} })
 	if err != nil {
@@ -208,19 +210,9 @@ func buildApproxCtx(ctx context.Context, g graph.Graph, threads int, delta float
 	graph.PropagateMirrors(g, sig)
 	graph.PropagateMirrors(g, band)
 
-	x := &Index{
-		g:        g,
-		nbrSig:   sig,
-		simEvals: totals.exact,
-		threads:  threads,
-		orders:   map[int]*CoreOrder{},
-		approx: &approxState{
-			delta: delta, k: k, seed: seed,
-			nbrBand: band, eng: eng,
-			buildExactArcs: totals.exact,
-			sketchedArcs:   totals.sketched,
-		},
-	}
+	x.nbrSig, x.simEvals = sig, totals.exact
+	a := x.approx
+	a.nbrBand, a.buildExactArcs, a.sketchedArcs = band, totals.exact, totals.sketched
 	if err := x.sortNeighborsCtx(ctx, threads); err != nil {
 		return nil, err
 	}
@@ -238,68 +230,79 @@ func (x *Index) finishApprox() {
 	n := g.NumVertices()
 	a.maxBand = make([]float64, n)
 	for v := int32(0); v < int32(n); v++ {
-		lo, hi := g.NeighborRange(v)
-		m := float64(0)
-		for e := lo; e < hi; e++ {
-			if b := float64(a.nbrBand[e]); b > m {
-				m = b
-			}
+		if lo, hi := g.NeighborRange(v); hi > lo {
+			a.maxBand[v] = float64(slices.Max(a.nbrBand[lo:hi]))
 		}
-		a.maxBand[v] = m
 	}
 	a.resolved = make([]uint64, g.NumArcs())
 	for i := range a.resolved {
 		a.resolved[i] = approxUnresolved
 	}
-	if a.eng == nil {
-		a.eng = simeval.New(g, 0, simeval.Options{})
-	}
 	a.ordersU = map[int]*CoreOrder{}
 }
 
-// numeratorEval is the exact-evaluation surface resolveExact needs; both the
-// concurrency-safe Engine and a per-worker WorkerEngine satisfy it.
-type numeratorEval interface {
-	EdgeNumerator(p, q int32, wpq float32) (num, denom float64)
+// arcScan evaluates exact σ for arcs of vertex v, each one Row.Crossing
+// over the far end's adjacency (the exact σ pass's kernel). The first takes
+// a bandRow from the pool and loads v; done returns it cleared.
+type arcScan struct {
+	x  *Index
+	v  int32
+	br *bandRow
 }
 
-// resolveExact returns the exact activation threshold of sorted slot e of
-// vertex p, memoizing it in the lock-free resolution cache. Racing resolvers
-// compute the identical deterministic value; the CAS only keeps the
-// resolution count honest.
-func (x *Index) resolveExact(ev numeratorEval, p int32, e int64) float64 {
-	a := x.approx
-	if v := atomic.LoadUint64(&a.resolved[e]); v != approxUnresolved {
-		return math.Float64frombits(v)
+// bandRow is a row and its cursors: rc decodes the row's vertex and qc the
+// far ends, so qc never overwrites the ids the row keeps to clear itself.
+type bandRow struct {
+	row    simeval.Row
+	rc, qc *graph.Cursor
+}
+
+// crossing returns the exact threshold of the arc v→q. Its weight is 1:
+// approximate mode implies unit weights (tier 1).
+func (s *arcScan) crossing(q int32) float64 {
+	g := s.x.g
+	if s.br == nil {
+		if s.br, _ = s.x.approx.rows.Get().(*bandRow); s.br == nil {
+			s.br = &bandRow{row: simeval.NewRow(g.NumVertices()), rc: graph.NewCursor(g), qc: graph.NewCursor(g)}
+		}
+		ids, w := s.br.rc.Neighbors(s.v)
+		s.br.row.Load(s.v, ids, w)
 	}
-	// Approximate mode implies unit weights (tier 1), so the adjacent pair's
-	// edge weight is 1 without a lookup.
-	num, denom := ev.EdgeNumerator(p, x.nbr[e], 1)
-	s := simeval.Crossing(num, denom)
-	if atomic.CompareAndSwapUint64(&a.resolved[e], approxUnresolved, math.Float64bits(s)) {
+	adj, w := s.br.qc.Neighbors(q)
+	return s.br.row.Crossing(1, adj, w, g.SqrtNorm(s.v)*g.SqrtNorm(q))
+}
+
+func (s *arcScan) done() {
+	if s.br != nil {
+		s.br.row.Reset()
+		s.x.approx.rows.Put(s.br)
+	}
+}
+
+// effSig returns the effective similarity of s's vertex's sorted slot e at
+// eps: the estimate when ε is outside its error band (σ̂ ≥ ε then decides
+// reliably), else the exact value, resolved through s once and memoized.
+// Racing resolvers compute the same value; the CAS keeps the count honest.
+func (x *Index) effSig(s *arcScan, e int64, eps float64) float64 {
+	a := x.approx
+	if est, b := x.nbrSig[e], float64(a.nbrBand[e]); b == 0 || est-b >= eps || est+b < eps {
+		return est
+	}
+	if r := atomic.LoadUint64(&a.resolved[e]); r != approxUnresolved {
+		return math.Float64frombits(r)
+	}
+	t := s.crossing(x.nbr[e])
+	if atomic.CompareAndSwapUint64(&a.resolved[e], approxUnresolved, math.Float64bits(t)) {
 		a.resolvedCnt.Add(1)
 	}
-	return s
-}
-
-// effSig returns the effective similarity of sorted slot e of vertex p for a
-// query at threshold eps: the estimate when ε is outside the slot's error
-// band (the decision σ̂ ≥ ε is then reliable), the memoized exact value when
-// ε lands inside it.
-func (x *Index) effSig(ev numeratorEval, p int32, e int64, eps float64) float64 {
-	s := x.nbrSig[e]
-	b := float64(x.approx.nbrBand[e])
-	if b == 0 || s-b >= eps || s+b < eps {
-		return s
-	}
-	return x.resolveExact(ev, p, e)
+	return t
 }
 
 // isCoreApprox decides whether v is a core at (μ, ε) under the band-aware
 // predicate: at least μ−1 neighbors with effective similarity ≥ ε (plus v
 // itself). The σ̂-sorted order still bounds the scan — any arc with
 // σ̂ < ε − maxBand[v] is dissimilar even at the top of its band.
-func (x *Index) isCoreApprox(ev numeratorEval, v int32, mu int, eps float64) bool {
+func (x *Index) isCoreApprox(v int32, mu int, eps float64) bool {
 	if mu <= 1 {
 		return true
 	}
@@ -312,6 +315,8 @@ func (x *Index) isCoreApprox(ev numeratorEval, v int32, mu int, eps float64) boo
 	if x.nbrSig[lo+int64(need-1)]-x.approx.maxBand[v] >= eps {
 		return true // even the bands' low edges clear ε: certainly a core
 	}
+	s := arcScan{x: x, v: v}
+	defer s.done()
 	cnt := 0
 	for e := lo; e < hi; e++ {
 		if x.nbrSig[e] < slack {
@@ -320,7 +325,7 @@ func (x *Index) isCoreApprox(ev numeratorEval, v int32, mu int, eps float64) boo
 		if int64(need-cnt) > hi-e {
 			return false // not enough arcs left to reach μ−1
 		}
-		if x.effSig(ev, v, e, eps) >= eps {
+		if x.effSig(&s, e, eps) >= eps {
 			cnt++
 			if cnt >= need {
 				return true
@@ -366,8 +371,8 @@ func (x *Index) queryApprox(mu int, eps float64) (*cluster.Result, error) {
 	a := x.approx
 	cands := x.upperCoreOrderFor(mu).Prefix(eps)
 	r := newReplay(x.NumVertices())
-	each(len(cands), x.threads, func(w, i int) {
-		r.isCore[cands[i]] = x.isCoreApprox(a.eng.ForWorker(w), cands[i], mu, eps)
+	each(len(cands), x.threads, func(_, i int) {
+		r.isCore[cands[i]] = x.isCoreApprox(cands[i], mu, eps)
 	})
 	cores := make([]int32, 0, len(cands))
 	for _, v := range cands {
@@ -375,20 +380,21 @@ func (x *Index) queryApprox(mu int, eps float64) (*cluster.Result, error) {
 			cores = append(cores, v)
 		}
 	}
-	each(len(cores), x.threads, func(w, i int) {
-		ev := a.eng.ForWorker(w)
+	each(len(cores), x.threads, func(_, i int) {
 		u := cores[i]
 		lo, hi := x.g.NeighborRange(u)
 		slack := eps - a.maxBand[u]
 		hint := r.ds.Find(u)
+		s := arcScan{x: x, v: u}
 		for e := lo; e < hi; e++ {
 			if x.nbrSig[e] < slack {
 				break
 			}
-			if q := x.nbr[e]; x.effSig(ev, u, e, eps) >= eps && !r.joined(hint, q) {
+			if q := x.nbr[e]; x.effSig(&s, e, eps) >= eps && !r.joined(hint, q) {
 				hint = r.link(u, hint, q)
 			}
 		}
+		s.done()
 	})
 	// The noise split reads the index's own neighbor ids: going through an
 	// approxView would resolve arcs the answer never needed.
@@ -442,8 +448,8 @@ func (av *approxView) CoreThreshold(v int32, mu int) float64 {
 
 // order returns v's effective neighbor order, computing and memoizing it on
 // first use. Uncertain arcs resolve through the index's shared exact cache
-// (via the concurrency-safe Engine), so a vertex's effective order agrees
-// with every global query at the same ε.
+// (arcScan), so a vertex's effective order agrees with every global query at
+// the same ε.
 func (av *approxView) order(v int32) effOrder {
 	av.mu.Lock()
 	if o, ok := av.ords[v]; ok {
@@ -454,13 +460,12 @@ func (av *approxView) order(v int32) effOrder {
 
 	x := av.x
 	lo, hi := x.g.NeighborRange(v)
-	deg := int(hi - lo)
-	o := effOrder{ids: make([]int32, deg), sigs: make([]float64, deg)}
-	for j := 0; j < deg; j++ {
-		e := lo + int64(j)
-		o.ids[j] = x.nbr[e]
-		o.sigs[j] = x.effSig(x.approx.eng, v, e, av.eps)
+	o := effOrder{ids: slices.Clone(x.nbr[lo:hi]), sigs: make([]float64, hi-lo)}
+	s := arcScan{x: x, v: v}
+	for j := range o.sigs {
+		o.sigs[j] = x.effSig(&s, lo+int64(j), av.eps)
 	}
+	s.done()
 	SortOrder(o.ids, o.sigs)
 
 	av.mu.Lock()

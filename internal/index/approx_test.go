@@ -2,13 +2,16 @@ package index_test
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
 	"anyscan/internal/cluster"
 	"anyscan/internal/gen"
+	"anyscan/internal/graph"
 	"anyscan/internal/index"
 	"anyscan/internal/local"
 	"anyscan/internal/simeval"
@@ -78,6 +81,69 @@ func TestApproxDecisionsOutsideBandMatchExact(t *testing.T) {
 			if checked > 0 && confident == 0 {
 				t.Fatalf("%s eps=%v: no confident arcs at all — bands degenerate", tc.Name, eps)
 			}
+		}
+	}
+}
+
+// TestApproxResolvedSlotsAreExact checks the values the approximate index
+// resolves, not only the decisions they lead to. With k = 32 permutations the
+// error bands are wide, so explore's (μ, ε) grid and a LocalView read of
+// every vertex at each ε resolve many arcs, on the flat and the compressed
+// backend at 1 and 2 workers. The five views read concurrently, so
+// resolvers race for slots. Every resolved slot must hold the exact
+// index's threshold for its arc bit for bit, and Approx().Resolved must
+// count the resolved slots.
+func TestApproxResolvedSlotsAreExact(t *testing.T) {
+	csr := gen.RMAT(10, 1024*24, 0.45, 0.22, 0.22, gen.WeightConfig{}, 3)
+	exact := index.Build(csr, 1)
+	want := make([]map[int32]float64, csr.NumVertices())
+	for v := range want {
+		ids, sigs := exact.NeighborOrder(int32(v))
+		want[v] = make(map[int32]float64, len(ids))
+		for j, q := range ids {
+			want[v][q] = sigs[j]
+		}
+	}
+	epss := []float64{0.2, 0.35, 0.5, 0.65, 0.8}
+	for _, backend := range []struct {
+		name string
+		g    graph.Graph
+	}{{"flat", csr}, {"compressed", graph.Compress(csr)}} {
+		for _, threads := range []int{1, 2} {
+			x, err := index.BuildApproxK(backend.g, threads, 0.01, 32, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, mu := range []int{2, 4, 8, 16} {
+				for _, eps := range epss {
+					if _, err := x.Query(mu, eps); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			var wg sync.WaitGroup
+			for _, eps := range epss {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					view := x.LocalView(eps)
+					for v := int32(0); v < int32(csr.NumVertices()); v++ {
+						view.NeighborOrder(v)
+					}
+				}()
+			}
+			wg.Wait()
+			var resolved int64
+			x.ResolvedArcs(func(v, q int32, sig float64) {
+				resolved++
+				if w := want[v][q]; math.Float64bits(sig) != math.Float64bits(w) {
+					t.Fatalf("%s/%d: arc (%d,%d) resolved to %v, the exact index holds %v", backend.name, threads, v, q, sig, w)
+				}
+			})
+			if got := x.Approx().Resolved; got != resolved || resolved < csr.NumArcs()/10 {
+				t.Fatalf("%s/%d: Approx().Resolved = %d, %d slots resolved of %d", backend.name, threads, got, resolved, csr.NumArcs())
+			}
+			t.Logf("%s/%d: %d of %d slots resolved exactly", backend.name, threads, resolved, csr.NumArcs())
 		}
 	}
 }

@@ -2,7 +2,6 @@ package index_test
 
 import (
 	"bytes"
-	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -11,77 +10,6 @@ import (
 	"anyscan/internal/index"
 	"anyscan/internal/testutil"
 )
-
-// TestBuildBackendEquivalence is the cross-backend equivalence suite of the
-// tentpole refactor: building the query index over the flat CSR and over the
-// varint-compressed backend (in-memory and mmap-backed from a .csrz file)
-// must produce byte-identical indexes — same persisted bytes, same σ count —
-// and byte-identical Query answers over a (μ, ε) grid.
-func TestBuildBackendEquivalence(t *testing.T) {
-	dir := t.TempDir()
-	for _, tc := range testutil.RandomCases(1) {
-		for _, threads := range []int{1, 4} {
-			flat := index.Build(tc.G, threads)
-			comp := index.Build(graph.Compress(tc.G), threads)
-
-			path := filepath.Join(dir, "g.csrz")
-			if err := graph.Compress(tc.G).WriteCompressedFile(path); err != nil {
-				t.Fatalf("%s: WriteCompressedFile: %v", tc.Name, err)
-			}
-			mg, err := graph.OpenCompressedFile(path, graph.CompressedOpenOptions{VerifyCRC: true})
-			if err != nil {
-				t.Fatalf("%s: OpenCompressedFile: %v", tc.Name, err)
-			}
-			mapped := index.Build(mg, threads)
-
-			if flat.SimEvals() != comp.SimEvals() || flat.SimEvals() != mapped.SimEvals() {
-				t.Fatalf("%s threads=%d: σ evaluations differ: flat=%d compressed=%d mmap=%d",
-					tc.Name, threads, flat.SimEvals(), comp.SimEvals(), mapped.SimEvals())
-			}
-
-			var flatBuf, compBuf, mapBuf bytes.Buffer
-			if err := flat.Save(&flatBuf); err != nil {
-				t.Fatal(err)
-			}
-			if err := comp.Save(&compBuf); err != nil {
-				t.Fatal(err)
-			}
-			if err := mapped.Save(&mapBuf); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(flatBuf.Bytes(), compBuf.Bytes()) {
-				t.Fatalf("%s threads=%d: persisted index differs between flat CSR and compressed backends",
-					tc.Name, threads)
-			}
-			if !bytes.Equal(flatBuf.Bytes(), mapBuf.Bytes()) {
-				t.Fatalf("%s threads=%d: persisted index differs between flat CSR and mmap backends",
-					tc.Name, threads)
-			}
-
-			for _, mu := range []int{1, tc.Mu} {
-				for _, eps := range []float64{0.3, tc.Eps, 0.8} {
-					want, err := flat.Query(mu, eps)
-					if err != nil {
-						t.Fatalf("%s mu=%d eps=%v: %v", tc.Name, mu, eps, err)
-					}
-					for name, x := range map[string]*index.Index{"compressed": comp, "mmap": mapped} {
-						got, err := x.Query(mu, eps)
-						if err != nil {
-							t.Fatalf("%s %s mu=%d eps=%v: %v", tc.Name, name, mu, eps, err)
-						}
-						if !reflect.DeepEqual(got.Labels, want.Labels) || !reflect.DeepEqual(got.Roles, want.Roles) {
-							t.Fatalf("%s threads=%d %s mu=%d eps=%v: Query differs from the flat-CSR backend",
-								tc.Name, threads, name, mu, eps)
-						}
-					}
-				}
-			}
-			if err := mg.Close(); err != nil {
-				t.Fatalf("%s: Close: %v", tc.Name, err)
-			}
-		}
-	}
-}
 
 // TestConcurrentQueriesCompressedBackend exercises the compressed backend's
 // shared decode paths under the race detector: many goroutines querying one

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+	"time"
 
 	"anyscan/internal/cluster"
 	"anyscan/internal/gen"
@@ -17,7 +18,10 @@ import (
 // GR05L-shaped R-MAT (8192 vertices, ~352k edges, skewed degrees), with unit
 // and with uniform weights, on the flat and the compressed backend, at 1 and
 // 2 workers. Every row runs the one exact σ kernel; a compressed row adds
-// its one decode of every adjacency.
+// its one decode of every adjacency. The unit-approx rows time what
+// perfbench build's approximate request pays on the unit graph: BuildApprox
+// at δ = 0.01 plus the first Query at (5, 0.5), which resolves the arcs in
+// its error bands; query-ms is that query alone.
 func BenchmarkBuild(b *testing.B) {
 	for _, w := range []struct {
 		name string
@@ -46,6 +50,28 @@ func BenchmarkBuild(b *testing.B) {
 					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(g.NumArcs()), "ns/arc")
 				})
 			}
+		}
+		if w.name != "unit" {
+			continue
+		}
+		for _, threads := range []int{1, 2} {
+			b.Run(fmt.Sprintf("unit-approx/threads=%d", threads), func(b *testing.B) {
+				b.ReportAllocs()
+				var query time.Duration
+				for i := 0; i < b.N; i++ {
+					x, err := index.BuildApprox(csr, threads, 0.01)
+					if err != nil {
+						b.Fatal(err)
+					}
+					start := time.Now()
+					if _, err := x.Query(5, 0.5); err != nil {
+						b.Fatal(err)
+					}
+					query += time.Since(start)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(csr.NumArcs()), "ns/arc")
+				b.ReportMetric(float64(query.Microseconds())/1000/float64(b.N), "query-ms")
+			})
 		}
 	}
 }

@@ -2,6 +2,8 @@ package index
 
 import (
 	"context"
+	"math"
+	"sync/atomic"
 
 	"anyscan/internal/graph"
 )
@@ -24,3 +26,18 @@ func (x *Index) ArcOrder() (sig []float64, band []float32) {
 // ParallelQueryMin is the core count from which a replay fans its walks
 // out across workers.
 const ParallelQueryMin = parallelQueryMin
+
+// ResolvedArcs calls fn for every slot of an approximate index that a query
+// or a local read has resolved exactly: the slot's vertex, its neighbor and
+// the memoized threshold.
+func (x *Index) ResolvedArcs(fn func(v, q int32, sig float64)) {
+	a := x.approx
+	for v := int32(0); v < int32(x.NumVertices()); v++ {
+		lo, hi := x.g.NeighborRange(v)
+		for e := lo; e < hi; e++ {
+			if bits := atomic.LoadUint64(&a.resolved[e]); bits != approxUnresolved {
+				fn(v, x.nbr[e], math.Float64frombits(bits))
+			}
+		}
+	}
+}

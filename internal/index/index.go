@@ -129,8 +129,8 @@ func BuildCtx(ctx context.Context, g graph.Graph, threads int) (*Index, error) {
 // by a binary search of q's ids. Only the worker holding an edge's
 // higher-ranked end writes its two slots, so no write needs an atomic.
 //
-// Thresholds are bit-identical to the reference merge join,
-// simeval.Crossing(Engine.EdgeNumerator), on every backend and thread
+// Thresholds are bit-identical to the reference merge join of the two
+// adjacencies, passed through simeval.Crossing, on every backend and thread
 // count (see simeval.Row).
 //
 // Transient memory is one float32 per vertex per worker, plus a cursor's
@@ -187,18 +187,12 @@ func sigmaPass(ctx context.Context, g graph.Graph, threads int) ([]int32, []floa
 	return nbr, sig, nil
 }
 
-// sortNeighbors turns the arc-order nbrSig (and, for an approximate index,
-// nbrBand) into the σ-sorted neighbor orders: it fills nbr with each
-// vertex's adjacency and sorts every vertex's range of the three parallel
-// arrays in place.
-func (x *Index) sortNeighbors(threads int) {
-	x.sortNeighborsCtx(nil, threads)
-}
-
-// sortNeighborsCtx is sortNeighbors with cooperative cancellation (nil ctx
-// disables polling and never errors). An nbr already set (sigmaPass copies
-// each adjacency there) is sorted as it is; an unset one is filled from the
-// graph first.
+// sortNeighborsCtx turns the arc-order nbrSig (and, for an approximate
+// index, nbrBand) into the σ-sorted neighbor orders, sorting every vertex's
+// range of the three parallel arrays in place. An nbr already set
+// (sigmaPass copies each adjacency there) is sorted as it is; an unset one
+// is filled from the graph first. A nil ctx disables polling and never
+// errors.
 func (x *Index) sortNeighborsCtx(ctx context.Context, threads int) error {
 	g := x.g
 	fill := x.nbr == nil

@@ -187,7 +187,7 @@ func restore(g graph.Graph, payload []byte, threads int) (*Index, error) {
 		}
 		x.approx = &approxState{delta: p.Delta, k: p.K, seed: p.Seed, nbrBand: p.Band}
 	}
-	x.sortNeighbors(threads)
+	x.sortNeighborsCtx(nil, threads)
 	if x.approx != nil {
 		x.finishApprox()
 	}

@@ -113,12 +113,11 @@ func newReplay(n int) *replay {
 	return r
 }
 
-// joined reports whether the similar arc to q needs no link: q is a core
-// whose parent slot names hint, a member of the walking core's set, so the
-// two are in one set already (unionfind.Concurrent.ParentIs). It is one
-// load, small enough to inline into the walks, so a joined arc makes no
-// call.
-func (r *replay) joined(hint, q int32) bool { return r.isCore[q] && r.ds.ParentIs(q, hint) }
+// joined reports whether the similar arc to q needs no link: q's parent
+// slot names hint, a member of the walking core's set (ParentIs). Only
+// cores are ever unioned and the hint is a core, so a non-core's slot names
+// itself, never the hint: one load, no core test, inlined into the walks.
+func (r *replay) joined(hint, q int32) bool { return r.ds.ParentIs(q, hint) }
 
 // link records a similar arc u→q of core u that joined did not find done,
 // and returns the hint for u's next arc. hint is a member of u's set:

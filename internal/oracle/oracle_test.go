@@ -129,7 +129,7 @@ func inputs(t *testing.T) []input {
 
 // randomGrid returns the index cells of each random case: μ ∈ {1, 2, μ₀,
 // μ₀+2} at eight fixed ε and eight drawn per (case, μ), {1, μ₀} × {0.3,
-// 0.8}, {2, 3, 5} × {0.3, 0.5, 0.7} on the first four cases, and two of
+// ε₀, 0.8}, {2, 3, 5} × {0.3, 0.5, 0.7} on the first four cases, and two of
 // sweep's interesting thresholds per μ, which are exact σ boundaries.
 func randomGrid(t *testing.T, cases []testutil.RandomCase) [][]param {
 	rng := rand.New(rand.NewSource(7))
@@ -159,7 +159,7 @@ func randomGrid(t *testing.T, cases []testutil.RandomCase) [][]param {
 		for k := range 2 * 4 * len(mus) { // four per μ, twice over
 			add(mus[k/4%len(mus)], 0.05+0.9*rng.Float64())
 		}
-		add(1, 0.3, 0.8)
+		add(1, 0.3, tc.Eps, 0.8)
 		add(tc.Mu, 0.3, 0.8)
 		for _, mu := range []int{2, 3, 5} {
 			if i < 4 {
@@ -499,7 +499,7 @@ func localQuery(name string, view local.View) adapter {
 // way it checks that the index built on every backend at 1, 2 and 4
 // workers, and ep, have the neighbor orders, σ bit for bit, and core
 // thresholds of the reference merge join, that every build counts one σ
-// per edge, that ep counts g's edges, and that each backend persists the
+// per edge, that ep counts g's edges, and that every build persists the
 // same bytes.
 func adapters(t *testing.T, dir, file string, in input, g *graph.CSR, ep *live.Epoch) []adapter {
 	t.Helper()
@@ -518,16 +518,14 @@ func adapters(t *testing.T, dir, file string, in input, g *graph.CSR, ep *live.E
 			if err := want.differ(x, in.cells); err != nil || x.SimEvals() != evals {
 				t.Fatalf("%s: %s: %d σ evaluations (want %d); %v", in.name, name, x.SimEvals(), evals, err)
 			}
-			if threads == 1 {
-				var buf bytes.Buffer
-				if err := x.Save(&buf); err != nil {
-					t.Fatal(err)
-				}
-				if saved == nil {
-					saved = buf.Bytes()
-				} else if !bytes.Equal(buf.Bytes(), saved) {
-					t.Fatalf("%s: %s persists other bytes than index/flat/1", in.name, name)
-				}
+			var buf bytes.Buffer
+			if err := x.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if saved == nil {
+				saved = buf.Bytes()
+			} else if !bytes.Equal(buf.Bytes(), saved) {
+				t.Fatalf("%s: %s persists other bytes than index/flat/1", in.name, name)
 			}
 			as = append(as, exact(name, x.Query))
 			if i == 0 && threads != 2 {
