@@ -32,7 +32,7 @@ func Reference(g *graph.CSR, mu int, eps float64) *Result {
 		isCore[v] = cnt >= mu
 	}
 
-	ds := unionfind.New(n)
+	ds := unionfind.NewConcurrent(n)
 	for v := int32(0); v < int32(n); v++ {
 		if !isCore[v] {
 			continue

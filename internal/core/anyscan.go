@@ -74,13 +74,9 @@ type Metrics struct {
 	Sim          simeval.CounterValues
 	UnionsSeq    int64 // Step-1 unions (sequential sub-phase)
 	UnionsStep23 int64 // Step-2/3 unions (performed lock-free inside the parallel loops)
-	// Finds is 0 when the run uses the lock-free union-find, which does not
-	// count finds (a shared counter would reintroduce the contended cache
-	// line the structure removes).
-	Finds      int64
-	SuperNodes int
-	Iterations int
-	Elapsed    time.Duration
+	SuperNodes   int
+	Iterations   int
+	Elapsed      time.Duration
 	// WorkerArcs is the number of adjacency arcs each worker processed in
 	// the parallel phases; its spread measures load balance independently
 	// of the host's physical core count.
@@ -195,10 +191,16 @@ func (c *Clusterer) Progress() Progress {
 		SuperNodes: len(c.snRep),
 		Vertices:   len(c.state),
 		Touched:    touched,
-		Sims:       c.eng.C.Snapshot().Sims,
+		Sims:       c.Sims(),
 		Done:       c.phase == PhaseDone,
 	}
 }
+
+// Sims returns the number of σ evaluations performed so far. Unlike the
+// other methods it may run concurrently with Step: it reads only the
+// engine's atomic counters, so it returns at once with a count that may lag
+// the running block.
+func (c *Clusterer) Sims() int64 { return c.eng.C.Snapshot().Sims }
 
 // Metrics returns the cumulative work counters.
 func (c *Clusterer) Metrics() Metrics {
@@ -206,7 +208,6 @@ func (c *Clusterer) Metrics() Metrics {
 		Sim:          c.eng.C.Snapshot(),
 		UnionsSeq:    c.unionsSeq,
 		UnionsStep23: c.unionsStep23.Load(),
-		Finds:        c.ds.Finds(),
 		SuperNodes:   len(c.snRep),
 		Iterations:   c.iterations,
 		Elapsed:      c.elapsed,

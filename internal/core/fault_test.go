@@ -97,10 +97,11 @@ func reframe(t *testing.T, st checkpointState) []byte {
 }
 
 // TestCheckpointRejectsSemanticCorruption forges checkpoints whose frame and
-// checksum are valid but whose payload carries out-of-range indices — the
-// kind a buggy or malicious writer could produce. Every one must be rejected
-// by the bounds validation; without it, each would either panic the resumed
-// run with an index error or silently poison the clustering.
+// checksum are valid but whose payload carries out-of-range indices or an
+// inconsistent forest — the kind a buggy or malicious writer could produce.
+// Every one must be rejected by the validation; without it, each would
+// panic the resumed run with an index error, hang it on a parent cycle, or
+// silently poison the clustering.
 func TestCheckpointRejectsSemanticCorruption(t *testing.T) {
 	g := testutil.Karate()
 	n := int32(g.NumVertices())
@@ -118,13 +119,15 @@ func TestCheckpointRejectsSemanticCorruption(t *testing.T) {
 		{name: "nei-oversized", mut: func(st *checkpointState) { st.Nei[0] = n + 1 }},
 		{name: "snrep-out-of-range", mut: func(st *checkpointState) { st.SnRep = append(st.SnRep, n+5) }},
 		{name: "snrep-parent-mismatch", mut: func(st *checkpointState) { st.DSParent = st.DSParent[:0] }},
+		// Two steps leave 8 super-nodes, so the forest rows index in range.
 		{name: "ds-parent-out-of-range", mut: func(st *checkpointState) {
-			if len(st.DSParent) == 0 {
-				t.Skip("no super-nodes yet")
-			}
 			st.DSParent[0] = int32(len(st.DSParent)) + 3
 		}},
 		{name: "ds-sets-implausible", mut: func(st *checkpointState) { st.DSSets = len(st.DSParent) + 1 }},
+		{name: "ds-parent-cycle", mut: func(st *checkpointState) {
+			st.DSParent[0], st.DSParent[1], st.DSParent[2] = 1, 2, 0
+		}},
+		{name: "ds-sets-miscounted", mut: func(st *checkpointState) { st.DSSets-- }},
 		{name: "snof-out-of-range", mut: func(st *checkpointState) {
 			st.SnOf[0] = append(st.SnOf[0], int32(len(st.SnRep))+2)
 		}},

@@ -46,20 +46,6 @@ func TestRoundEmptyInput(t *testing.T) {
 	}
 }
 
-func TestPSCANMRMatchesReference(t *testing.T) {
-	for _, tc := range testutil.RandomCases(1) {
-		for _, workers := range []int{1, 4} {
-			res, stats, _ := PSCANMR(tc.G, tc.Mu, tc.Eps, workers)
-			if err := cluster.Validate(tc.G, tc.Mu, tc.Eps, res); err != nil {
-				t.Fatalf("%s workers=%d: %v", tc.Name, workers, err)
-			}
-			if stats.Rounds < 3 {
-				t.Fatalf("%s: suspiciously few rounds (%d)", tc.Name, stats.Rounds)
-			}
-		}
-	}
-}
-
 func TestPSCANMRAgreesWithSCANOnFixtures(t *testing.T) {
 	g := testutil.TwoTriangles()
 	res, stats, _ := PSCANMR(g, 3, 0.6, 2)

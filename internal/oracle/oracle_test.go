@@ -110,6 +110,10 @@ func inputs(t *testing.T) []input {
 	for range 4 {
 		lfrCells = append(lfrCells, param{mu: 2 + rng.Intn(5), eps: 0.25 + 0.5*rng.Float64()})
 	}
+	// Three more cells from the same stream, drawn with seed picks between
+	// them: the cells the per-backend local-against-global test asked.
+	lfrCells = append(lfrCells, param{mu: 5, eps: 0.4355077708575346},
+		param{mu: 3, eps: 0.5933465564985058}, param{mu: 3, eps: 0.3108278200561919})
 	var localCells []param
 	for k := range 16 {
 		localCells = append(localCells, param{mu: []int{1, 2, 3, 5}[k/4], eps: []float64{0.2, 0.4, 0.6, 0.8}[k%4]})

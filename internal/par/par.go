@@ -27,12 +27,6 @@ import (
 	"sync/atomic"
 )
 
-// DefaultGrain is the historical fixed chunk size. It remains exported for
-// callers that want a known grain, but since the adaptive scheduler landed
-// the recommended way to pick a grain is to pass Adaptive (or any value
-// <= 0) and let Grain scale the chunk to the loop.
-const DefaultGrain = 64
-
 // Adaptive, passed as the grain argument, asks the scheduler to size chunks
 // from the iteration count and worker count via Grain.
 const Adaptive = 0
@@ -51,7 +45,7 @@ const (
 // [minGrain, maxGrain]. Dividing each worker's share into chunksPerWorker
 // pieces keeps dynamic scheduling effective on degree-skewed graphs (the
 // paper's GR02/GR03 load-balance concern) while touching the shared cursor
-// O(workers·chunksPerWorker) times instead of O(n/DefaultGrain).
+// O(workers·chunksPerWorker) times instead of once per fixed-size chunk.
 func Grain(n, workers int) int {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

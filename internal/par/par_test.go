@@ -255,7 +255,7 @@ func TestAdaptiveGrainCoversAllIndices(t *testing.T) {
 func TestReduceSum(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 9} {
 		for _, n := range []int{0, 1, 10, 4096} {
-			got := Reduce(n, workers, Adaptive,
+			got, _ := ReduceCtx(nil, n, workers, Adaptive, // a nil ctx never errors
 				func(_, i int, acc int64) int64 { return acc + int64(i) },
 				func(a, b int64) int64 { return a + b })
 			want := int64(n) * int64(n-1) / 2
@@ -268,7 +268,7 @@ func TestReduceSum(t *testing.T) {
 
 func TestReduceStructAccumulator(t *testing.T) {
 	type stats struct{ count, max int64 }
-	got := Reduce(1000, 4, 7,
+	got, _ := ReduceCtx(nil, 1000, 4, 7,
 		func(_, i int, acc stats) stats {
 			acc.count++
 			if int64(i) > acc.max {
@@ -295,7 +295,7 @@ func TestReduceWorkerSlotsAreIsolated(t *testing.T) {
 		worker int
 		n      int64
 	}
-	got := Reduce(10000, 8, 4,
+	got, _ := ReduceCtx(nil, 10000, 8, 4,
 		func(w, _ int, acc tagged) tagged {
 			if acc.n == 0 {
 				acc.worker = w

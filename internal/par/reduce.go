@@ -10,8 +10,9 @@ import (
 // adjacent-line prefetcher on current x86 parts).
 const accPadBytes = 128
 
-// Reduce executes body(worker, i, acc) for every i in [0, n) with the given
-// number of workers and folds the per-worker partial results with merge.
+// ReduceCtx executes body(worker, i, acc) for every i in [0, n) with the
+// given number of workers and folds the per-worker partial results with
+// merge.
 //
 // Each worker threads its own accumulator (starting from the zero value of T)
 // through its body invocations, so body needs no synchronization and no
@@ -26,17 +27,13 @@ const accPadBytes = 128
 // workers and grain follow the For conventions: workers <= 0 means
 // GOMAXPROCS, workers == 1 runs inline, grain <= 0 selects the adaptive
 // chunk size of Grain.
-func Reduce[T any](n, workers, grain int, body func(worker, i int, acc T) T, merge func(a, b T) T) T {
-	out, _ := ReduceCtx(nil, n, workers, grain, body, merge)
-	return out
-}
-
-// ReduceCtx is Reduce with the cooperative cancellation of ForCtx: between
-// chunks each worker polls ctx and stops claiming new work once it is done.
-// When the loop is cut short ReduceCtx returns the zero value of T and
-// ctx.Err() — partial reductions are never exposed, because a caller cannot
-// tell which indices contributed. A nil ctx disables polling (and ReduceCtx
-// then never errors).
+//
+// Cancellation is that of ForCtx: between chunks each worker polls ctx and
+// stops claiming new work once it is done. When the loop is cut short
+// ReduceCtx returns the zero value of T and ctx.Err() — partial reductions
+// are never exposed, because a caller cannot tell which indices
+// contributed. A nil ctx disables polling (and ReduceCtx then never
+// errors).
 func ReduceCtx[T any](ctx context.Context, n, workers, grain int, body func(worker, i int, acc T) T, merge func(a, b T) T) (T, error) {
 	var zero T
 	if n <= 0 {

@@ -75,7 +75,7 @@ func ApproxSCAN(g *graph.CSR, mu int, eps, rho float64, seed int64) (*cluster.Re
 	}
 
 	// Cluster: union sampled similar edges between estimated cores.
-	ds := unionfind.New(n)
+	ds := unionfind.NewConcurrent(n)
 	for v := int32(0); v < int32(n); v++ {
 		if !estCore[v] {
 			continue
@@ -116,8 +116,7 @@ func ApproxSCAN(g *graph.CSR, mu int, eps, rho float64, seed int64) (*cluster.Re
 	res := buildResult(g, labels, isCore)
 	m := Metrics{
 		Sim:     eng.C.Snapshot(),
-		Unions:  ds.Unions(),
-		Finds:   ds.Finds(),
+		Unions:  int64(n - ds.Sets()),
 		Elapsed: time.Since(start),
 	}
 	return res, m

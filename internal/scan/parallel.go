@@ -103,8 +103,7 @@ func ParallelSCAN(g graph.Graph, mu int, eps float64, threads int) (*cluster.Res
 	res := buildResult(g, labels, isCore)
 	m := Metrics{
 		Sim:     eng.C.Snapshot(),
-		Unions:  ds.Unions(),
-		Finds:   ds.Finds(),
+		Unions:  int64(n - ds.Sets()),
 		Elapsed: time.Since(start),
 	}
 	return res, m

@@ -164,8 +164,7 @@ func PSCAN(g *graph.CSR, mu int, eps float64) (*cluster.Result, Metrics) {
 	res := buildResult(g, labels, isCore)
 	m := Metrics{
 		Sim:     eng.C.Snapshot(),
-		Unions:  ds.Unions(),
-		Finds:   ds.Finds(),
+		Unions:  int64(n - ds.Sets()),
 		Elapsed: time.Since(start),
 	}
 	return res, m

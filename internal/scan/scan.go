@@ -17,12 +17,12 @@ import (
 )
 
 // Metrics reports the work an algorithm performed, in the units the paper
-// plots: structural similarity evaluations (Fig. 7), disjoint-set operations
-// (Fig. 12) and wall-clock time.
+// plots: structural similarity evaluations (Fig. 7), merging Union
+// operations (Fig. 12: n − Sets() of the run's forest, since each merge
+// removes one set) and wall-clock time.
 type Metrics struct {
 	Sim     simeval.CounterValues
 	Unions  int64
-	Finds   int64
 	Elapsed time.Duration
 }
 

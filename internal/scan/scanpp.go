@@ -146,7 +146,7 @@ func SCANPP(g *graph.CSR, mu int, eps float64) (*cluster.Result, Metrics) {
 
 	// Phase 3: merge local clusters — union every similar core-core edge,
 	// skipping pairs already connected.
-	ds := unionfind.New(n)
+	ds := unionfind.NewConcurrent(n)
 	for u := int32(0); u < int32(n); u++ {
 		if coreKnown[u] != 1 {
 			continue
@@ -217,8 +217,7 @@ func SCANPP(g *graph.CSR, mu int, eps float64) (*cluster.Result, Metrics) {
 	res := buildResult(g, labels, isCore)
 	m := Metrics{
 		Sim:     eng.C.Snapshot(),
-		Unions:  ds.Unions(),
-		Finds:   ds.Finds(),
+		Unions:  int64(n - ds.Sets()),
 		Elapsed: time.Since(start),
 	}
 	return res, m

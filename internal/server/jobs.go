@@ -26,7 +26,8 @@ import (
 //   - runMu serializes access to the Clusterer (StepCtx vs Snapshot /
 //     Progress / SaveCheckpoint) — exactly the "between Step calls" protocol
 //     the anytime scheme requires. A status or snapshot request therefore
-//     waits at most one block.
+//     waits at most one block; the σ total of /v1/metrics reads the
+//     Clusterer's atomic counters (Clusterer.Sims) and waits for none.
 //   - ctl guards the cheap control fields (state, flags, timestamps) and is
 //     never held across a Step, so pause/cancel always land promptly: they
 //     set a flag and cancel the step context, which reaches *inside* the
@@ -108,13 +109,6 @@ func (j *Job) Result() *cluster.Result {
 	j.ctl.Lock()
 	defer j.ctl.Unlock()
 	return j.result
-}
-
-// Metrics returns the run's cumulative work counters.
-func (j *Job) Metrics() core.Metrics {
-	j.runMu.Lock()
-	defer j.runMu.Unlock()
-	return j.c.Metrics()
 }
 
 // jobManifest is the durable description of an unfinished job, written next
@@ -266,11 +260,13 @@ func (m *Manager) CountByState() map[JobState]int {
 	return counts
 }
 
-// TotalSims sums the σ evaluations performed by all jobs so far.
+// TotalSims sums the σ evaluations performed by all jobs so far. It does
+// not take any job's runMu, so it never waits for a running block or a
+// checkpoint write.
 func (m *Manager) TotalSims() int64 {
 	var total int64
 	for _, j := range m.List() {
-		total += j.Metrics().Sim.Sims
+		total += j.c.Sims()
 	}
 	return total
 }

@@ -157,7 +157,7 @@ func (e *Explorer) Dendrogram() []Merge {
 	slices.SortFunc(events, func(a, b Merge) int {
 		return cmp.Or(cmp.Compare(b.Thr, a.Thr), cmp.Compare(a.A, b.A), cmp.Compare(a.B, b.B))
 	})
-	ds := unionfind.New(e.x.NumVertices())
+	ds := unionfind.NewConcurrent(e.x.NumVertices())
 	var out []Merge
 	for _, m := range events {
 		if ds.Union(m.A, m.B) {

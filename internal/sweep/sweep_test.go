@@ -130,7 +130,7 @@ func TestDendrogramConsistentWithClusteringAt(t *testing.T) {
 	}
 	// Cutting the dendrogram at ε must reproduce the core partition.
 	for _, eps := range []float64{0.35, 0.5, 0.65} {
-		ds := unionfind.New(tc.G.NumVertices())
+		ds := unionfind.NewConcurrent(tc.G.NumVertices())
 		for _, m := range merges {
 			if m.Thr < eps {
 				break

@@ -1,3 +1,14 @@
+// Package unionfind implements the disjoint-set forest that tracks cluster
+// labels: anySCAN's super-nodes (Section III-A), the cores of pSCAN, SCAN++,
+// ParallelSCAN and LinkSCAN*, the reference clustering, the sweep
+// dendrogram, and every index, sweep and live-epoch replay.
+//
+// The paper guards Union with an OpenMP critical section (Fig. 4 lines 41
+// and 60). Concurrent is lock-free instead, so one structure serves the
+// sequential callers and the parallel merge phases alike. It keeps no
+// operation counters: the number of merges is n − Sets(), since each merge
+// removes exactly one set, and anySCAN counts its own Step-1 and Step-2/3
+// merges from Union's verdicts for Fig. 12.
 package unionfind
 
 import (
@@ -6,19 +17,18 @@ import (
 )
 
 // Concurrent is a lock-free disjoint set safe for Union/Find/Connected calls
-// from any number of goroutines simultaneously. It replaces the paper's
-// "guard Union with an OpenMP critical section" scheme (Fig. 4 lines 41/60)
-// with the CAS-based design of GBBS (Dhulipala, Blelloch & Shun) as used for
-// SCAN cluster formation by Tseng, Dhulipala & Shun: an atomic parent array,
-// union-by-min root hooking with a retry loop, and best-effort CAS path
-// halving.
+// from any number of goroutines simultaneously. It follows the CAS-based
+// design of GBBS (Dhulipala, Blelloch & Shun) as used for SCAN cluster
+// formation by Tseng, Dhulipala & Shun: an atomic parent array, union-by-min
+// root hooking with a retry loop, and best-effort CAS path halving.
 //
 // Invariants that make the structure linearizable without locks:
 //
-//   - parent values only ever decrease: a root r is hooked exclusively under
-//     a root with a smaller id (union-by-min), and path halving replaces a
-//     parent with a strictly closer-to-root (hence <=) ancestor. Pointer
-//     chains therefore always terminate and no cycle can form.
+//   - no operation creates a cycle: a hook points a root at the root of
+//     another set, and path halving points an element at its grandparent.
+//     A fresh forest's parents only ever decrease (a root is hooked under a
+//     smaller root), so its chains terminate; a restored forest may be
+//     rank-shaped, and RestoreConcurrent rejects one with a cycle.
 //   - a root stops being a root exactly once, via the single successful
 //     CompareAndSwap(parent[r]: r -> smaller root). Competing unions on the
 //     same root serialize on that CAS; losers re-run Find and retry.
@@ -29,21 +39,18 @@ import (
 //     grandparent. So a reader that sees parent[x] == r knows x and r share
 //     a set forever (ParentIs), without finding either root.
 //
-// Union-by-min gives up the rank balancing of DisjointSet; path halving keeps
-// chains short in practice, and the parallel merge phases touch each edge
-// O(1) times, so the theoretical depth loss is invisible next to the removed
-// serialization. Find operations are deliberately not counted — a shared
-// find counter would reintroduce exactly the contended cache line this type
-// exists to remove — so Finds always reports 0.
+// Union-by-min gives up rank balancing; path halving keeps chains short in
+// practice, and the parallel merge phases touch each edge O(1) times, so
+// the theoretical depth loss is invisible next to the removed
+// serialization. Nothing is counted on the hot path: a shared counter would
+// reintroduce exactly the contended cache line this type exists to remove.
 //
-// Add, Snapshot, Restore and Labels are quiescent operations: they must not
-// run concurrently with any other method (the anySCAN phases call them only
-// in sequential sub-phases or between Step calls, which is the same contract
-// the checkpoint machinery already requires).
+// Add, Sets, Labels, Snapshot and RestoreConcurrent are quiescent
+// operations: they must not run concurrently with any other method (the
+// anySCAN phases call them only in sequential sub-phases or between Step
+// calls, which is the same contract the checkpoint machinery requires).
 type Concurrent struct {
 	parent []int32 // atomic access in the concurrent operations
-	unions atomic.Int64
-	sets   atomic.Int64
 }
 
 // NewConcurrent returns a Concurrent disjoint set with n singleton elements.
@@ -52,7 +59,6 @@ func NewConcurrent(n int) *Concurrent {
 	for i := range c.parent {
 		c.parent[i] = int32(i)
 	}
-	c.sets.Store(int64(n))
 	return c
 }
 
@@ -65,7 +71,6 @@ func (c *Concurrent) Len() int { return len(c.parent) }
 func (c *Concurrent) Add() int32 {
 	id := int32(len(c.parent))
 	c.parent = append(c.parent, id)
-	c.sets.Add(1)
 	return id
 }
 
@@ -105,7 +110,8 @@ func (c *Concurrent) FindNoCompress(x int32) int32 {
 // Union merges the sets containing x and y and reports whether this call
 // performed the merge. Lock-free: the larger root is hooked under the
 // smaller via CAS; on a lost race the roots are re-resolved and the hook
-// retried until the sets are observed merged.
+// retried until the sets are observed merged. Exactly one call reports
+// each merge, so counting true verdicts counts merges.
 func (c *Concurrent) Union(x, y int32) bool {
 	for {
 		rx, ry := c.Find(x), c.Find(y)
@@ -118,8 +124,6 @@ func (c *Concurrent) Union(x, y int32) bool {
 		// ry > rx: hook ry under rx. The CAS succeeds only while ry is still
 		// a root, so exactly one competing union wins the merge.
 		if atomic.CompareAndSwapInt32(&c.parent[ry], ry, rx) {
-			c.unions.Add(1)
-			c.sets.Add(-1)
 			return true
 		}
 		x, y = rx, ry
@@ -152,24 +156,25 @@ func (c *Concurrent) Connected(x, y int32) bool {
 	}
 }
 
-// Sets returns the current number of disjoint sets.
-func (c *Concurrent) Sets() int { return int(c.sets.Load()) }
-
-// Unions returns the number of merging Union operations performed.
-func (c *Concurrent) Unions() int64 { return c.unions.Load() }
-
-// Finds always returns 0: see the type comment for why find operations are
-// not counted on the lock-free hot path.
-func (c *Concurrent) Finds() int64 { return 0 }
+// Sets returns the number of disjoint sets by counting roots, in O(n).
+// Quiescent-only.
+func (c *Concurrent) Sets() int {
+	sets := 0
+	for i, p := range c.parent {
+		if p == int32(i) {
+			sets++
+		}
+	}
+	return sets
+}
 
 // Labels returns, for each element, a dense label in [0, Sets()): elements
 // in the same set share a label, assigned in order of first appearance of
-// each set's representative — the same canonical order DisjointSet.Labels
-// produces for an equal partition. Quiescent-only.
+// each set's representative. Quiescent-only.
 func (c *Concurrent) Labels() []int32 {
 	labels := make([]int32, len(c.parent))
 	next := int32(0)
-	seen := make(map[int32]int32, c.Sets())
+	seen := make(map[int32]int32)
 	for i := range c.parent {
 		r := c.Find(int32(i))
 		l, ok := seen[r]
@@ -183,25 +188,21 @@ func (c *Concurrent) Labels() []int32 {
 	return labels
 }
 
-// String implements fmt.Stringer for debugging.
-func (c *Concurrent) String() string {
-	return fmt.Sprintf("unionfind.Concurrent{n=%d sets=%d unions=%d}",
-		len(c.parent), c.Sets(), c.Unions())
-}
-
-// Snapshot exports the forest state for checkpointing, in the same
-// (parent, rank, sets) shape DisjointSet.Snapshot uses so the checkpoint
-// container format is unchanged. Concurrent keeps no ranks; the rank vector
-// is all zeros. Quiescent-only.
+// Snapshot exports the forest state for checkpointing, in the (parent,
+// rank, sets) shape of checkpoint format v2, which rank-based forests
+// wrote. Concurrent keeps no ranks; the rank vector is all zeros.
+// Quiescent-only.
 func (c *Concurrent) Snapshot() (parent []int32, rank []uint8, sets int) {
 	return append([]int32(nil), c.parent...), make([]uint8, len(c.parent)), c.Sets()
 }
 
-// RestoreConcurrent rebuilds a Concurrent set from a Snapshot — including
-// snapshots written by the rank-based DisjointSet (checkpoint format v2
-// predates the lock-free structure): the rank vector only ever influenced
-// tree shape, never the partition, so it is validated for length and
-// otherwise ignored. The union counter restarts at zero.
+// RestoreConcurrent rebuilds a Concurrent set from a Snapshot. It also
+// accepts the rank-based forests that older format-v2 checkpoints hold,
+// whose roots need not be their sets' smallest members: the rank vector
+// only ever influenced tree shape, never the partition, so it is validated
+// for length and otherwise ignored. Every parent chain is walked once, so
+// a forest with a cycle, on which Find would never return, is rejected, as
+// is a set count other than the number of roots.
 func RestoreConcurrent(parent []int32, rank []uint8, sets int) (*Concurrent, error) {
 	if len(parent) != len(rank) {
 		return nil, fmt.Errorf("unionfind: parent/rank length mismatch %d != %d", len(parent), len(rank))
@@ -211,10 +212,26 @@ func RestoreConcurrent(parent []int32, rank []uint8, sets int) (*Concurrent, err
 			return nil, fmt.Errorf("unionfind: element %d has out-of-range parent %d", i, p)
 		}
 	}
-	if sets < 0 || sets > len(parent) {
-		return nil, fmt.Errorf("unionfind: implausible set count %d", sets)
+	// walk[x] is 1 + the element whose walk first reached x. A walk ends at
+	// a root or at an element an earlier walk reached, which leads to a
+	// root; one that reaches an element of its own walk found a cycle.
+	walk := make([]int32, len(parent))
+	roots := 0
+	for i := range parent {
+		mark, x := int32(i)+1, int32(i)
+		for walk[x] == 0 && parent[x] != x {
+			walk[x] = mark
+			x = parent[x]
+		}
+		if walk[x] == mark {
+			return nil, fmt.Errorf("unionfind: element %d lies on a parent cycle", x)
+		}
+		if parent[i] == int32(i) {
+			roots++
+		}
 	}
-	c := &Concurrent{parent: parent}
-	c.sets.Store(int64(sets))
-	return c, nil
+	if sets != roots {
+		return nil, fmt.Errorf("unionfind: set count %d, but the forest has %d roots", sets, roots)
+	}
+	return &Concurrent{parent: parent}, nil
 }

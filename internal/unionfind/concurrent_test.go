@@ -8,8 +8,8 @@ import (
 )
 
 // samePartition asserts that two label vectors describe the same partition.
-// Both Labels implementations canonicalize (dense ids in order of first
-// appearance), so equal partitions must yield equal vectors.
+// Both sides canonicalize (dense ids in order of first appearance), so equal
+// partitions must yield equal vectors.
 func samePartition(t *testing.T, want, got []int32) {
 	t.Helper()
 	if len(want) != len(got) {
@@ -17,7 +17,7 @@ func samePartition(t *testing.T, want, got []int32) {
 	}
 	for i := range want {
 		if want[i] != got[i] {
-			t.Fatalf("partition differs at element %d: sequential label %d, concurrent label %d",
+			t.Fatalf("partition differs at element %d: model label %d, forest label %d",
 				i, want[i], got[i])
 		}
 	}
@@ -26,31 +26,28 @@ func samePartition(t *testing.T, want, got []int32) {
 func TestConcurrentMatchesSequentialSingleThread(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const n = 500
-	ds := New(n)
+	naive := singletons(n)
 	cc := NewConcurrent(n)
 	for k := 0; k < 2*n; k++ {
 		x, y := int32(rng.Intn(n)), int32(rng.Intn(n))
-		if ds.Union(x, y) != cc.Union(x, y) {
+		if naive.union(x, y) != cc.Union(x, y) {
 			t.Fatalf("union(%d,%d) merge verdicts diverged at op %d", x, y, k)
 		}
-		if ds.Connected(x, y) != cc.Connected(x, y) {
+		if naive.same(x, y) != cc.Connected(x, y) {
 			t.Fatalf("connected(%d,%d) diverged at op %d", x, y, k)
 		}
 	}
-	if ds.Sets() != cc.Sets() {
-		t.Fatalf("set counts differ: %d vs %d", ds.Sets(), cc.Sets())
+	if naive.sets() != cc.Sets() {
+		t.Fatalf("set counts differ: %d vs %d", naive.sets(), cc.Sets())
 	}
-	if ds.Unions() != cc.Unions() {
-		t.Fatalf("union counts differ: %d vs %d", ds.Unions(), cc.Unions())
-	}
-	samePartition(t, ds.Labels(), cc.Labels())
+	samePartition(t, naive.labels(), cc.Labels())
 }
 
 // TestConcurrentStress drives a Concurrent set from many goroutines over a
 // shared random union sequence and asserts the resulting partition is
-// identical to the sequential DisjointSet applying the same unions. Run
-// under -race in CI; the assertion holds for every interleaving because the
-// union set (not its order) determines the partition.
+// identical to the naive label model applying the same unions. Run under
+// -race in CI; the assertion holds for every interleaving because the union
+// set (not its order) determines the partition.
 func TestConcurrentStress(t *testing.T) {
 	workers := 2 * runtime.GOMAXPROCS(0)
 	if workers < 4 {
@@ -74,9 +71,12 @@ func TestConcurrentStress(t *testing.T) {
 			unions = append(unions, pair{int32(rng.Intn(n)), int32(rng.Intn(n))})
 		}
 
-		seq := New(n)
+		naive := singletons(n)
+		var merges int64
 		for _, u := range unions {
-			seq.Union(u.x, u.y)
+			if naive.union(u.x, u.y) {
+				merges++
+			}
 		}
 
 		cc := NewConcurrent(n)
@@ -106,18 +106,18 @@ func TestConcurrentStress(t *testing.T) {
 		}
 		wg.Wait()
 
-		samePartition(t, seq.Labels(), cc.Labels())
-		if seq.Sets() != cc.Sets() {
-			t.Fatalf("n=%d: set counts differ: %d vs %d", n, seq.Sets(), cc.Sets())
+		samePartition(t, naive.labels(), cc.Labels())
+		if naive.sets() != cc.Sets() {
+			t.Fatalf("n=%d: set counts differ: %d vs %d", n, naive.sets(), cc.Sets())
 		}
 		// Exactly one goroutine must win each merge: total merge wins equal
-		// the sequential union count.
+		// the model's merge count.
 		var total int64
 		for _, m := range merged[:workers] {
 			total += m
 		}
-		if total != seq.Unions() || cc.Unions() != seq.Unions() {
-			t.Fatalf("n=%d: merge wins %d / counter %d, want %d", n, total, cc.Unions(), seq.Unions())
+		if total != merges {
+			t.Fatalf("n=%d: merge wins %d, want %d", n, total, merges)
 		}
 	}
 }
@@ -200,46 +200,60 @@ func TestConcurrentSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 }
 
+// TestConcurrentRestoresRankBasedSnapshot restores a forest of the shape a
+// rank-based union-find writes, whose roots need not be their sets'
+// smallest members and whose chains may climb to larger ids: the partition
+// must come back, and further unions must stay correct.
 func TestConcurrentRestoresRankBasedSnapshot(t *testing.T) {
-	// A checkpoint written by the sequential DisjointSet (rank-balanced
-	// forest, parents may exceed children ids) must restore into Concurrent
-	// with the identical partition, and further unions must stay correct.
-	rng := rand.New(rand.NewSource(11))
-	ds := New(300)
-	for k := 0; k < 400; k++ {
-		ds.Union(int32(rng.Intn(300)), int32(rng.Intn(300)))
-	}
-	parent, rank, sets := ds.Snapshot()
-	cc, err := RestoreConcurrent(parent, rank, sets)
+	// {0, 1, 2, 3} under root 1 (3 → 2 → 1 ← 0), {4, 5, 6} under root 5
+	// (6 → 4 → 5), {7} alone; ranks as union by rank leaves them.
+	parent := []int32{1, 1, 1, 2, 5, 5, 4, 7}
+	rank := []uint8{0, 2, 1, 0, 1, 2, 0, 0}
+	cc, err := RestoreConcurrent(parent, rank, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	samePartition(t, ds.Labels(), cc.Labels())
-	for k := 0; k < 200; k++ {
-		x, y := int32(rng.Intn(300)), int32(rng.Intn(300))
-		ds.Union(x, y)
-		cc.Union(x, y)
+	naive := newModel([]int32{1, 1, 1, 1, 5, 5, 5, 7})
+	samePartition(t, naive.labels(), cc.Labels())
+	rng := rand.New(rand.NewSource(11))
+	for k := 0; k < 6; k++ {
+		x, y := int32(rng.Intn(8)), int32(rng.Intn(8))
+		if naive.union(x, y) != cc.Union(x, y) {
+			t.Fatalf("union(%d,%d) merge verdicts diverged at op %d", x, y, k)
+		}
 	}
-	samePartition(t, ds.Labels(), cc.Labels())
+	samePartition(t, naive.labels(), cc.Labels())
+	if naive.sets() != cc.Sets() {
+		t.Fatalf("set counts differ: %d vs %d", naive.sets(), cc.Sets())
+	}
 }
 
+// TestRestoreConcurrentRejectsCorruptState feeds forests whose every parent
+// is in range but whose shape is wrong: a chain that never reaches a root
+// would hang Find, and a set count that is not the number of roots would
+// misreport Sets.
 func TestRestoreConcurrentRejectsCorruptState(t *testing.T) {
-	if _, err := RestoreConcurrent([]int32{0, 5}, []uint8{0, 0}, 2); err == nil {
-		t.Error("out-of-range parent accepted")
-	}
-	if _, err := RestoreConcurrent([]int32{0, 1}, []uint8{0}, 2); err == nil {
-		t.Error("length mismatch accepted")
-	}
-	if _, err := RestoreConcurrent([]int32{0, 1}, []uint8{0, 0}, 3); err == nil {
-		t.Error("implausible set count accepted")
+	for _, tc := range []struct {
+		name   string
+		parent []int32
+		sets   int
+	}{
+		{"two-cycle", []int32{1, 0}, 0},
+		{"three-cycle", []int32{1, 2, 0}, 0},
+		{"cycle-behind-a-root", []int32{0, 2, 3, 1}, 1},
+		{"tail-into-a-cycle", []int32{1, 2, 3, 2, 4}, 1},
+		{"sets-one-short", []int32{0, 0, 2}, 1},
+		{"sets-one-over", []int32{0, 0, 2}, 3},
+	} {
+		if _, err := RestoreConcurrent(tc.parent, make([]uint8, len(tc.parent)), tc.sets); err == nil {
+			t.Errorf("%s: forest %v with %d sets accepted", tc.name, tc.parent, tc.sets)
+		}
 	}
 }
 
-// BenchmarkUnion compares the sequential DisjointSet against the lock-free
-// Concurrent structure on the same union workload, single-threaded (the
-// structural overhead of CAS vs plain stores) and with the Concurrent set
-// additionally driven from all procs (the contended case the mutex-guarded
-// design serializes).
+// BenchmarkUnion runs one union workload on the lock-free Concurrent
+// structure single-threaded (the cost of CAS over plain stores) and driven
+// from all procs (the contended case a mutex-guarded design serializes).
 func BenchmarkUnion(b *testing.B) {
 	const n = 1 << 16
 	pairs := make([][2]int32, 1<<14)
@@ -247,14 +261,6 @@ func BenchmarkUnion(b *testing.B) {
 	for i := range pairs {
 		pairs[i] = [2]int32{int32(rng.Intn(n)), int32(rng.Intn(n))}
 	}
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ds := New(n)
-			for _, p := range pairs {
-				ds.Union(p[0], p[1])
-			}
-		}
-	})
 	b.Run("concurrent-1", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			cc := NewConcurrent(n)

@@ -6,15 +6,91 @@ import (
 	"testing/quick"
 )
 
+// model is the naive label model a forest is checked against: every element
+// carries its set's label, and a merge relabels every member of the smaller
+// set.
+type model struct {
+	of      []int32   // label of each element's set
+	members [][]int32 // members of each label's set
+}
+
+// newModel returns the model of the partition that puts element i in set
+// of[i]; labels lie in [0, len(of)).
+func newModel(of []int32) *model {
+	m := &model{of: of, members: make([][]int32, len(of))}
+	for i, l := range of {
+		m.members[l] = append(m.members[l], int32(i))
+	}
+	return m
+}
+
+// singletons returns the model of n singleton sets.
+func singletons(n int) *model {
+	of := make([]int32, n)
+	for i := range of {
+		of[i] = int32(i)
+	}
+	return newModel(of)
+}
+
+// union merges the sets of x and y and reports whether they were apart.
+func (m *model) union(x, y int32) bool {
+	a, b := m.of[x], m.of[y]
+	if a == b {
+		return false
+	}
+	if len(m.members[a]) < len(m.members[b]) {
+		a, b = b, a
+	}
+	for _, v := range m.members[b] {
+		m.of[v] = a
+	}
+	m.members[a] = append(m.members[a], m.members[b]...)
+	m.members[b] = nil
+	return true
+}
+
+func (m *model) same(x, y int32) bool { return m.of[x] == m.of[y] }
+
+// sets returns the number of sets.
+func (m *model) sets() int {
+	n := 0
+	for _, ms := range m.members {
+		if len(ms) > 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// labels numbers the sets as Concurrent.Labels does: densely, in order of
+// first appearance.
+func (m *model) labels() []int32 {
+	dense := make(map[int32]int32)
+	out := make([]int32, len(m.of))
+	for i, l := range m.of {
+		d, ok := dense[l]
+		if !ok {
+			d = int32(len(dense))
+			dense[l] = d
+		}
+		out[i] = d
+	}
+	return out
+}
+
 func TestBasics(t *testing.T) {
-	ds := New(5)
+	ds := NewConcurrent(5)
 	if ds.Len() != 5 || ds.Sets() != 5 {
 		t.Fatalf("fresh set: len=%d sets=%d", ds.Len(), ds.Sets())
 	}
 	if ds.Connected(0, 1) {
 		t.Fatal("fresh elements connected")
 	}
-	if !ds.Union(0, 1) {
+	merges := 0
+	if ds.Union(0, 1) {
+		merges++
+	} else {
 		t.Fatal("first union should merge")
 	}
 	if ds.Union(1, 0) {
@@ -26,13 +102,13 @@ func TestBasics(t *testing.T) {
 	if ds.Sets() != 4 {
 		t.Fatalf("sets = %d, want 4", ds.Sets())
 	}
-	if ds.Unions() != 1 {
-		t.Fatalf("unions = %d, want 1", ds.Unions())
+	if merges != 1 {
+		t.Fatalf("unions = %d, want 1", merges)
 	}
 }
 
 func TestAdd(t *testing.T) {
-	ds := New(2)
+	ds := NewConcurrent(2)
 	id := ds.Add()
 	if id != 2 {
 		t.Fatalf("Add returned %d, want 2", id)
@@ -48,7 +124,7 @@ func TestAdd(t *testing.T) {
 
 func TestChainMerging(t *testing.T) {
 	n := 100
-	ds := New(n)
+	ds := NewConcurrent(n)
 	for i := 0; i < n-1; i++ {
 		ds.Union(int32(i), int32(i+1))
 	}
@@ -65,7 +141,7 @@ func TestChainMerging(t *testing.T) {
 
 func TestFindNoCompressAgreesWithFind(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	ds := New(200)
+	ds := NewConcurrent(200)
 	for i := 0; i < 300; i++ {
 		ds.Union(int32(rng.Intn(200)), int32(rng.Intn(200)))
 	}
@@ -77,7 +153,7 @@ func TestFindNoCompressAgreesWithFind(t *testing.T) {
 }
 
 func TestLabels(t *testing.T) {
-	ds := New(6)
+	ds := NewConcurrent(6)
 	ds.Union(0, 3)
 	ds.Union(4, 5)
 	labels := ds.Labels()
@@ -102,45 +178,22 @@ func TestLabels(t *testing.T) {
 	}
 }
 
-func TestResetCounters(t *testing.T) {
-	ds := New(4)
-	ds.Union(0, 1)
-	ds.Find(2)
-	ds.ResetCounters()
-	if ds.Unions() != 0 || ds.Finds() != 0 {
-		t.Fatalf("counters not reset")
-	}
-	if !ds.Connected(0, 1) {
-		t.Fatal("ResetCounters must not alter the forest")
-	}
-}
-
-// Property: union-find implements an equivalence relation matching a naive
-// label-propagation model.
+// Property: union-find implements an equivalence relation matching the
+// naive label model.
 func TestEquivalenceRelationProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 50
-		ds := New(n)
-		naive := make([]int, n)
-		for i := range naive {
-			naive[i] = i
-		}
-		relabel := func(from, to int) {
-			for i := range naive {
-				if naive[i] == from {
-					naive[i] = to
-				}
-			}
-		}
+		ds := NewConcurrent(n)
+		naive := singletons(n)
 		for k := 0; k < 80; k++ {
-			a, b := rng.Intn(n), rng.Intn(n)
-			ds.Union(int32(a), int32(b))
-			relabel(naive[a], naive[b])
+			a, b := int32(rng.Intn(n)), int32(rng.Intn(n))
+			ds.Union(a, b)
+			naive.union(a, b)
 		}
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				if ds.Connected(int32(i), int32(j)) != (naive[i] == naive[j]) {
+		for i := int32(0); i < int32(n); i++ {
+			for j := i + 1; j < int32(n); j++ {
+				if ds.Connected(i, j) != naive.same(i, j) {
 					return false
 				}
 			}
@@ -157,11 +210,14 @@ func TestSetCountProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 64
-		ds := New(n)
+		ds := NewConcurrent(n)
+		merges := 0
 		for k := 0; k < 200; k++ {
-			ds.Union(int32(rng.Intn(n)), int32(rng.Intn(n)))
+			if ds.Union(int32(rng.Intn(n)), int32(rng.Intn(n))) {
+				merges++
+			}
 		}
-		return int64(ds.Sets()) == int64(n)-ds.Unions()
+		return ds.Sets() == n-merges
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
@@ -173,7 +229,7 @@ func BenchmarkUnionFind(b *testing.B) {
 	n := 100000
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ds := New(n)
+		ds := NewConcurrent(n)
 		for k := 0; k < n; k++ {
 			ds.Union(int32(rng.Intn(n)), int32(rng.Intn(n)))
 		}
@@ -181,12 +237,12 @@ func BenchmarkUnionFind(b *testing.B) {
 }
 
 func TestSnapshotRestore(t *testing.T) {
-	ds := New(10)
+	ds := NewConcurrent(10)
 	ds.Union(0, 1)
 	ds.Union(2, 3)
 	ds.Union(1, 3)
 	parent, rank, sets := ds.Snapshot()
-	restored, err := Restore(parent, rank, sets)
+	restored, err := RestoreConcurrent(parent, rank, sets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,25 +265,16 @@ func TestSnapshotRestore(t *testing.T) {
 }
 
 func TestRestoreRejectsCorruptState(t *testing.T) {
-	if _, err := Restore([]int32{0, 1}, []uint8{0}, 2); err == nil {
+	if _, err := RestoreConcurrent([]int32{0, 1}, []uint8{0}, 2); err == nil {
 		t.Error("length mismatch accepted")
 	}
-	if _, err := Restore([]int32{0, 5}, []uint8{0, 0}, 2); err == nil {
+	if _, err := RestoreConcurrent([]int32{0, 5}, []uint8{0, 0}, 2); err == nil {
 		t.Error("out-of-range parent accepted")
 	}
-	if _, err := Restore([]int32{0, 1}, []uint8{0, 0}, 99); err == nil {
+	if _, err := RestoreConcurrent([]int32{0, 1}, []uint8{0, 0}, 99); err == nil {
 		t.Error("implausible set count accepted")
 	}
-	if _, err := Restore([]int32{0, 1}, []uint8{0, 0}, -1); err == nil {
+	if _, err := RestoreConcurrent([]int32{0, 1}, []uint8{0, 0}, -1); err == nil {
 		t.Error("negative set count accepted")
-	}
-}
-
-func TestStringer(t *testing.T) {
-	ds := New(3)
-	ds.Union(0, 1)
-	s := ds.String()
-	if s == "" || ds.Len() != 3 {
-		t.Fatalf("String() = %q", s)
 	}
 }
