@@ -48,7 +48,6 @@ func indexBuild(args []string) {
 	input := fs.String("input", "", "graph file (.metis/.graph, .bin, or edge list)")
 	output := fs.String("o", "", "write the index here (atomic temp+fsync+rename)")
 	threads := fs.Int("threads", 0, "worker count (0 = GOMAXPROCS)")
-	approx := fs.Float64("approx", 0, "accuracy dial δ in [0,1): estimate σ from MinHash sketches, resolving near-threshold edges exactly (0 = exact)")
 	fs.Parse(args)
 	if *input == "" || *output == "" {
 		fatal(fmt.Errorf("index build needs -input FILE and -o FILE"))
@@ -57,35 +56,19 @@ func indexBuild(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	x := buildIndex(g, *threads, *approx)
+	x := buildIndex(g, *threads)
 	if err := x.SaveFile(*output); err != nil {
 		fatal(err)
 	}
 	fmt.Printf("written to %s\n", *output)
 }
 
-// buildIndex constructs an in-memory index at the requested accuracy dial
-// (0 = exact) and prints the one-line build report.
-func buildIndex(g anyscan.GraphView, threads int, approx float64) *anyscan.Index {
-	if approx <= 0 {
-		x := anyscan.NewIndex(g, threads)
-		fmt.Printf("index built in %v (%d σ evaluations, one per edge)\n",
-			x.BuildTime().Round(time.Millisecond), x.SimEvals())
-		return x
-	}
-	x, err := anyscan.NewIndexApprox(g, threads, approx)
-	if err != nil {
-		fatal(err)
-	}
-	a := x.Approx()
-	switch {
-	case a.ExactFallback:
-		fmt.Printf("index built in %v (exact: graph has non-unit weights, no sketchable σ)\n",
-			x.BuildTime().Round(time.Millisecond))
-	default:
-		fmt.Printf("index built in %v (approx δ=%g: %d arcs sketched with k=%d MinHash, %d small-neighborhood arcs exact)\n",
-			x.BuildTime().Round(time.Millisecond), a.Delta, a.Sketched, a.K, a.BuildExact)
-	}
+// buildIndex constructs an in-memory exact index and prints the one-line
+// build report.
+func buildIndex(g anyscan.GraphView, threads int) *anyscan.Index {
+	x := anyscan.NewIndex(g, threads)
+	fmt.Printf("index built in %v (%d σ evaluations, one per edge)\n",
+		x.BuildTime().Round(time.Millisecond), x.SimEvals())
 	return x
 }
 
@@ -100,7 +83,6 @@ func indexLocal(args []string) {
 	mu := fs.Int("mu", 5, "μ: minimum ε-neighborhood size for cores")
 	eps := fs.Float64("eps", 0.5, "ε: structural similarity threshold")
 	threads := fs.Int("threads", 0, "worker count for building/loading (0 = GOMAXPROCS)")
-	approx := fs.Float64("approx", 0, "accuracy dial δ in [0,1) for the in-memory build (ignored with -index; 0 = exact)")
 	output := fs.String("o", "", "write 'vertex role' member lines here")
 	fs.Parse(args)
 	if *input == "" {
@@ -138,7 +120,7 @@ func indexLocal(args []string) {
 			fatal(err)
 		}
 	} else {
-		x = buildIndex(g, *threads, *approx)
+		x = buildIndex(g, *threads)
 	}
 
 	start := time.Now()
@@ -189,7 +171,6 @@ func indexQuery(args []string) {
 	mu := fs.Int("mu", 5, "μ: minimum ε-neighborhood size for cores")
 	epsList := fs.String("eps", "0.5", "ε value, or comma-separated ε values for a profile")
 	threads := fs.Int("threads", 0, "worker count for building/loading (0 = GOMAXPROCS)")
-	approx := fs.Float64("approx", 0, "accuracy dial δ in [0,1) for the in-memory build (ignored with -index; 0 = exact)")
 	output := fs.String("o", "", "write 'vertex label role' lines here (single ε only)")
 	fs.Parse(args)
 	if *input == "" {
@@ -216,11 +197,8 @@ func indexQuery(args []string) {
 			fatal(err)
 		}
 		fmt.Printf("index loaded in %v (0 σ evaluations)\n", time.Since(start).Round(time.Millisecond))
-		if a := x.Approx(); a.Delta > 0 && !a.ExactFallback {
-			fmt.Printf("loaded index is approximate (δ=%g, k=%d MinHash)\n", a.Delta, a.K)
-		}
 	} else {
-		x = buildIndex(g, *threads, *approx)
+		x = buildIndex(g, *threads)
 	}
 
 	var last *anyscan.Result

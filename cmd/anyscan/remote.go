@@ -28,7 +28,7 @@ import (
 //	anyscan remote result  -addr URL -job j1 [-assignments]
 //	anyscan remote pause | resume | cancel -addr URL -job j1
 //	anyscan remote query   -addr URL -graph g -mu 5 [-eps 0.5 | -eps-list 0.3,0.5 | -limit 8] [-approx 0.05] [-min-epoch 3]
-//	anyscan remote local   -addr URL -graph g -vertex 42 -mu 5 -eps 0.5 [-approx 0.05] [-min-epoch 3] [-no-members]
+//	anyscan remote local   -addr URL -graph g -vertex 42 -mu 5 -eps 0.5 [-min-epoch 3] [-no-members]
 //	anyscan remote mutate  -addr URL -graph g -ops add:1:2:0.8,del:3:4,rw:1:2:1.5
 func remoteMain(args []string) {
 	if len(args) == 0 {
@@ -47,7 +47,10 @@ func remoteMain(args []string) {
 	epsList := fs.String("eps-list", "", "comma-separated ε values (query profile)")
 	limit := fs.Int("limit", 0, "max auto-picked ε thresholds for a query profile (0 = server default)")
 	minEpoch := fs.Int64("min-epoch", 0, "query/local: wait for this live epoch before answering (read-your-writes)")
-	approx := fs.Float64("approx", 0, "query/local: accuracy dial δ in [0,1) — σ estimated from sketches, near-threshold edges exact (0 = exact)")
+	approx := new(float64)
+	if verb == "query" { // local reads are exact: only /v1/query has the dial
+		fs.Float64Var(approx, "approx", 0, "query: accuracy dial δ in [0,1) — σ estimated from sketches, near-threshold edges exact (0 = exact)")
+	}
 	vertex := fs.Int64("vertex", -1, "local: seed vertex id")
 	noMembers := fs.Bool("no-members", false, "local: omit the member list (summary only)")
 	ops := fs.String("ops", "", "mutate: comma-separated add:u:v:w, del:u:v, rw:u:v:w operations")
@@ -143,7 +146,7 @@ func remoteMain(args []string) {
 		if *vertex < 0 {
 			fatal(fmt.Errorf("remote local needs -vertex ID (the seed vertex)"))
 		}
-		out, err = c.LocalApproxEpoch(ctx, needGraph(), int32(*vertex), *mu, *eps, *approx, *minEpoch, !*noMembers)
+		out, err = c.LocalEpoch(ctx, needGraph(), int32(*vertex), *mu, *eps, *minEpoch, !*noMembers)
 	case "mutate":
 		if *ops == "" {
 			fatal(fmt.Errorf("remote mutate needs -ops LIST (e.g. add:1:2:0.8,del:3:4)"))

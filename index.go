@@ -21,28 +21,6 @@ type Index = index.Index
 // ever perform; Index.Query afterwards answers any (μ, ε) without σ work.
 func NewIndex(g GraphView, threads int) *Index { return index.Build(g, threads) }
 
-// ApproxStats reports how an approximate index split its work between the
-// sketch estimator and the exact fallback tiers; see Index.Approx.
-type ApproxStats = index.ApproxStats
-
-// DefaultApproxDelta is the default accuracy dial for approximate indexes.
-const DefaultApproxDelta = index.DefaultApproxDelta
-
-// NewIndexApprox is NewIndex with an accuracy dial: delta=0 builds the exact
-// index (byte-identical to NewIndex, including its persisted form); delta in
-// (0,1) estimates σ from per-vertex MinHash neighborhood sketches instead of
-// exact set joins. Each estimate carries a Chernoff-style error band chosen
-// so it is wrong by more than the band with probability at most delta, and
-// any query whose ε lands inside an arc's band resolves that arc *exactly*
-// (memoized across queries) — misclassification is confined to
-// provably-near-threshold edges. Graphs with non-unit edge weights have no
-// sketchable form of σ and fall back to the exact build (Index.Approx
-// reports it). Queries on the returned index take the band-aware path
-// automatically; no query-side flag is needed.
-func NewIndexApprox(g GraphView, threads int, delta float64) (*Index, error) {
-	return index.BuildApprox(g, threads, delta)
-}
-
 // LoadIndex reconstructs an index over g from a stream written with
 // Index.Save, skipping the similarity pass entirely. g must be the same
 // graph the index was built on (a content fingerprint is verified); the

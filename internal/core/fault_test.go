@@ -162,6 +162,8 @@ func TestCheckpointRejectsSemanticCorruption(t *testing.T) {
 			mut: func(st *checkpointState) { st.Memo[0] = 7 }},
 		{name: "memo-without-option", mut: func(st *checkpointState) { st.Memo = make([]int32, 4) }},
 		{name: "options-invalid", mut: func(st *checkpointState) { st.Opt.Eps = 2.5 }},
+		// Beyond MaxThreads: a resume would size its per-worker state by it.
+		{name: "options-threads-beyond-ceiling", mut: func(st *checkpointState) { st.Opt.Threads = 1 << 20 }},
 		{name: "iterations-negative", mut: func(st *checkpointState) { st.Iterations = -1 }},
 		{name: "phasetime-overlong", mut: func(st *checkpointState) {
 			st.PhaseTime = append(st.PhaseTime, st.PhaseTime...)

@@ -29,9 +29,9 @@ type Options struct {
 	Alpha int
 	// Beta is the Step-2/3 block size. The paper's default is 8192.
 	Beta int
-	// Threads is the number of workers for the parallel phases; 0 means
-	// GOMAXPROCS, 1 runs fully sequentially (the paper's non-parallel
-	// anySCAN, with no goroutine overhead).
+	// Threads is the number of workers for the parallel phases, at most
+	// MaxThreads; 0 means GOMAXPROCS, 1 runs fully sequentially (the
+	// paper's non-parallel anySCAN, with no goroutine overhead).
 	Threads int
 	// Seed drives the random Step-1 vertex selection order. Runs with equal
 	// seeds are deterministic for Threads == 1.
@@ -90,6 +90,11 @@ func DefaultOptions() Options {
 	}
 }
 
+// MaxThreads bounds Options.Threads. A run keeps 32 B of state per worker,
+// so the ceiling caps that at 32 KiB whatever a request or a checkpoint
+// asks for, and a run valid on one host stays valid on a smaller one.
+const MaxThreads = 1024
+
 // AutoBlock is the automatic block size for a graph of n vertices,
 // max(128, n/128): the paper's α = β = 8192 relative to its 1M–5M-vertex
 // graphs, kept well below 1% of |V| on small ones.
@@ -108,8 +113,8 @@ func (o *Options) validate() error {
 	if o.Beta < 1 {
 		return fmt.Errorf("anyscan: Beta must be >= 1, got %d", o.Beta)
 	}
-	if o.Threads < 0 {
-		return fmt.Errorf("anyscan: Threads must be >= 0, got %d", o.Threads)
+	if o.Threads < 0 || o.Threads > MaxThreads {
+		return fmt.Errorf("anyscan: Threads must be in [0, %d], got %d", MaxThreads, o.Threads)
 	}
 	if o.Threads == 0 {
 		o.Threads = runtime.GOMAXPROCS(0)

@@ -231,12 +231,9 @@ var (
 
 // Load builds (or returns the cached) dataset at the given scale factor
 // (1.0 = the default reduced scale; smaller values shrink further for quick
-// tests). Loads are memoized per (name, scale) for the process lifetime.
+// tests). Loads are memoized per (name, scale) for the process lifetime,
+// for the harness and the CLIs, which reuse graphs.
 func Load(name string, scale float64) (*graph.CSR, error) {
-	e, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("datasets: unknown dataset %q (known: %v)", name, Names())
-	}
 	if scale <= 0 {
 		scale = 1
 	}
@@ -247,7 +244,7 @@ func Load(name string, scale float64) (*graph.CSR, error) {
 	if hit {
 		return g, nil
 	}
-	g, err := e.gen(scale)
+	g, err := Generate(name, scale)
 	if err != nil {
 		return nil, err
 	}
@@ -255,6 +252,21 @@ func Load(name string, scale float64) (*graph.CSR, error) {
 	cache[key] = g
 	cacheMu.Unlock()
 	return g, nil
+}
+
+// Generate builds the dataset at the given scale factor as Load does, but
+// keeps no memo: the graph belongs to the caller and is collectable once the
+// caller drops it. A long-lived owner that evicts its graphs, such as
+// anyscand's registry, generates through it.
+func Generate(name string, scale float64) (*graph.CSR, error) {
+	e, ok := registry[name]
+	if !ok {
+		return nil, fmt.Errorf("datasets: unknown dataset %q (known: %v)", name, Names())
+	}
+	if scale <= 0 {
+		scale = 1
+	}
+	return e.gen(scale)
 }
 
 // MustLoad is Load or panic; for benchmarks and examples.

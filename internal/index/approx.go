@@ -11,7 +11,6 @@ import (
 
 	"anyscan/internal/cluster"
 	"anyscan/internal/graph"
-	"anyscan/internal/local"
 	"anyscan/internal/par"
 	"anyscan/internal/simeval"
 )
@@ -35,7 +34,10 @@ import (
 //     cached in a lock-free slot array shared by all queries.
 //
 // δ=0 disables the machinery entirely: BuildApprox degenerates to Build and
-// the persisted index bytes are identical to the exact path's.
+// the persisted index bytes are identical to the exact path's. An
+// approximate index lives only in memory, behind the /v1/query accuracy
+// dial: Save refuses it, and a seed-centered local read runs on the exact
+// index instead.
 
 // DefaultApproxDelta is the accuracy dial's default: with k=128 permutations
 // the band half-width on Ĵ is √(ln(2/δ)/(2k)) ≈ 0.14. Chosen so the CI
@@ -45,8 +47,7 @@ import (
 const DefaultApproxDelta = 0.01
 
 // defaultSketchSeed seeds the MinHash permutations; fixed so builds are
-// deterministic and mirror slots of the persisted estimate agree bit-for-bit
-// across processes.
+// deterministic across processes.
 const defaultSketchSeed = 0xA17C5EED
 
 // approxUnresolved is the sentinel bit pattern of an unresolved query-time
@@ -58,8 +59,6 @@ const approxUnresolved = ^uint64(0)
 // exact index fields.
 type approxState struct {
 	delta float64
-	k     int
-	seed  uint64
 
 	// exactFallback marks a build that requested approximation but ran the
 	// exact pass anyway (non-unit edge weights). nbrBand and friends are nil
@@ -88,7 +87,6 @@ type approxState struct {
 // sketch estimator and the exact fallback tiers.
 type ApproxStats struct {
 	Delta         float64 // the accuracy dial (0 = exact index)
-	K             int     // MinHash permutations per vertex
 	ExactFallback bool    // whole build ran exact (non-unit weights)
 	BuildExact    int64   // edges evaluated exactly at build (cheap-arc tier)
 	Sketched      int64   // edges estimated from sketches
@@ -104,7 +102,6 @@ func (x *Index) Approx() ApproxStats {
 	}
 	return ApproxStats{
 		Delta:         a.delta,
-		K:             a.k,
 		ExactFallback: a.exactFallback,
 		BuildExact:    a.buildExactArcs,
 		Sketched:      a.sketchedArcs,
@@ -140,7 +137,7 @@ func buildApproxCtx(ctx context.Context, g graph.Graph, threads int, delta float
 		if err != nil {
 			return nil, err
 		}
-		x.approx = &approxState{delta: delta, k: k, seed: seed, exactFallback: true}
+		x.approx = &approxState{delta: delta, exactFallback: true}
 		return x, nil
 	}
 
@@ -151,7 +148,7 @@ func buildApproxCtx(ctx context.Context, g graph.Graph, threads int, delta float
 	}
 	t := simeval.HoeffdingHalfWidth(k, delta)
 	x := &Index{g: g, threads: threads, orders: map[int]*CoreOrder{},
-		approx: &approxState{delta: delta, k: k, seed: seed}}
+		approx: &approxState{delta: delta}}
 	// σ̂ and its band are written in CSR arc order, mirrored, and then
 	// permuted into σ order in place by the neighbor sort, as in BuildCtx.
 	sig := make([]float64, g.NumArcs())
@@ -216,22 +213,11 @@ func buildApproxCtx(ctx context.Context, g graph.Graph, threads int, delta float
 	if err := x.sortNeighborsCtx(ctx, threads); err != nil {
 		return nil, err
 	}
-	x.finishApprox()
-	x.buildTau = time.Since(start)
-	return x, nil
-}
-
-// finishApprox derives the per-vertex walk slack and the query-time
-// resolution cache from the band array. Called after sortNeighborsCtx on both
-// the build and the restore path.
-func (x *Index) finishApprox() {
-	a := x.approx
-	g := x.g
-	n := g.NumVertices()
-	a.maxBand = make([]float64, n)
-	for v := int32(0); v < int32(n); v++ {
-		if lo, hi := g.NeighborRange(v); hi > lo {
-			a.maxBand[v] = float64(slices.Max(a.nbrBand[lo:hi]))
+	// The per-vertex walk slack and the query-time resolution cache.
+	a.maxBand = make([]float64, g.NumVertices())
+	for v := range a.maxBand {
+		if lo, hi := g.NeighborRange(int32(v)); hi > lo {
+			a.maxBand[v] = float64(slices.Max(band[lo:hi]))
 		}
 	}
 	a.resolved = make([]uint64, g.NumArcs())
@@ -239,6 +225,8 @@ func (x *Index) finishApprox() {
 		a.resolved[i] = approxUnresolved
 	}
 	a.ordersU = map[int]*CoreOrder{}
+	x.buildTau = time.Since(start)
+	return x, nil
 }
 
 // arcScan evaluates exact σ for arcs of vertex v, each one Row.Crossing
@@ -396,80 +384,5 @@ func (x *Index) queryApprox(mu int, eps float64) (*cluster.Result, error) {
 		}
 		s.done()
 	})
-	// The noise split reads the index's own neighbor ids: going through an
-	// approxView would resolve arcs the answer never needed.
 	return r.result(x, cores), nil
-}
-
-// LocalView returns the local.View a seed-centered query at threshold eps
-// should run against: the index itself when it is exact, or a band-aware
-// adapter that serves *effective* neighbor orders (estimates outside the
-// band, memoized exact values inside it) re-sorted per vertex. Effective
-// similarities are symmetric, so local membership through the adapter is
-// byte-identical to the seed's community under queryApprox — the same
-// local/global equivalence the exact index enjoys.
-//
-// The returned view is safe for concurrent use; per-vertex effective orders
-// are memoized for the view's lifetime, so callers should create one view
-// per (ε, query burst) rather than one per vertex touched.
-func (x *Index) LocalView(eps float64) local.View {
-	if x.approx == nil || x.approx.exactFallback {
-		return x
-	}
-	return &approxView{x: x, eps: eps, ords: map[int32]effOrder{}}
-}
-
-// effOrder is one vertex's neighbor order under effective similarities.
-type effOrder struct {
-	ids  []int32
-	sigs []float64
-}
-
-// approxView adapts an approximate index to the local.View surface at one
-// fixed ε.
-type approxView struct {
-	x   *Index
-	eps float64
-
-	mu   sync.Mutex
-	ords map[int32]effOrder
-}
-
-func (av *approxView) NumVertices() int { return av.x.NumVertices() }
-
-func (av *approxView) NeighborOrder(v int32) ([]int32, []float64) {
-	o := av.order(v)
-	return o.ids, o.sigs
-}
-
-func (av *approxView) CoreThreshold(v int32, mu int) float64 {
-	return CoreThresholdOf(av.order(v).sigs, mu)
-}
-
-// order returns v's effective neighbor order, computing and memoizing it on
-// first use. Uncertain arcs resolve through the index's shared exact cache
-// (arcScan), so a vertex's effective order agrees with every global query at
-// the same ε.
-func (av *approxView) order(v int32) effOrder {
-	av.mu.Lock()
-	if o, ok := av.ords[v]; ok {
-		av.mu.Unlock()
-		return o
-	}
-	av.mu.Unlock()
-
-	x := av.x
-	lo, hi := x.g.NeighborRange(v)
-	o := effOrder{ids: slices.Clone(x.nbr[lo:hi]), sigs: make([]float64, hi-lo)}
-	s := arcScan{x: x, v: v}
-	for j := range o.sigs {
-		o.sigs[j] = x.effSig(&s, lo+int64(j), av.eps)
-	}
-	s.done()
-	SortOrder(o.ids, o.sigs)
-
-	av.mu.Lock()
-	av.ords[v] = o
-	av.mu.Unlock()
-	return o
 }

@@ -16,11 +16,13 @@ func BuildApproxK(g graph.Graph, threads int, delta float64, k int, seed uint64)
 }
 
 // ArcOrder returns the index's σ and error bands in CSR arc order, the
-// persisted layout (band is nil for an exact index), so tests can tie a
+// persisted layout of σ (band is nil for an exact index), so tests can tie a
 // value to its arc.
 func (x *Index) ArcOrder() (sig []float64, band []float32) {
-	p := x.payload()
-	return p.Sigma, p.Band
+	if a := x.approx; a != nil && !a.exactFallback {
+		band = arcOrder(x, a.nbrBand)
+	}
+	return arcOrder(x, x.nbrSig), band
 }
 
 // ParallelQueryMin is the core count from which a replay fans its walks
@@ -28,8 +30,8 @@ func (x *Index) ArcOrder() (sig []float64, band []float32) {
 const ParallelQueryMin = parallelQueryMin
 
 // ResolvedArcs calls fn for every slot of an approximate index that a query
-// or a local read has resolved exactly: the slot's vertex, its neighbor and
-// the memoized threshold.
+// has resolved exactly: the slot's vertex, its neighbor and the memoized
+// threshold.
 func (x *Index) ResolvedArcs(fn func(v, q int32, sig float64)) {
 	a := x.approx
 	for v := int32(0); v < int32(x.NumVertices()); v++ {

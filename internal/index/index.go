@@ -291,9 +291,8 @@ func (x *Index) CoreThreshold(v int32, mu int) float64 {
 // CoreThresholdOf is the core threshold at μ of a vertex whose σ-sorted
 // neighbor thresholds are sigs: the (μ-1)-th largest σ among its arcs, as
 // σ(v,v)=1 supplies the vertex's own membership; 1 for μ ≤ 1 and 0 when the
-// vertex has fewer than μ-1 arcs. Every row layout — the index, a live
-// epoch's segments, an approximate index's effective orders — answers
-// CoreThreshold through it.
+// vertex has fewer than μ-1 arcs. Both row layouts — the index and a live
+// epoch's segments — answer CoreThreshold through it.
 //
 // The threshold is capped at 1, the largest valid ε: simeval.Crossing gives
 // an edge whose σ is exactly 1 the threshold 1+2⁻⁵², and for every ε ≤ 1,

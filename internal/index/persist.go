@@ -12,22 +12,18 @@ import (
 )
 
 // Index container format: the shared framed+CRC container of package frame
-// wrapping a gob-encoded indexPayload. Only σ (plus, for approximate indexes,
-// the per-arc error bands and the sketch parameters) is persisted, in CSR arc
+// wrapping a gob-encoded indexPayload. Only σ is persisted, in CSR arc
 // order — the one place arc order survives. The neighbor ids of the sorted
 // orders and the per-μ core orders are cheap, deterministic derivations and
 // are rebuilt on load by sorting the loaded arrays in place, which keeps the
 // file at 8 B per arc against 12 resident and the format independent of
 // query history.
 //
-// Payload version 1 is an exact index; version 2 adds the approximate-mode
-// fields. Exact indexes — including any built with the δ=0 dial — keep
-// writing version 1, byte-identical to what earlier releases produced, and
-// both versions load through the same path.
-const (
-	indexVersion       = 1
-	indexVersionApprox = 2
-)
+// There is one payload version, an exact index. Version 2 held an
+// approximate index's estimates, error bands and sketch parameters; it is
+// no longer written (Save refuses an approximate index) and no longer read
+// (Load fails on it, naming the version).
+const indexVersion = 1
 
 // maxSigma bounds a persisted threshold. σ ≤ 1 by Cauchy–Schwarz, but
 // the exact crossing of its rounded numerator and denominator can land a
@@ -36,8 +32,7 @@ const (
 const maxSigma = 1 + 1e-9
 
 // indexKind is the frame parameterization of the persisted-index artifact.
-// The container version stays 1 for both payload versions — the envelope
-// format is unchanged; MaxPayload bounds the declared payload length so a
+// The container version is the payload version; MaxPayload bounds the declared payload length so a
 // corrupt or hostile header cannot force an enormous allocation.
 var indexKind = frame.Kind{
 	Magic:      0xA17C1DE5,
@@ -48,35 +43,14 @@ var indexKind = frame.Kind{
 
 // indexPayload is the gob payload of a persisted index. The graph itself is
 // not serialized — the caller supplies it again at load time and a
-// fingerprint check rejects mismatches. Delta, K, Seed, and Band are set
-// only when Version == indexVersionApprox; gob omits zero-valued fields, so
-// version-1 payloads encode exactly as they did before these fields existed.
+// fingerprint check rejects mismatches. gob writes every field's name into
+// the stream's type descriptor, so adding or dropping a field changes every
+// file's bytes; decoding matches fields by name and skips the ones the
+// struct lacks, so a file written with more fields still loads.
 type indexPayload struct {
 	Version int
 	Graph   graph.Fingerprint
 	Sigma   []float64
-
-	// Approximate-mode fields (Version == indexVersionApprox): the accuracy
-	// dial, MinHash permutation count and seed the estimates were built
-	// with, and the per-arc confidence half-widths in CSR arc order.
-	Delta float64
-	K     int
-	Seed  uint64
-	Band  []float32
-}
-
-// payload assembles the persisted form of the index.
-func (x *Index) payload() indexPayload {
-	p := indexPayload{
-		Version: indexVersion,
-		Graph:   graph.FingerprintOf(x.g),
-		Sigma:   arcOrder(x, x.nbrSig),
-	}
-	if a := x.approx; a != nil && !a.exactFallback {
-		p.Version = indexVersionApprox
-		p.Delta, p.K, p.Seed, p.Band = a.delta, a.k, a.seed, arcOrder(x, a.nbrBand)
-	}
-	return p
 }
 
 // arcOrder returns vals, an array parallel to the σ-sorted neighbor orders,
@@ -101,12 +75,16 @@ func arcOrder[T any](x *Index, vals []T) []T {
 // payload is wrapped in the framed container (magic, version, length,
 // CRC-32), so truncation and bit-level corruption are detected at load time.
 //
-// An approximate index saves its estimates and error bands (payload version
-// 2); a build that requested approximation but fell back to the exact pass
-// (non-unit weights) saves as a plain exact index — its σ values are exact,
-// and the dial setting is build provenance, not index state.
+// An approximate index cannot be saved: its estimates answer only the
+// in-memory /v1/query dial. A build that requested approximation but fell
+// back to the exact pass (non-unit weights) saves as the exact index it is —
+// its σ values are exact, and the dial setting is build provenance, not
+// index state.
 func (x *Index) Save(w io.Writer) error {
-	p := x.payload()
+	if a := x.approx; a != nil && !a.exactFallback {
+		return fmt.Errorf("anyscan: an approximate index (δ=%g) cannot be saved; build an exact one", a.delta)
+	}
+	p := indexPayload{Version: indexVersion, Graph: graph.FingerprintOf(x.g), Sigma: arcOrder(x, x.nbrSig)}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(&p); err != nil {
 		return fmt.Errorf("anyscan: encoding index: %w", err)
@@ -150,8 +128,8 @@ func restore(g graph.Graph, payload []byte, threads int) (*Index, error) {
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&p); err != nil {
 		return nil, fmt.Errorf("anyscan: decoding index: %w", err)
 	}
-	if p.Version != indexVersion && p.Version != indexVersionApprox {
-		return nil, fmt.Errorf("anyscan: index version %d not supported", p.Version)
+	if p.Version != indexVersion {
+		return nil, fmt.Errorf("anyscan: index payload version %d not supported (only version %d, an exact index, loads)", p.Version, indexVersion)
 	}
 	if fp := graph.FingerprintOf(g); fp != p.Graph {
 		return nil, fmt.Errorf("anyscan: index was built on a different graph (fingerprint %x vs %x)", p.Graph.Hash, fp.Hash)
@@ -170,26 +148,6 @@ func restore(g graph.Graph, payload []byte, threads int) (*Index, error) {
 		threads: threads,
 		orders:  map[int]*CoreOrder{},
 	}
-	if p.Version == indexVersionApprox {
-		if !(p.Delta > 0 && p.Delta < 1) {
-			return nil, fmt.Errorf("anyscan: index approx delta %v out of range (0,1)", p.Delta)
-		}
-		if p.K < 1 {
-			return nil, fmt.Errorf("anyscan: index approx k %d must be >= 1", p.K)
-		}
-		if int64(len(p.Band)) != g.NumArcs() {
-			return nil, fmt.Errorf("anyscan: index has %d arc bands, graph has %d arcs", len(p.Band), g.NumArcs())
-		}
-		for e, b := range p.Band {
-			if !(b >= 0 && b <= 1) { // also rejects NaN
-				return nil, fmt.Errorf("anyscan: index arc %d band %v out of range [0,1]", e, b)
-			}
-		}
-		x.approx = &approxState{delta: p.Delta, k: p.K, seed: p.Seed, nbrBand: p.Band}
-	}
 	x.sortNeighborsCtx(nil, threads)
-	if x.approx != nil {
-		x.finishApprox()
-	}
 	return x, nil
 }

@@ -5,6 +5,8 @@ import (
 	"encoding/gob"
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"anyscan/internal/gen"
@@ -14,16 +16,14 @@ import (
 )
 
 // TestPersistedLayoutOracle ties every persisted value to its arc. The file
-// stores σ (and an approximate index's bands) in CSR arc order while the
-// index keeps them only in σ-sorted order, so the save path's un-permute is
-// checked against independent oracles: an exact index's σ of arc v→q must be
-// the crossing of a fresh exact evaluation, an approximate index's σ̂ and
-// band must be q's entry in v's sorted order, and Save → Load → Save must
-// reproduce the file byte for byte. The exact oracle is the reference merge
-// join, simeval.Engine.EdgeNumerator, so it also ties the one exact σ kernel
-// to it on unit and weighted graphs. Graphs: the random families; an R-MAT
-// with hubs past the sketch size, so the approximate index has sketched
-// arcs; shapes that stress the kernel's (degree, id) ranking and common
+// stores σ in CSR arc order while the index keeps it only in σ-sorted order,
+// so the save path's un-permute is checked against independent oracles: the
+// σ of arc v→q must be the crossing of a fresh exact evaluation and q's
+// entry in v's sorted order, and Save → Load → Save must reproduce the file
+// byte for byte. The exact oracle is the reference merge join,
+// simeval.Engine.EdgeNumerator, so it also ties the one exact σ kernel to it
+// on unit and weighted graphs. Graphs: the random families; an R-MAT with
+// hubs; shapes that stress the kernel's (degree, id) ranking and common
 // neighborhoods (oracleShapes); each on the flat and the compressed backend.
 func TestPersistedLayoutOracle(t *testing.T) {
 	cases := testutil.RandomCases(1)
@@ -44,17 +44,84 @@ func TestPersistedLayoutOracle(t *testing.T) {
 			})
 			checkSortedEntries(t, name, x, p)
 			checkResave(t, name, x)
+		}
+	}
+}
 
-			ax, err := BuildApprox(g, 2, DefaultApproxDelta)
+// legacyFrame frames a payload the way files were written while the format
+// had a second, approximate version: gob of the seven-field indexPayload of
+// that time (a function-local copy under the same name, so the descriptor
+// names the same type and fields), in the index container.
+func legacyFrame(t *testing.T, version int, g graph.Graph, sigma []float64, delta float64, k int, seed uint64, band []float32) []byte {
+	t.Helper()
+	type indexPayload struct {
+		Version int
+		Graph   graph.Fingerprint
+		Sigma   []float64
+		Delta   float64
+		K       int
+		Seed    uint64
+		Band    []float32
+	}
+	var payload, file bytes.Buffer
+	p := indexPayload{version, graph.FingerprintOf(g), sigma, delta, k, seed, band}
+	if err := gob.NewEncoder(&payload).Encode(&p); err != nil {
+		t.Fatal(err)
+	}
+	if err := indexKind.Write(&file, payload.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	return file.Bytes()
+}
+
+// TestLoadsSevenFieldVersion1Files loads exact index files written with the
+// seven-field payload, whose descriptor also names the approximate fields:
+// gob matches fields by name, so each loads to the neighbor orders and
+// thresholds a fresh build holds, bit for bit, and resaves in the smaller
+// three-field form.
+func TestLoadsSevenFieldVersion1Files(t *testing.T) {
+	for _, tc := range testutil.RandomCases(1)[:5] { // unit and weighted families
+		for _, g := range []graph.Graph{tc.G, graph.Compress(tc.G)} {
+			name := fmt.Sprintf("%s/%T", tc.Name, g)
+			x := Build(g, 2)
+			old := legacyFrame(t, 1, g, arcOrder(x, x.nbrSig), 0, 0, 0, nil)
+			y, err := Load(g, bytes.NewReader(old), 1)
 			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if !slices.Equal(y.nbr, x.nbr) || !slices.EqualFunc(y.nbrSig, x.nbrSig, func(a, b float64) bool {
+				return math.Float64bits(a) == math.Float64bits(b)
+			}) {
+				t.Fatalf("%s: a seven-field version-1 file loads to other neighbor orders or thresholds", name)
+			}
+			var now bytes.Buffer
+			if err := y.Save(&now); err != nil {
 				t.Fatal(err)
 			}
-			if tc.Name == "rmat-hubs" && ax.Approx().Sketched == 0 {
-				t.Fatalf("%s: no sketched arcs; the approximate layout is untested", name)
+			if now.Len() >= len(old) {
+				t.Fatalf("%s: resaved file has %d bytes, the seven-field one %d", name, now.Len(), len(old))
 			}
-			checkSortedEntries(t, name+"/approx", ax, savedPayload(t, ax))
-			checkResave(t, name+"/approx", ax)
 		}
+	}
+}
+
+// TestLoadRejectsVersion2 hands Load a well-formed version-2 file, an
+// approximate index's estimates, bands and sketch parameters: the version
+// is no longer read, so Load must fail naming it and return no index.
+func TestLoadRejectsVersion2(t *testing.T) {
+	g := gen.RMAT(10, 8<<10, 0.57, 0.19, 0.19, gen.WeightConfig{}, 7)
+	ax, err := BuildApprox(g, 2, DefaultApproxDelta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ax.Approx().Sketched == 0 {
+		t.Fatal("no sketched arcs: the approximate index is exact")
+	}
+	sig, band := ax.ArcOrder()
+	file := legacyFrame(t, 2, g, sig, DefaultApproxDelta, simeval.DefaultSketchK, defaultSketchSeed, band)
+	y, err := Load(g, bytes.NewReader(file), 2)
+	if err == nil || !strings.Contains(err.Error(), "version 2") || y != nil {
+		t.Fatalf("Load of a version-2 file: index %v, error %v; want no index and an error naming version 2", y != nil, err)
 	}
 }
 
@@ -132,17 +199,10 @@ func eachArc(g graph.Graph, fn func(v, q int32, w float32, e int64)) {
 	}
 }
 
-// checkSortedEntries asserts that the persisted σ and band of every arc v→q
-// are bit-identical to q's entry in v's sorted order.
+// checkSortedEntries asserts that the persisted σ of every arc v→q is
+// bit-identical to q's entry in v's sorted order.
 func checkSortedEntries(t *testing.T, name string, x *Index, p indexPayload) {
 	t.Helper()
-	var band []float32
-	if x.approx != nil && !x.approx.exactFallback {
-		band = x.approx.nbrBand
-		if len(p.Band) != len(band) {
-			t.Fatalf("%s: %d persisted bands for %d arcs", name, len(p.Band), len(band))
-		}
-	}
 	at := make([]int64, x.NumVertices()) // neighbor id → sorted slot of the current vertex
 	for v := int32(0); v < int32(x.NumVertices()); v++ {
 		lo, hi := x.g.NeighborRange(v)
@@ -153,9 +213,6 @@ func checkSortedEntries(t *testing.T, name string, x *Index, p indexPayload) {
 			e, s := lo+int64(j), at[q]
 			if math.Float64bits(p.Sigma[e]) != math.Float64bits(x.nbrSig[s]) {
 				t.Fatalf("%s: arc %d (%d→%d) persisted σ %v, sorted order holds %v", name, e, v, q, p.Sigma[e], x.nbrSig[s])
-			}
-			if band != nil && math.Float32bits(p.Band[e]) != math.Float32bits(band[s]) {
-				t.Fatalf("%s: arc %d (%d→%d) persisted band %v, sorted order holds %v", name, e, v, q, p.Band[e], band[s])
 			}
 			return true
 		})

@@ -8,7 +8,6 @@ import (
 	"anyscan/internal/cluster"
 	"anyscan/internal/graph"
 	"anyscan/internal/index"
-	"anyscan/internal/local"
 )
 
 // seg is one vertex's slice of an epoch: its adjacency (ids ascending,
@@ -173,11 +172,6 @@ func (e *Epoch) NeighborOrder(v int32) (ids []int32, sigs []float64) {
 	s := e.segs[v]
 	return s.onbr, s.osig
 }
-
-// LocalView returns the local.View a seed-centered query at eps runs
-// against: the epoch itself, whose σ is exact at every ε. It mirrors
-// index.Index.LocalView so callers need not care which one they hold.
-func (e *Epoch) LocalView(eps float64) local.View { return e }
 
 // Query returns the exact SCAN clustering at (μ, ε) for this epoch without
 // recomputing any similarity. It runs index.Replay — the static index's own

@@ -394,7 +394,8 @@ func (c *cell) same(res *cluster.Result) error {
 // valid is cluster.Validate made against the cell's truth instead of a
 // second reference run, plus cluster.Equivalent: the same cores, borders,
 // noise, core partition and cluster count as the truth, every border
-// attached to the cluster of a similar adjacent core, and no label on noise.
+// labelled and attached to the cluster of a similar adjacent core, and no
+// label on noise.
 func (c *cell) valid(res *cluster.Result) error {
 	if err := cluster.Equivalent(c.truth, res); err != nil || res.NumClusters != c.truth.NumClusters {
 		return fmt.Errorf("%d clusters, want %d; %v", res.NumClusters, c.truth.NumClusters, err)
@@ -406,6 +407,8 @@ func (c *cell) valid(res *cluster.Result) error {
 			return fmt.Errorf("vertex %d is %v, want %v", v, r, c.truth.Roles[v])
 		case r.IsNoise() && res.Labels[v] != cluster.NoLabel:
 			return fmt.Errorf("noise vertex %d carries label %d", v, res.Labels[v])
+		case r == cluster.Border && res.Labels[v] == cluster.NoLabel:
+			return fmt.Errorf("border %d has no label", v)
 		case r == cluster.Border && !attached(eng, res, int32(v)):
 			return fmt.Errorf("border %d attached to cluster %d without a similar core there", v, res.Labels[v])
 		}

@@ -44,33 +44,6 @@ func TestAlgorithmsMatchReferenceOnFixtures(t *testing.T) {
 	}
 }
 
-func TestAlgorithmsMatchReferenceOnRandomGraphs(t *testing.T) {
-	count := 2
-	if testing.Short() {
-		count = 1
-	}
-	for _, tc := range testutil.RandomCases(count) {
-		for _, a := range algorithms {
-			res, _ := a.run(tc.G, tc.Mu, tc.Eps)
-			if err := cluster.Validate(tc.G, tc.Mu, tc.Eps, res); err != nil {
-				t.Fatalf("%s invalid on %s: %v", a.name, tc.Name, err)
-			}
-		}
-	}
-}
-
-func TestAlgorithmsAgreePairwise(t *testing.T) {
-	for _, tc := range testutil.RandomCases(1) {
-		base, _ := SCAN(tc.G, tc.Mu, tc.Eps)
-		for _, a := range algorithms[1:] {
-			res, _ := a.run(tc.G, tc.Mu, tc.Eps)
-			if err := cluster.Equivalent(base, res); err != nil {
-				t.Fatalf("%s disagrees with SCAN on %s: %v", a.name, tc.Name, err)
-			}
-		}
-	}
-}
-
 func TestTwoTrianglesKnownClustering(t *testing.T) {
 	g := testutil.TwoTriangles()
 	// With μ=3, ε=0.6: each triangle's vertices are cores (σ within a

@@ -78,7 +78,7 @@ func (s JobSpec) Options(n int) core.Options {
 	if o.Beta <= 0 {
 		o.Beta = o.Alpha
 	}
-	if s.Threads > 0 {
+	if s.Threads != 0 { // a negative count fails core's validation
 		o.Threads = s.Threads
 	}
 	if s.Seed != 0 {
@@ -282,14 +282,11 @@ type MutateResponse struct {
 // only). Touched is the number of vertices the expansion visited — the
 // output-proportional cost of the answer.
 type LocalResponse struct {
-	Graph string  `json:"graph"`
-	Seed  int32   `json:"seed"`
-	Mu    int     `json:"mu"`
-	Eps   float64 `json:"eps"`
-	Role  string  `json:"role"`
-	// Approx echoes the accuracy dial δ the answer was actually computed at
-	// (omitted when exact — see QueryResponse.Approx).
-	Approx   float64 `json:"approx,omitempty"`
+	Graph    string  `json:"graph"`
+	Seed     int32   `json:"seed"`
+	Mu       int     `json:"mu"`
+	Eps      float64 `json:"eps"`
+	Role     string  `json:"role"`
 	CacheHit bool    `json:"cache_hit"`
 	// Stale marks a degraded-mode answer served from the last good index;
 	// the response also carries an X-Anyscan-Stale: 1 header.

@@ -1,7 +1,12 @@
 package server_test
 
 import (
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 
 	"anyscan/internal/cluster"
@@ -12,16 +17,17 @@ import (
 
 // TestE2EApproxQueryDial exercises the accuracy dial end to end on an
 // unweighted graph: an ?approx= query is answered from a sketch-based index
-// (echoed in the response, cached under its own key, counted in metrics),
-// its clustering is near-identical to the exact answer, and an approx local
-// query returns exactly the membership the approx global clustering assigns.
+// (echoed in the response, cached under its own key, counted in metrics) and
+// its clustering is near-identical to the exact answer. /v1/local has no
+// dial: an approx local read is a 400 naming the removal, and a plain one on
+// the same graph returns the exact clustering's community.
 func TestE2EApproxQueryDial(t *testing.T) {
 	g, _, err := gen.LFR(gen.DefaultLFR(2000, 9, 13))
 	if err != nil {
 		t.Fatal(err)
 	}
 	path := writeGraphFile(t, g, t.TempDir())
-	_, c := newTestServer(t, server.ManagerConfig{Workers: 1, Logger: quietLogger()})
+	srv, c := newTestServer(t, server.ManagerConfig{Workers: 1, Logger: quietLogger()})
 	if _, err := c.LoadGraph(tctx, server.LoadGraphRequest{
 		Name: "g", GraphSource: server.GraphSource{Path: path},
 	}); err != nil {
@@ -64,29 +70,24 @@ func TestE2EApproxQueryDial(t *testing.T) {
 		t.Fatalf("cached approx answer changed: %d clusters vs %d", ap2.Clusters, ap.Clusters)
 	}
 
-	// An approx local query must return exactly the community the approx
-	// global clustering assigns the seed — the same contract the exact pair
-	// has, shifted to the approximate index.
 	var seed int32 = -1
-	for v, l := range ap.Assignments.Labels {
+	for v, l := range exact.Assignments.Labels {
 		if l != cluster.NoLabel {
 			seed = int32(v)
 			break
 		}
 	}
 	if seed < 0 {
-		t.Fatal("approx clustering assigned no communities")
+		t.Fatal("exact clustering assigned no communities")
 	}
-	lr, err := c.LocalApprox(tctx, "g", seed, mu, eps, delta, true)
+	wantDialRemovedFromLocal(t, srv, fmt.Sprintf("graph=g&seed=%d&mu=%d&eps=%g&approx=%g", seed, mu, eps, delta))
+	lr, err := c.Local(tctx, "g", seed, mu, eps, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lr.Approx != delta {
-		t.Fatalf("approx local echoed approx=%g, want %g", lr.Approx, delta)
-	}
-	wantRole, wantMembers, _ := expectedLocal(ap.Assignments, seed)
-	if lr.Role != wantRole || !reflect.DeepEqual(lr.Members, wantMembers) {
-		t.Fatalf("approx local(seed=%d) diverges from approx global (role %q vs %q, %d vs %d members)",
+	wantRole, wantMembers, wantRoles := expectedLocal(exact.Assignments, seed)
+	if lr.Role != wantRole || !reflect.DeepEqual(lr.Members, wantMembers) || !reflect.DeepEqual(lr.Roles, wantRoles) {
+		t.Fatalf("local(seed=%d) diverges from the exact query (role %q vs %q, %d vs %d members)",
 			seed, lr.Role, wantRole, len(lr.Members), len(wantMembers))
 	}
 
@@ -94,8 +95,8 @@ func TestE2EApproxQueryDial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := metricValue(t, text, "anyscand_approx_queries_total "); v < 3 {
-		t.Fatalf("anyscand_approx_queries_total = %g, want >= 3", v)
+	if v := metricValue(t, text, "anyscand_approx_queries_total "); v < 2 {
+		t.Fatalf("anyscand_approx_queries_total = %g, want >= 2", v)
 	}
 	if v := metricValue(t, text, "anyscand_approx_index_builds_total "); v < 1 {
 		t.Fatalf("anyscand_approx_index_builds_total = %g, want >= 1", v)
@@ -140,14 +141,14 @@ func TestE2EApproxWeightedFallsBackExact(t *testing.T) {
 // TestE2EApproxOnLiveGraphServedExactly mutates a graph and then asks for an
 // approx clustering: live epochs carry exact σ, so the answer must come from
 // the epoch chain (epoch echoed, approx omitted) and the fallback counter
-// must tick.
+// must tick. An approx local read is a 400 on a live graph too.
 func TestE2EApproxOnLiveGraphServedExactly(t *testing.T) {
 	g, _, err := gen.LFR(gen.DefaultLFR(800, 8, 41))
 	if err != nil {
 		t.Fatal(err)
 	}
 	path := writeGraphFile(t, g, t.TempDir())
-	_, c := newTestServer(t, server.ManagerConfig{Workers: 1, Logger: quietLogger()})
+	srv, c := newTestServer(t, server.ManagerConfig{Workers: 1, Logger: quietLogger()})
 	if _, err := c.LoadGraph(tctx, server.LoadGraphRequest{
 		Name: "g", GraphSource: server.GraphSource{Path: path},
 	}); err != nil {
@@ -168,20 +169,26 @@ func TestE2EApproxOnLiveGraphServedExactly(t *testing.T) {
 	if ap.Epoch < mr.Epoch {
 		t.Fatalf("live-graph approx answer at epoch %d, want >= %d", ap.Epoch, mr.Epoch)
 	}
-	lr, err := c.LocalApprox(tctx, "g", 0, 3, 0.4, 0.05, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lr.Approx != 0 || lr.Epoch < mr.Epoch {
-		t.Fatalf("live-graph approx local: approx=%g epoch=%d, want exact serving at epoch >= %d",
-			lr.Approx, lr.Epoch, mr.Epoch)
-	}
+	wantDialRemovedFromLocal(t, srv, "graph=g&seed=0&mu=3&eps=0.4&approx=0.05&members=0")
 
 	text, err := c.MetricsText(tctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := metricValue(t, text, "anyscand_approx_live_exact_total "); v < 2 {
-		t.Fatalf("anyscand_approx_live_exact_total = %g, want >= 2", v)
+	if v := metricValue(t, text, "anyscand_approx_live_exact_total "); v < 1 {
+		t.Fatalf("anyscand_approx_live_exact_total = %g, want >= 1", v)
+	}
+}
+
+// wantDialRemovedFromLocal asserts that GET /v1/local?query, which carries a
+// positive approx, is a structured 400 naming the removed dial.
+func wantDialRemovedFromLocal(t *testing.T, h http.Handler, query string) {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/local?"+query, nil))
+	var e server.ErrorResponse
+	if rec.Code != http.StatusBadRequest || json.Unmarshal(rec.Body.Bytes(), &e) != nil ||
+		!strings.Contains(e.Error, "approx was removed from /v1/local") {
+		t.Fatalf("GET /v1/local?%s: %d %s, want a 400 naming the removed dial", query, rec.Code, rec.Body)
 	}
 }

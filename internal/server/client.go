@@ -418,27 +418,12 @@ func (c *Client) Local(ctx context.Context, graphName string, seed int32, mu int
 // server answers from a live epoch at least that new, waiting (up to the
 // request deadline) for a writer to publish it.
 func (c *Client) LocalEpoch(ctx context.Context, graphName string, seed int32, mu int, eps float64, minEpoch int64, withMembers bool) (LocalResponse, error) {
-	return c.LocalApproxEpoch(ctx, graphName, seed, mu, eps, 0, minEpoch, withMembers)
-}
-
-// LocalApprox is Local with an accuracy dial (see QueryApprox): the
-// community expansion runs against the server's sketch-based index at δ =
-// approx, resolving near-threshold edges exactly.
-func (c *Client) LocalApprox(ctx context.Context, graphName string, seed int32, mu int, eps, approx float64, withMembers bool) (LocalResponse, error) {
-	return c.LocalApproxEpoch(ctx, graphName, seed, mu, eps, approx, 0, withMembers)
-}
-
-// LocalApproxEpoch combines LocalApprox and LocalEpoch.
-func (c *Client) LocalApproxEpoch(ctx context.Context, graphName string, seed int32, mu int, eps, approx float64, minEpoch int64, withMembers bool) (LocalResponse, error) {
 	var resp LocalResponse
 	q := url.Values{}
 	q.Set("graph", graphName)
 	q.Set("seed", strconv.FormatInt(int64(seed), 10))
 	q.Set("mu", strconv.Itoa(mu))
 	q.Set("eps", strconv.FormatFloat(eps, 'g', -1, 64))
-	if approx > 0 {
-		q.Set("approx", strconv.FormatFloat(approx, 'g', -1, 64))
-	}
 	if minEpoch > 0 {
 		q.Set("min_epoch", strconv.FormatInt(minEpoch, 10))
 	}

@@ -15,8 +15,8 @@ import (
 
 // newFuzzServer builds an in-process server holding graph "g" (about 200
 // vertices), called through ServeHTTP with no listener. Every new approx
-// value builds and caches another index, so the server carries a memory
-// budget, and a short query deadline bounds any one input's work.
+// value on /v1/query builds and caches another index, so the server carries
+// a memory budget, and a short query deadline bounds any one input's work.
 func newFuzzServer(f *testing.F) *server.Server {
 	f.Helper()
 	srv, err := server.New(server.Config{
@@ -82,6 +82,7 @@ func FuzzReadParams(f *testing.F) {
 		"graph=g&mu=3&eps=0.3,zap&limit=0&timeout_ms=abc",
 		"graph=nope&mu=99999999999&eps=1e-300&min_epoch=x",
 		"%zz&graph=g;mu=3&&eps=",
+		"graph=g&seed=5&mu=3&eps=0.4&members=1&min_epoch=0&timeout_ms=500&approx=0.01", // local's removed-dial 400
 	} {
 		f.Add(seed)
 	}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -469,6 +470,43 @@ func TestGraphStateHeldPromotionPublishesNothing(t *testing.T) {
 	for _, want := range []string{"anyscand_graphs_loaded 2\n", "anyscand_live_graphs 2\n", "anyscand_indexes_cached 2\n"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("after a held promotion, metrics lack %q", strings.TrimSpace(want))
+		}
+	}
+}
+
+// TestGraphStateEvictedDatasetIsCollectable loads a dataset graph through
+// the API, builds no index, evicts it, and requires the garbage collector to
+// reclaim it: the registry owns every graph it loads, so no process-wide
+// cache may keep an evicted generation alive.
+func TestGraphStateEvictedDatasetIsCollectable(t *testing.T) {
+	s := newStateServer(t, OverloadConfig{})
+	serve := func(method, path, body string) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+		if rec.Code >= 300 {
+			t.Fatalf("%s %s: %d %s", method, path, rec.Code, rec.Body)
+		}
+	}
+	freed := make(chan struct{})
+	func() { // no reference to the graph outlives this call
+		serve("POST", "/v1/graphs", `{"name":"d","dataset":"GR01L","scale":0.03}`)
+		ge, err := s.reg.Get("d")
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.SetFinalizer(ge.G.(*graph.CSR), func(*graph.CSR) { close(freed) })
+	}()
+	serve("DELETE", "/v1/graphs/d", "")
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		runtime.GC()
+		select {
+		case <-freed:
+			return
+		case <-time.After(20 * time.Millisecond):
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the evicted dataset graph is still reachable")
 		}
 	}
 }

@@ -18,13 +18,15 @@ import (
 // ?min_epoch= gives read-your-writes on mutated graphs, and capacity
 // failures degrade to the last good index with the stale marker.
 
-// handleLocal answers GET /v1/local?graph=&seed=&mu=&eps=[&approx=].
+// handleLocal answers GET /v1/local?graph=&seed=&mu=&eps=. Local reads are
+// exact: a positive approx is a 400 naming the removed dial (approx=0 is the
+// exact read, and a malformed value is the usual parse 400).
 func (s *Server) handleLocal(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	name := q.Get("graph")
 	if name == "" {
 		writeError(w, http.StatusBadRequest,
-			errors.New("need graph=<name>&seed=<vertex>&mu=<int>&eps=<float>[&approx=<delta>]"))
+			errors.New("need graph=<name>&seed=<vertex>&mu=<int>&eps=<float>"))
 		return
 	}
 	mu, err := parseMuParam(q)
@@ -42,8 +44,10 @@ func (s *Server) handleLocal(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	approx, err := parseApproxParam(q)
-	if err != nil {
+	if approx, err := parseApproxParam(q); err != nil || approx > 0 {
+		if err == nil {
+			err = errors.New("approx was removed from /v1/local: local reads are always exact (the dial remains on /v1/query)")
+		}
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -61,7 +65,7 @@ func (s *Server) handleLocal(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	s.serveLocal(w, r, ge, seed, mu, eps, approx, minEpoch)
+	s.serveLocal(w, r, ge, seed, mu, eps, minEpoch)
 }
 
 // vertexInRange validates a request-supplied vertex id against the graph's
@@ -85,13 +89,13 @@ func wantMembers(r *http.Request) bool {
 // serveLocal answers one local query. The expansion is cheap relative to an
 // index build but still serializes O(community) state, so every local is
 // metered through admission.
-func (s *Server) serveLocal(w http.ResponseWriter, r *http.Request, ge *GraphEntry, seed int32, mu int, eps, approx float64, minEpoch int64) {
-	rv, code, err := s.resolveView(r.Context(), ge, approx, minEpoch, true)
+func (s *Server) serveLocal(w http.ResponseWriter, r *http.Request, ge *GraphEntry, seed int32, mu int, eps float64, minEpoch int64) {
+	rv, code, err := s.resolveView(r.Context(), ge, 0, minEpoch, true)
 	if err != nil {
 		s.fail(w, code, err)
 		return
 	}
-	res, queryUS, err := s.runLocal(rv.view.LocalView(eps), seed, mu, eps)
+	res, queryUS, err := s.runLocal(rv.view, seed, mu, eps)
 	rv.release()
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
@@ -103,7 +107,6 @@ func (s *Server) serveLocal(w http.ResponseWriter, r *http.Request, ge *GraphEnt
 		Mu:       res.Mu,
 		Eps:      res.Eps,
 		Role:     res.Role.String(),
-		Approx:   rv.approx,
 		CacheHit: rv.hit,
 		Stale:    rv.stale != nil,
 		Epoch:    rv.epoch,

@@ -22,11 +22,12 @@ import (
 // comes from.
 
 // view is what a read computes on: a fresh or stale *index.Index, or a
-// *live.Epoch. Both answer full clusterings and seed-centered locals.
+// *live.Epoch. Both answer full clusterings, and each is the local.View a
+// seed-centered read expands on; a local read never asks for an accuracy
+// dial, so its view is always exact.
 type view interface {
-	NumVertices() int
+	local.View
 	Query(mu int, eps float64) (*cluster.Result, error)
-	LocalView(eps float64) local.View
 }
 
 // readView is a resolved read source plus what the response reports about

@@ -55,41 +55,42 @@ type readCell struct {
 
 // readContract is the whole table: (fresh | live | stale) × (min_epoch none
 // | satisfied | unsatisfiable) × (δ = 0 | 0.01) × (query | profile | local).
-// Profiles never take an accuracy dial, so every δ > 0 profile is a 400.
+// Profiles never take an accuracy dial and local reads no longer do, so
+// every δ > 0 profile or local is a 400.
 var readContract = []readCell{
 	{srcFresh, epochNone, 0, routeQuery, 200, false, 0, 0, false, ""},
 	{srcFresh, epochNone, 0, routeProf, 200, false, 0, 0, false, ""},
 	{srcFresh, epochNone, 0, routeLocal, 200, false, 0, 0, false, ""},
 	{srcFresh, epochNone, contractDlt, routeQuery, 200, false, 0, contractDlt, false, ""},
 	{srcFresh, epochNone, contractDlt, routeProf, 400, false, 0, 0, false, "profile queries are always exact"},
-	{srcFresh, epochNone, contractDlt, routeLocal, 200, false, 0, contractDlt, false, ""},
+	{srcFresh, epochNone, contractDlt, routeLocal, 400, false, 0, 0, false, "approx was removed from /v1/local"},
 	{srcFresh, epochSat, 0, routeQuery, 409, false, 0, 0, false, "no live epochs"},
 	{srcFresh, epochSat, 0, routeProf, 409, false, 0, 0, false, "no live epochs"},
 	{srcFresh, epochSat, 0, routeLocal, 409, false, 0, 0, false, "no live epochs"},
 	{srcFresh, epochSat, contractDlt, routeQuery, 409, false, 0, 0, false, "no live epochs"},
 	{srcFresh, epochSat, contractDlt, routeProf, 400, false, 0, 0, false, "profile queries are always exact"},
-	{srcFresh, epochSat, contractDlt, routeLocal, 409, false, 0, 0, false, "no live epochs"},
+	{srcFresh, epochSat, contractDlt, routeLocal, 400, false, 0, 0, false, "approx was removed from /v1/local"},
 	{srcFresh, epochUnsat, 0, routeQuery, 409, false, 0, 0, false, "no live epochs"},
 	{srcFresh, epochUnsat, 0, routeProf, 409, false, 0, 0, false, "no live epochs"},
 	{srcFresh, epochUnsat, 0, routeLocal, 409, false, 0, 0, false, "no live epochs"},
 	{srcFresh, epochUnsat, contractDlt, routeQuery, 409, false, 0, 0, false, "no live epochs"},
 	{srcFresh, epochUnsat, contractDlt, routeProf, 400, false, 0, 0, false, "profile queries are always exact"},
-	{srcFresh, epochUnsat, contractDlt, routeLocal, 409, false, 0, 0, false, "no live epochs"},
+	{srcFresh, epochUnsat, contractDlt, routeLocal, 400, false, 0, 0, false, "approx was removed from /v1/local"},
 
-	// Live epochs carry exact σ: an accuracy dial is served exactly, so the
-	// approx field stays 0.
+	// Live epochs carry exact σ: an accuracy dial on a query is served
+	// exactly, so the approx field stays 0.
 	{srcLive, epochNone, 0, routeQuery, 200, false, 1, 0, true, ""},
 	{srcLive, epochNone, 0, routeProf, 200, false, 1, 0, true, ""},
 	{srcLive, epochNone, 0, routeLocal, 200, false, 1, 0, true, ""},
 	{srcLive, epochNone, contractDlt, routeQuery, 200, false, 1, 0, true, ""},
 	{srcLive, epochNone, contractDlt, routeProf, 400, false, 0, 0, false, "profile queries are always exact"},
-	{srcLive, epochNone, contractDlt, routeLocal, 200, false, 1, 0, true, ""},
+	{srcLive, epochNone, contractDlt, routeLocal, 400, false, 0, 0, false, "approx was removed from /v1/local"},
 	{srcLive, epochSat, 0, routeQuery, 200, false, 1, 0, true, ""},
 	{srcLive, epochSat, 0, routeProf, 200, false, 1, 0, true, ""},
 	{srcLive, epochSat, 0, routeLocal, 200, false, 1, 0, true, ""},
 	{srcLive, epochSat, contractDlt, routeQuery, 200, false, 1, 0, true, ""},
 	{srcLive, epochSat, contractDlt, routeProf, 400, false, 0, 0, false, "profile queries are always exact"},
-	{srcLive, epochSat, contractDlt, routeLocal, 200, false, 1, 0, true, ""},
+	{srcLive, epochSat, contractDlt, routeLocal, 400, false, 0, 0, false, "approx was removed from /v1/local"},
 	// An epoch nobody publishes expires with the request deadline — never a
 	// hang, never a stale answer.
 	{srcLive, epochUnsat, 0, routeQuery, 503, false, 0, 0, false, "epoch 999 not published"},
@@ -97,7 +98,7 @@ var readContract = []readCell{
 	{srcLive, epochUnsat, 0, routeLocal, 503, false, 0, 0, false, "epoch 999 not published"},
 	{srcLive, epochUnsat, contractDlt, routeQuery, 503, false, 0, 0, false, "epoch 999 not published"},
 	{srcLive, epochUnsat, contractDlt, routeProf, 400, false, 0, 0, false, "profile queries are always exact"},
-	{srcLive, epochUnsat, contractDlt, routeLocal, 503, false, 0, 0, false, "epoch 999 not published"},
+	{srcLive, epochUnsat, contractDlt, routeLocal, 400, false, 0, 0, false, "approx was removed from /v1/local"},
 
 	// A build outage degrades to the last good index at the same δ, marked
 	// stale; a read-your-writes bound never degrades.
@@ -106,19 +107,19 @@ var readContract = []readCell{
 	{srcStale, epochNone, 0, routeLocal, 200, true, 0, 0, true, ""},
 	{srcStale, epochNone, contractDlt, routeQuery, 200, true, 0, contractDlt, true, ""},
 	{srcStale, epochNone, contractDlt, routeProf, 400, false, 0, 0, false, "profile queries are always exact"},
-	{srcStale, epochNone, contractDlt, routeLocal, 200, true, 0, contractDlt, true, ""},
+	{srcStale, epochNone, contractDlt, routeLocal, 400, false, 0, 0, false, "approx was removed from /v1/local"},
 	{srcStale, epochSat, 0, routeQuery, 409, false, 0, 0, false, "no live epochs"},
 	{srcStale, epochSat, 0, routeProf, 409, false, 0, 0, false, "no live epochs"},
 	{srcStale, epochSat, 0, routeLocal, 409, false, 0, 0, false, "no live epochs"},
 	{srcStale, epochSat, contractDlt, routeQuery, 409, false, 0, 0, false, "no live epochs"},
 	{srcStale, epochSat, contractDlt, routeProf, 400, false, 0, 0, false, "profile queries are always exact"},
-	{srcStale, epochSat, contractDlt, routeLocal, 409, false, 0, 0, false, "no live epochs"},
+	{srcStale, epochSat, contractDlt, routeLocal, 400, false, 0, 0, false, "approx was removed from /v1/local"},
 	{srcStale, epochUnsat, 0, routeQuery, 409, false, 0, 0, false, "no live epochs"},
 	{srcStale, epochUnsat, 0, routeProf, 409, false, 0, 0, false, "no live epochs"},
 	{srcStale, epochUnsat, 0, routeLocal, 409, false, 0, 0, false, "no live epochs"},
 	{srcStale, epochUnsat, contractDlt, routeQuery, 409, false, 0, 0, false, "no live epochs"},
 	{srcStale, epochUnsat, contractDlt, routeProf, 400, false, 0, 0, false, "profile queries are always exact"},
-	{srcStale, epochUnsat, contractDlt, routeLocal, 409, false, 0, 0, false, "no live epochs"},
+	{srcStale, epochUnsat, contractDlt, routeLocal, 400, false, 0, 0, false, "approx was removed from /v1/local"},
 }
 
 // TestReadContract pins the read pipeline's contract cell by cell: the

@@ -155,11 +155,8 @@ func (s GraphSource) load() (graph.Graph, error) {
 		return nil, err
 	}
 	if s.Dataset != "" {
-		scale := s.Scale
-		if scale <= 0 {
-			scale = 1
-		}
-		g, err := datasets.Load(s.Dataset, scale)
+		// Uncached: the registry owns the graph, so an eviction frees it.
+		g, err := datasets.Generate(s.Dataset, s.Scale)
 		if err != nil || s.Format != FormatCompressed {
 			return g, err
 		}

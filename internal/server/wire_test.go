@@ -112,7 +112,7 @@ func wireCases() []wireCase {
 		snapshotCase("snapshot", SnapshotResponse{ID: "j1", State: JobRunning, Progress: progress}, mixed),
 		snapshotCase("result", SnapshotResponse{ID: "j<2>", State: JobDone, Progress: ProgressInfo{Phase: "done", Done: true}}, limits),
 		localCase("local", LocalResponse{Graph: "g&h", CacheHit: true, QueryMS: 0.05}, community),
-		localCase("local epoch stale approx build_ms", LocalResponse{Graph: "g", Approx: 0.05, Stale: true, Epoch: 7, BuildMS: 2}, community),
+		localCase("local epoch stale build_ms", LocalResponse{Graph: "g", Stale: true, Epoch: 7, BuildMS: 2}, community),
 		localCase("local one member", LocalResponse{Graph: "ü\xff"}, single),
 		{"local without members", LocalResponse{Graph: "g", Seed: 5, Mu: 4, Eps: 0.5, Role: "core", Size: 3, Touched: 9}, nil, nil},
 		{"local noise seed", LocalResponse{Graph: "g", Seed: noise.Seed, Mu: 4, Eps: 0.9, Role: "outlier", Touched: 1}, nil, nil},

@@ -45,10 +45,10 @@ import (
 // serialization. Nothing is counted on the hot path: a shared counter would
 // reintroduce exactly the contended cache line this type exists to remove.
 //
-// Add, Sets, Labels, Snapshot and RestoreConcurrent are quiescent
-// operations: they must not run concurrently with any other method (the
-// anySCAN phases call them only in sequential sub-phases or between Step
-// calls, which is the same contract the checkpoint machinery requires).
+// Add, Sets, Snapshot and RestoreConcurrent are quiescent operations: they
+// must not run concurrently with any other method (the anySCAN phases call
+// them only in sequential sub-phases or between Step calls, which is the
+// same contract the checkpoint machinery requires).
 type Concurrent struct {
 	parent []int32 // atomic access in the concurrent operations
 }
@@ -61,9 +61,6 @@ func NewConcurrent(n int) *Concurrent {
 	}
 	return c
 }
-
-// Len returns the number of elements in the universe.
-func (c *Concurrent) Len() int { return len(c.parent) }
 
 // Add appends a fresh singleton element and returns its id. Quiescent-only:
 // it grows the parent array and must not race with any concurrent operation
@@ -166,26 +163,6 @@ func (c *Concurrent) Sets() int {
 		}
 	}
 	return sets
-}
-
-// Labels returns, for each element, a dense label in [0, Sets()): elements
-// in the same set share a label, assigned in order of first appearance of
-// each set's representative. Quiescent-only.
-func (c *Concurrent) Labels() []int32 {
-	labels := make([]int32, len(c.parent))
-	next := int32(0)
-	seen := make(map[int32]int32)
-	for i := range c.parent {
-		r := c.Find(int32(i))
-		l, ok := seen[r]
-		if !ok {
-			l = next
-			next++
-			seen[r] = l
-		}
-		labels[i] = l
-	}
-	return labels
 }
 
 // Snapshot exports the forest state for checkpointing, in the (parent,

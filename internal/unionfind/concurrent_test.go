@@ -40,7 +40,7 @@ func TestConcurrentMatchesSequentialSingleThread(t *testing.T) {
 	if naive.sets() != cc.Sets() {
 		t.Fatalf("set counts differ: %d vs %d", naive.sets(), cc.Sets())
 	}
-	samePartition(t, naive.labels(), cc.Labels())
+	samePartition(t, naive.labels(), labelsOf(cc))
 }
 
 // TestConcurrentStress drives a Concurrent set from many goroutines over a
@@ -106,7 +106,7 @@ func TestConcurrentStress(t *testing.T) {
 		}
 		wg.Wait()
 
-		samePartition(t, naive.labels(), cc.Labels())
+		samePartition(t, naive.labels(), labelsOf(cc))
 		if naive.sets() != cc.Sets() {
 			t.Fatalf("n=%d: set counts differ: %d vs %d", n, naive.sets(), cc.Sets())
 		}
@@ -174,8 +174,8 @@ func TestConcurrentAdd(t *testing.T) {
 	if id := cc.Add(); id != 2 {
 		t.Fatalf("Add returned %d, want 2", id)
 	}
-	if cc.Len() != 3 || cc.Sets() != 3 {
-		t.Fatalf("after Add: len=%d sets=%d, want 3/3", cc.Len(), cc.Sets())
+	if len(cc.parent) != 3 || cc.Sets() != 3 {
+		t.Fatalf("after Add: len=%d sets=%d, want 3/3", len(cc.parent), cc.Sets())
 	}
 	cc.Union(0, 2)
 	if !cc.Connected(0, 2) || cc.Connected(1, 2) {
@@ -194,7 +194,7 @@ func TestConcurrentSnapshotRestoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	samePartition(t, cc.Labels(), back.Labels())
+	samePartition(t, labelsOf(cc), labelsOf(back))
 	if back.Sets() != cc.Sets() {
 		t.Fatalf("restored set count %d, want %d", back.Sets(), cc.Sets())
 	}
@@ -214,7 +214,7 @@ func TestConcurrentRestoresRankBasedSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	naive := newModel([]int32{1, 1, 1, 1, 5, 5, 5, 7})
-	samePartition(t, naive.labels(), cc.Labels())
+	samePartition(t, naive.labels(), labelsOf(cc))
 	rng := rand.New(rand.NewSource(11))
 	for k := 0; k < 6; k++ {
 		x, y := int32(rng.Intn(8)), int32(rng.Intn(8))
@@ -222,7 +222,7 @@ func TestConcurrentRestoresRankBasedSnapshot(t *testing.T) {
 			t.Fatalf("union(%d,%d) merge verdicts diverged at op %d", x, y, k)
 		}
 	}
-	samePartition(t, naive.labels(), cc.Labels())
+	samePartition(t, naive.labels(), labelsOf(cc))
 	if naive.sets() != cc.Sets() {
 		t.Fatalf("set counts differ: %d vs %d", naive.sets(), cc.Sets())
 	}

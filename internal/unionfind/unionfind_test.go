@@ -63,16 +63,28 @@ func (m *model) sets() int {
 	return n
 }
 
-// labels numbers the sets as Concurrent.Labels does: densely, in order of
-// first appearance.
-func (m *model) labels() []int32 {
-	dense := make(map[int32]int32)
-	out := make([]int32, len(m.of))
-	for i, l := range m.of {
-		d, ok := dense[l]
+// labels numbers the model's sets densely, in order of first appearance.
+func (m *model) labels() []int32 { return dense(m.of) }
+
+// labelsOf numbers c's sets the same way, through Find. Quiescent-only.
+func labelsOf(c *Concurrent) []int32 {
+	roots := make([]int32, len(c.parent))
+	for i := range roots {
+		roots[i] = c.Find(int32(i))
+	}
+	return dense(roots)
+}
+
+// dense renumbers the values of of densely, in order of first appearance,
+// so two label vectors of one partition come out equal.
+func dense(of []int32) []int32 {
+	ids := make(map[int32]int32)
+	out := make([]int32, len(of))
+	for i, l := range of {
+		d, ok := ids[l]
 		if !ok {
-			d = int32(len(dense))
-			dense[l] = d
+			d = int32(len(ids))
+			ids[l] = d
 		}
 		out[i] = d
 	}
@@ -81,8 +93,8 @@ func (m *model) labels() []int32 {
 
 func TestBasics(t *testing.T) {
 	ds := NewConcurrent(5)
-	if ds.Len() != 5 || ds.Sets() != 5 {
-		t.Fatalf("fresh set: len=%d sets=%d", ds.Len(), ds.Sets())
+	if len(ds.parent) != 5 || ds.Sets() != 5 {
+		t.Fatalf("fresh set: len=%d sets=%d", len(ds.parent), ds.Sets())
 	}
 	if ds.Connected(0, 1) {
 		t.Fatal("fresh elements connected")
@@ -113,8 +125,8 @@ func TestAdd(t *testing.T) {
 	if id != 2 {
 		t.Fatalf("Add returned %d, want 2", id)
 	}
-	if ds.Len() != 3 || ds.Sets() != 3 {
-		t.Fatalf("after Add: len=%d sets=%d", ds.Len(), ds.Sets())
+	if len(ds.parent) != 3 || ds.Sets() != 3 {
+		t.Fatalf("after Add: len=%d sets=%d", len(ds.parent), ds.Sets())
 	}
 	ds.Union(0, id)
 	if !ds.Connected(0, 2) {
@@ -156,7 +168,7 @@ func TestLabels(t *testing.T) {
 	ds := NewConcurrent(6)
 	ds.Union(0, 3)
 	ds.Union(4, 5)
-	labels := ds.Labels()
+	labels := labelsOf(ds)
 	if labels[0] != labels[3] {
 		t.Errorf("0 and 3 should share a label")
 	}
@@ -246,7 +258,7 @@ func TestSnapshotRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored.Sets() != ds.Sets() || restored.Len() != ds.Len() {
+	if restored.Sets() != ds.Sets() || len(restored.parent) != len(ds.parent) {
 		t.Fatalf("shape mismatch after restore")
 	}
 	for i := int32(0); i < 10; i++ {

@@ -26,14 +26,11 @@ type LocalView = local.View
 // g must be the graph idx was built over; passing a different graph is an
 // error (the index's thresholds describe no other adjacency). idx is safe
 // for any number of concurrent Local and Query callers.
-// For an approximate index (NewIndexApprox with δ>0), Local automatically
-// routes through the index's band-aware LocalView, so the membership matches
-// the approximate global query the same way the exact pair matches.
 func Local(g GraphView, idx *Index, seed int32, mu int, eps float64) (*LocalResult, error) {
 	if g != nil && idx.Graph() != g {
 		return nil, fmt.Errorf("anyscan: index was built over a different graph")
 	}
-	return local.Query(idx.LocalView(eps), seed, mu, eps)
+	return local.Query(idx, seed, mu, eps)
 }
 
 // LocalQuery answers a seed-centered community query from any LocalView —
